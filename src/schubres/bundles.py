@@ -225,7 +225,11 @@ def sym_ustar(ctx: GrassContext, d: int, twist: int = 1) -> BundleClass:
 
     These are the normal bundle ingredients every degeneration needs, and
     the same powers recur across cases, so memoization pays for itself.
-    Safe because contexts and bundle classes are immutable values.
+    Safe because contexts and bundle classes are immutable values.  A twist
+    rescales the cached untwisted power; the untwisted lookup passes the
+    twist positionally so it shares its cache entry with callers that ask
+    for ``sym_ustar(ctx, k, 1)``.
     """
-    E = sym_power(ustar(ctx), d)
-    return adams_twist(E, twist) if twist != 1 else E
+    if twist != 1:
+        return adams_twist(sym_ustar(ctx, d, 1), twist)
+    return sym_power(ustar(ctx), d)

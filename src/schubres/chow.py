@@ -14,6 +14,12 @@ production path converts to the Schubert basis via the Pieri rule for the
 dual subbundle's Chern classes, and ``integrate_oracle`` expands everything
 into Chern roots and reads one coefficient off an alternant.  The two routes
 share no code beyond polynomial arithmetic and must agree.
+
+The production path is linear in the polynomial: each Chern monomial c^a is
+expanded once per ``GrassContext`` and kept in a memo on that context, built
+as one Pieri step from the memoized c^(a - e_i).  Converting or integrating a
+polynomial then costs one lookup per term, and the memo never grows beyond
+the monomials of weighted degree up to the dimension.
 """
 
 from __future__ import annotations
@@ -121,6 +127,18 @@ class GrassContext:
             raise ValueError("r and n must be integers")
         if self.r < 0 or self.n <= self.r:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
+        k = self.k
+        if k <= len(_GENERATOR_LETTERS):
+            names = _GENERATOR_LETTERS[:k]
+        else:
+            names = tuple(f"c{i}" for i in range(1, k + 1))
+        object.__setattr__(
+            self, "_spec", GeneratorSpec(names, tuple(range(1, k + 1)), self.dim)
+        )
+        # Exponent -> Schubert expansion of that Chern monomial, filled by
+        # ``_monomial_schubert``.  Not a dataclass field, so equality, hashing
+        # and repr still see only r and n.
+        object.__setattr__(self, "_schubert_memo", {})
 
     @property
     def k(self) -> int:
@@ -136,12 +154,7 @@ class GrassContext:
 
     @property
     def spec(self) -> GeneratorSpec:
-        k = self.k
-        if k <= len(_GENERATOR_LETTERS):
-            names = _GENERATOR_LETTERS[:k]
-        else:
-            names = tuple(f"c{i}" for i in range(1, k + 1))
-        return GeneratorSpec(names, tuple(range(1, k + 1)), self.dim)
+        return self._spec
 
     @property
     def box(self) -> Partition:
@@ -304,26 +317,44 @@ def dual_pieri_multiply(vector: SchubertVector, i: int) -> SchubertVector:
     return SchubertVector(ctx, out)
 
 
+def _monomial_schubert(ctx: GrassContext, expo: tuple[int, ...]) -> SchubertVector:
+    """Schubert expansion of the Chern monomial c^expo, memoized on ``ctx``.
+
+    c^a is one Pieri step from c^(a - e_i), i the last generator present, so
+    each new entry costs exactly one ``dual_pieri_multiply``.  The memo holds
+    at most one entry per exponent of weighted degree up to ``ctx.dim``.
+    """
+    memo = ctx._schubert_memo
+    vector = memo.get(expo)
+    if vector is None:
+        i = max((j for j, e in enumerate(expo) if e), default=None)
+        if i is None:
+            vector = SchubertVector.unit(ctx)
+        else:
+            parent = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
+            vector = dual_pieri_multiply(_monomial_schubert(ctx, parent), i + 1)
+        memo[expo] = vector
+    return vector
+
+
 def to_schubert(ctx: GrassContext, p: GradedPoly) -> SchubertVector:
-    """Expand a polynomial in the Chern generators in the Schubert basis."""
+    """Expand a polynomial in the Chern generators in the Schubert basis.
+
+    The expansion is linear in ``p``: each term contributes its coefficient
+    times the memoized expansion of its monomial.
+    """
     if p.spec != ctx.spec:
         raise ContextMismatchError("polynomial does not live on this Grassmannian")
-    result = SchubertVector.zero(ctx)
-    for expo, coeff in sorted(p.terms.items()):
-        vector = coeff * SchubertVector.unit(ctx)
-        for index, exponent in enumerate(expo):
-            for _ in range(exponent):
-                vector = dual_pieri_multiply(vector, index + 1)
-        result = result + vector
-    return result
+    out: dict[Partition, int] = {}
+    for expo, coeff in p.terms.items():
+        for partition, value in _monomial_schubert(ctx, expo).coeffs.items():
+            out[partition] = out.get(partition, 0) + coeff * value
+    return SchubertVector(ctx, out)
 
 
 def integrate(ctx: GrassContext, p: GradedPoly) -> int:
     """Degree of the top-dimensional part of ``p`` against the point class."""
-    top = p.degree_part(ctx.dim)
-    if top.is_zero:
-        return 0
-    return to_schubert(ctx, top).coefficient(ctx.box)
+    return to_schubert(ctx, p.degree_part(ctx.dim)).coefficient(ctx.box)
 
 
 def integrate_oracle(ctx: GrassContext, p: GradedPoly) -> int:

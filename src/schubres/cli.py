@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -658,13 +659,14 @@ def run_selftest() -> int:
     print(f"schubres {__version__} selftest (kernel backend: {kernel.backend_name()})")
     failures = 0
     for name, check in SELFTEST_CHECKS:
+        start = time.perf_counter()
         try:
             check()
         except Exception as exc:  # noqa: BLE001 - report and keep going
             failures += 1
-            print(f"selftest: {name}: FAIL ({exc})")
+            print(f"selftest: {name}: FAIL ({exc}) ({time.perf_counter() - start:.2f} s)")
         else:
-            print(f"selftest: {name}: ok")
+            print(f"selftest: {name}: ok ({time.perf_counter() - start:.2f} s)")
     total = len(SELFTEST_CHECKS)
     if failures:
         print(f"selftest: {failures} of {total} checks FAILED")

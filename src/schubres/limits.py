@@ -166,8 +166,9 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     ctx = spec.context
     d = spec.degree
     ambient_bundle = sym_ustar(ctx, d)
+    # No integration ring: the degrees are paired below, once per class.
     setup = IntersectionSetup(
-        cN=ambient_bundle.total_chern, d=ambient_bundle.rank, k=ctx.dim, ring=ctx
+        cN=ambient_bundle.total_chern, d=ambient_bundle.rank, k=ctx.dim
     )
     (k1, e1), (k2, e2) = spec.pieces
     bundle1 = sym_ustar(ctx, k1, e1)

@@ -274,10 +274,14 @@ def regular_decompose(
     r1, r2 = N1.rank, N2.rank
 
     def main_for(N_l: BundleClass, z_l):
+        # Only the codimension-e part of c(N) * s(N_l) is needed, so form
+        # it directly as the sum of c_i(N) * s_{e-i}(N_l).
         excess_codim = d - N_l.rank
-        if excess_codim < 0:
-            return setup.cN.zero_like()
-        excess = (setup.cN * N_l.total_segre()).degree_part(excess_codim)
+        excess = setup.cN.zero_like()
+        for i in range(0, excess_codim + 1):
+            ci = setup.cN.degree_part(i)
+            if not ci.is_zero:
+                excess = excess + ci * segre(N_l, excess_codim - i)
         return excess * z_l
 
     def adjunct_for(N_l: BundleClass, N_other: BundleClass):

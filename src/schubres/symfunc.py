@@ -80,10 +80,12 @@ class GradedPoly:
 
     ``terms`` is canonical: no zero coefficients, every exponent tuple has
     the spec's length and weighted degree at most the truncation bound.
-    Treat instances as read-only; all operations return new objects.
+    Treat instances as read-only; all operations return new objects.  The
+    homogeneous parts are split out on first use and kept, so repeated
+    ``degree_part`` calls on one series do not rescan its terms.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "terms", "_parts")
 
     def __init__(
         self,
@@ -111,6 +113,7 @@ class GradedPoly:
                 del canonical[expo]
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "terms", canonical)
+        object.__setattr__(self, "_parts", None)
 
     @classmethod
     def _raw(cls, spec: GeneratorSpec, terms: TermMap) -> "GradedPoly":
@@ -118,6 +121,7 @@ class GradedPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_parts", None)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -160,10 +164,8 @@ class GradedPoly:
         return max(self.spec.weighted_degree(e) for e in self.terms)
 
     def degree_part(self, d: int) -> "GradedPoly":
-        wd = self.spec.weighted_degree
-        return GradedPoly._raw(
-            self.spec, {e: c for e, c in self.terms.items() if wd(e) == d}
-        )
+        part = self._homogeneous().get(d)
+        return part if part is not None else GradedPoly.zero(self.spec)
 
     def truncate_above(self, bound: int) -> "GradedPoly":
         wd = self.spec.weighted_degree
@@ -172,11 +174,19 @@ class GradedPoly:
         )
 
     def homogeneous_parts(self) -> dict[int, "GradedPoly"]:
-        buckets: dict[int, TermMap] = {}
-        wd = self.spec.weighted_degree
-        for expo, coeff in self.terms.items():
-            buckets.setdefault(wd(expo), {})[expo] = coeff
-        return {d: GradedPoly._raw(self.spec, t) for d, t in sorted(buckets.items())}
+        return dict(self._homogeneous())
+
+    def _homogeneous(self) -> dict[int, "GradedPoly"]:
+        # The cached split behind degree_part; callers must not mutate it.
+        parts = self._parts
+        if parts is None:
+            buckets: dict[int, TermMap] = {}
+            wd = self.spec.weighted_degree
+            for expo, coeff in self.terms.items():
+                buckets.setdefault(wd(expo), {})[expo] = coeff
+            parts = {d: GradedPoly._raw(self.spec, t) for d, t in sorted(buckets.items())}
+            object.__setattr__(self, "_parts", parts)
+        return parts
 
     def degree_scale(self, m: int) -> "GradedPoly":
         """Multiply each homogeneous degree-i component by m**i."""

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import importlib.resources
 import random
+import sys
+import threading
 
 import pytest
 
+from schubres import chow
 from schubres.chow import (
     GrassContext,
     Partition,
@@ -132,6 +135,102 @@ def test_integrate_agrees_with_oracle_random() -> None:
             terms = {e: rng.randint(-5, 5) for e in rng.sample(monomials, 3)}
             p = GradedPoly(ctx.spec, terms)
             assert integrate(ctx, p) == integrate_oracle(ctx, p)
+
+
+def pieri_chain(ctx: GrassContext, p: GradedPoly) -> SchubertVector:
+    """Unmemoized reference: a full Pieri chain for every monomial."""
+    result = SchubertVector.zero(ctx)
+    for expo, coeff in p.terms.items():
+        vector = coeff * SchubertVector.unit(ctx)
+        for index, exponent in enumerate(expo):
+            for _ in range(exponent):
+                vector = dual_pieri_multiply(vector, index + 1)
+        result = result + vector
+    return result
+
+
+def all_monomials(spec) -> list[tuple[int, ...]]:
+    return [
+        expo
+        for degree in range(spec.truncation + 1)
+        for expo in monomials_of_degree(spec, degree)
+    ]
+
+
+# (r, n) -> random polynomials checked against the oracle; the oracle's root
+# ring grows fast, so the larger Grassmannians get fewer of them.
+MEMO_CONTEXTS = {(1, 3): 12, (1, 4): 12, (2, 5): 8, (2, 7): 4, (3, 8): 2}
+
+
+@pytest.mark.parametrize("r,n", sorted(MEMO_CONTEXTS))
+def test_memoized_to_schubert_matches_pieri_chain(r: int, n: int) -> None:
+    rng = random.Random(1000 * r + n)
+    ctx = GrassContext(r, n)
+    monomials = all_monomials(ctx.spec)
+    assert len(monomials) == {3: 9, 4: 16, 5: 53, 7: 174, 8: 717}[n]
+    top = [expo for expo in monomials if ctx.spec.weighted_degree(expo) == ctx.dim]
+    for trial in range(MEMO_CONTEXTS[(r, n)]):
+        terms = {e: rng.randint(-9, 9) for e in rng.sample(monomials, 5)}
+        terms.update({e: rng.randint(-9, 9) for e in rng.sample(top, 2)})
+        p = GradedPoly(ctx.spec, terms)
+        assert to_schubert(ctx, p) == pieri_chain(ctx, p)
+        assert integrate(ctx, p) == integrate_oracle(ctx, p)
+        p.homogeneous_parts().clear()  # a copy: must not empty the cache
+        for d in range(-1, ctx.spec.truncation + 2):
+            fresh = {e: c for e, c in p.terms.items() if ctx.spec.weighted_degree(e) == d}
+            assert p.degree_part(d).terms == fresh
+    assert len(ctx._schubert_memo) <= len(monomials)
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 5), (2, 7)])
+def test_memo_fill_order_does_not_matter(r: int, n: int) -> None:
+    monomials = all_monomials(GrassContext(r, n).spec)
+    forward, shuffled = GrassContext(r, n), GrassContext(r, n)
+    order = list(monomials)
+    random.Random(r + n).shuffle(order)
+    got_forward = {e: to_schubert(forward, GradedPoly(forward.spec, {e: 1})) for e in monomials}
+    got_shuffled = {e: to_schubert(shuffled, GradedPoly(shuffled.spec, {e: 1})) for e in order}
+    assert got_forward == got_shuffled
+    assert forward._schubert_memo == shuffled._schubert_memo
+    assert len(forward._schubert_memo) == len(monomials)
+
+
+def test_memo_rejects_foreign_specs() -> None:
+    ctx, other = GrassContext(1, 4), GrassContext(2, 5)
+    integrate(ctx, parse_poly(ctx.spec, "x^6"))
+    for foreign in (parse_poly(other.spec, "x^6"), parse_poly(GrassContext(1, 3).spec, "x^4")):
+        with pytest.raises(ContextMismatchError):
+            to_schubert(ctx, foreign)
+        with pytest.raises(ContextMismatchError):
+            integrate(ctx, foreign)
+
+
+def test_memo_is_shared_safely_between_threads() -> None:
+    ctx = GrassContext(2, 6)
+    rng = random.Random(7)
+    monomials = all_monomials(ctx.spec)
+    polys = [
+        GradedPoly(ctx.spec, {e: rng.randint(-9, 9) for e in rng.sample(monomials, 8)})
+        for _ in range(20)
+    ]
+    expected = [pieri_chain(ctx, p) for p in polys]
+    results: list[list[SchubertVector]] = []
+
+    def work() -> None:
+        results.append([to_schubert(ctx, p) for p in polys])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
 
 
 def test_schubert_poly_round_trip() -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -227,6 +228,9 @@ def test_selftest_passes(capsys) -> None:
     code, out = run(capsys, ["--selftest"])
     assert code == 0
     assert "all 6 checks passed" in out
+    checks = [line for line in out.splitlines() if line.endswith(" s)")]
+    assert len(checks) == 6
+    assert all(re.search(r": ok \(\d+\.\d\d s\)$", line) for line in checks)
 
 
 def test_no_command_prints_help(capsys) -> None:

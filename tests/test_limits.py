@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from schubres import chow
 from schubres.chow import GrassContext
 from schubres.limits import (
     DegenerationSpec,
@@ -173,3 +174,22 @@ def test_conservation_across_random_specs() -> None:
         assert report.conserved
         total = report.pieces[0].total_class + report.pieces[1].total_class
         assert total == fano_class(ctx, d)
+
+
+def test_quartic_table_pieri_work_is_bounded(monkeypatch) -> None:
+    # Integration expands each Chern monomial once per context, so the whole
+    # quartic table costs at most one Pieri step per monomial of weighted
+    # degree <= dim(G(2,7)) = 12, of which there are 174.
+    steps = []
+    pieri = chow.dual_pieri_multiply
+
+    def counted(vector, i):
+        steps.append(i)
+        return pieri(vector, i)
+
+    monkeypatch.setattr(chow, "dual_pieri_multiply", counted)
+    ctx = GrassContext(2, 7)
+    for pieces in enumerate_degenerations(4):
+        assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
+    assert 0 < len(steps) <= 174
+    assert len(ctx._schubert_memo) <= 174

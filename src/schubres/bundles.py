@@ -12,7 +12,12 @@ error and ``segre_negrank_product`` provides the cancelled form.
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
 roots, and the resulting symmetric polynomial is rewritten in elementary
-symmetric functions and evaluated on the actual Chern classes.
+symmetric functions and evaluated on the actual Chern classes.  A bundle
+whose Chern classes are the generators of its polynomial ring, such as the
+dual tautological subbundle, needs no evaluation: the elementary symmetric
+functions are written straight into that ring.  Twisting by a line bundle
+rescales Chern and Segre classes alike, so a twisted bundle inherits its
+Segre class instead of inverting its Chern class again.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ class BundleClass:
     Chern components above the rank vanish for honest bundles, so the
     constructor drops them; they can only arise as truncation debris of
     virtual inputs.  Instances are immutable; the total Segre class is
-    computed on first use and cached.
+    computed on first use and cached, or set by ``adams_twist``.
     """
 
     __slots__ = ("rank", "total_chern", "_segre")
@@ -170,7 +175,10 @@ def sym_power(E: BundleClass, d: int) -> BundleClass:
     Enumerates the d-element multisets of Chern roots in colexicographic
     order, multiplies the linear factors in a root ring truncated at the
     carrier's bound, rewrites the symmetric result in elementary symmetric
-    functions, and evaluates those at the Chern classes of E.
+    functions, and evaluates those at the Chern classes of E.  When those
+    Chern classes are exactly the generators of their own ring (as for
+    ``ustar``), the rewrite lands in that ring directly and the evaluation,
+    an identity, is skipped.
     """
     if not isinstance(d, int) or d < 0:
         raise IndexError(f"symmetric power exponent must be non-negative, got {d}")
@@ -191,9 +199,32 @@ def sym_power(E: BundleClass, d: int) -> BundleClass:
         for index in multiset:
             factor = factor + gens[index]
         total = total * factor
+    chern_spec = _generator_chern_spec(E)
+    if chern_spec is not None:
+        # The e-basis result already is the total Chern class.
+        return BundleClass(rank_sym(k - 1, d), roots_to_e(total, chern_spec))
     in_e_basis = roots_to_e(total)
     images = [chern(E, i) for i in range(1, k + 1)]
     return BundleClass(rank_sym(k - 1, d), substitute(in_e_basis, images, one))
+
+
+def _generator_chern_spec(E: BundleClass):
+    """The spec of E's Chern ring when c_1..c_k of E are exactly its
+    generators, of degrees 1..k; None otherwise.
+
+    Then evaluating a polynomial in the elementary symmetric functions at
+    the Chern classes of E is the identity on its terms.
+    """
+    total = E.total_chern
+    if not isinstance(total, GradedPoly):
+        return None
+    spec = total.spec
+    if spec.degrees != tuple(range(1, E.rank + 1)):
+        return None
+    generic = GradedPoly.one(spec)
+    for name in spec.names:
+        generic = generic + GradedPoly.generator(spec, name)
+    return spec if total == generic else None
 
 
 def adams_twist(E: BundleClass, m: int) -> BundleClass:
@@ -201,9 +232,13 @@ def adams_twist(E: BundleClass, m: int) -> BundleClass:
 
     For a rank-one twist this is exactly tensoring a symmetric power of a
     dual subbundle by the m-th power of the corresponding line bundle, which
-    is the only way twists enter downstream.
+    is the only way twists enter downstream.  The rescaling is a ring
+    homomorphism, so the Segre class of the result is the rescaled Segre
+    class of E.
     """
-    return BundleClass(E.rank, E.total_chern.degree_scale(m))
+    twisted = BundleClass(E.rank, E.total_chern.degree_scale(m))
+    object.__setattr__(twisted, "_segre", E.total_segre().degree_scale(m))
+    return twisted
 
 
 def difference(A: "BundleClass | VirtualClass", B: BundleClass) -> VirtualClass:

@@ -9,8 +9,7 @@ Subcommands:
   fixture file.
 
 ``schubres --selftest`` replays the package's frozen reference values and
-exits nonzero if any disagree.  Set ``SCHUBRES_THREADS`` to evaluate
-independent cases of a grid concurrently.
+exits nonzero if any disagree.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -107,22 +104,6 @@ def _parse_pairing(text: str) -> Partition:
         return Partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad pairing partition {text!r}: {exc}") from None
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SCHUBRES_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_cases(fn: Callable, items: Sequence) -> list:
-    workers = _thread_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +304,7 @@ def cmd_degenerate(args: argparse.Namespace) -> int:
                 f"pieces have total degree {got}, which contradicts --degree {args.degree}"
             )
     specs = [DegenerationSpec(ctx, pieces) for pieces in piece_pairs]
-    reports = _map_cases(lambda spec: decompose_degeneration(spec, args.pair), specs)
+    reports = [decompose_degeneration(spec, args.pair) for spec in specs]
 
     if args.format == "json":
         if len(reports) == 1:
@@ -349,7 +330,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for k in range(1, args.max_degree)
         for l in range(1, args.max_degree - k + 1)
     ]
-    residuals = _map_cases(lambda kl: verify_identity(ctx, kl[0], kl[1]), cases)
+    residuals = [verify_identity(ctx, k, l) for k, l in cases]
     results = [
         {"k": k, "l": l, "ok": residual.is_zero}
         for (k, l), residual in zip(cases, residuals)
@@ -586,7 +567,7 @@ def _check_cubic_split() -> None:
 def _check_table(context: tuple[int, int], cases) -> None:
     ctx = GrassContext(*context)
     specs = [DegenerationSpec(ctx, pieces) for pieces, _ in cases]
-    reports = _map_cases(decompose_degeneration, specs)
+    reports = [decompose_degeneration(spec) for spec in specs]
     for (pieces, expected), report in zip(cases, reports):
         got = tuple(
             (piece.main_degree, piece.adjunct_degree, piece.total_degree)
@@ -615,7 +596,7 @@ def _check_identity_grid() -> None:
         for k in range(1, 4)
         for l in range(1, 5 - k)
     ]
-    residuals = _map_cases(lambda case: verify_identity(*case), cases)
+    residuals = [verify_identity(*case) for case in cases]
     for case, residual in zip(cases, residuals):
         assert residual.is_zero, f"identity failed for {case}"
 

@@ -17,7 +17,8 @@ needs:
 * ``regular_decompose``: W = Z1 union Z2 with both pieces regularly
   embedded with known normal bundles, meeting transversally along their
   intersection.  The adjunct of each piece is supported on the
-  intersection and built from Segre classes of the two normal bundles.
+  intersection and built from Segre classes of the two normal bundles;
+  both adjuncts share one table of products s_x(N1) * s_y(N2).
 
 All classes are graded by codimension.  Each component is reported as a
 main term (the class the piece would contribute if it were alone, weighted
@@ -269,6 +270,11 @@ def regular_decompose(
     intersection.  The main term of each piece is the top Chern class of
     the excess bundle N - N_l on the piece; the adjunct is supported on
     the intersection.  Swapping the two pieces swaps the components.
+
+    The products s_x(N1) * s_y(N2) with x + y <= d - r1 - r2 are formed
+    once and shared by both adjuncts.  Each adjunct sums its weighted
+    products per Chern degree i, multiplies that sum by c_i(N), and
+    multiplies the total by ``zint`` once.
     """
     d = setup.d
     r1, r2 = N1.rank, N2.rank
@@ -284,21 +290,31 @@ def regular_decompose(
                 excess = excess + ci * segre(N_l, excess_codim - i)
         return excess * z_l
 
-    def adjunct_for(N_l: BundleClass, N_other: BundleClass):
+    # The adjunct of Z_l sums comb(d-1-i, a + r_other) * c_i(N) *
+    # s_a(N_other) * s_b(N_l) over i + a + b = d - r1 - r2.
+    span = d - r1 - r2
+    pairs = {
+        (x, y): segre(N1, x) * segre(N2, y)
+        for x in range(span + 1)
+        for y in range(span + 1 - x)
+    }
+
+    def adjunct_for(r_o: int, pair_of):
         acc = setup.cN.zero_like()
-        r_l, r_o = N_l.rank, N_other.rank
-        for i in range(0, d - r1 - r2 + 1):
+        for i in range(0, span + 1):
             ci = setup.cN.degree_part(i)
             if ci.is_zero:
                 continue
-            for j in range(r_o, d - r_l - i + 1):
-                weight = comb(d - 1 - i, j)
-                term = ci * segre(N_other, j - r_o) * segre(N_l, d - r_l - i - j)
-                acc = acc + weight * term
+            inner = setup.cN.zero_like()
+            for a in range(span - i + 1):
+                inner = inner + comb(d - 1 - i, a + r_o) * pair_of(a, span - i - a)
+            acc = acc + ci * inner
         return -(acc * zint)
 
     main1, main2 = main_for(N1, z1), main_for(N2, z2)
-    adj1, adj2 = adjunct_for(N1, N2), adjunct_for(N2, N1)
+    # Z1's adjunct pairs s_a(N2) with s_b(N1); Z2's pairs s_a(N1) with s_b(N2).
+    adj1 = adjunct_for(r2, lambda a, b: pairs[b, a])
+    adj2 = adjunct_for(r1, lambda a, b: pairs[a, b])
     components = (
         DecompositionComponent(labels[0], main1, adj1, main1 + adj1),
         DecompositionComponent(labels[1], main2, adj2, main2 + adj2),

@@ -208,6 +208,8 @@ class GradedPoly:
         return series_inverse(self)
 
     def _check_spec(self, other: "GradedPoly") -> None:
+        if self.spec is other.spec:
+            return
         if self.spec != other.spec:
             raise ContextMismatchError(
                 f"operands live over different specs: {self.spec} vs {other.spec}"
@@ -397,7 +399,8 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
 
     Works by repeatedly clearing the lexicographically leading term: a
     symmetric leading exponent is weakly decreasing, and subtracting the
-    matching e-monomial strictly lowers the leading term.
+    matching e-monomial strictly lowers the leading term.  The subtraction
+    updates one remainder term map in place.
     """
     spec = p.spec
     k = spec.ngens
@@ -430,10 +433,10 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
         return value
 
     out: TermMap = {}
-    rem = p
+    rem = dict(p.terms)
     prev_lead: Exponent | None = None
-    while not rem.is_zero:
-        lead = max(rem.terms)
+    while rem:
+        lead = max(rem)
         if prev_lead is not None and lead >= prev_lead:
             raise NotSymmetricError(f"leading term did not decrease at {lead}")
         prev_lead = lead
@@ -441,12 +444,17 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
             raise NotSymmetricError(
                 f"leading exponent {lead} is not weakly decreasing"
             )
-        coeff = rem.terms[lead]
+        coeff = rem[lead]
         m = tuple(
             lead[i] - (lead[i + 1] if i + 1 < k else 0) for i in range(k)
         )
         out[m] = out.get(m, 0) + coeff
-        rem = rem - coeff * expansion(m)
+        for expo, c in expansion(m).terms.items():
+            value = rem.get(expo, 0) - coeff * c
+            if value:
+                rem[expo] = value
+            else:
+                del rem[expo]
     return GradedPoly(out_spec, out)
 
 

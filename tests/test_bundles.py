@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from schubres import bundles
 from schubres.bundles import (
     BundleClass,
     VirtualClass,
@@ -23,7 +24,7 @@ from schubres.bundles import (
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
 from schubres.errors import CancellationRequiredError
-from schubres.symfunc import GeneratorSpec, GradedPoly, parse_poly
+from schubres.symfunc import GeneratorSpec, GradedPoly, parse_poly, series_inverse
 
 
 def lines_ctx() -> GrassContext:
@@ -157,6 +158,45 @@ def test_adams_twist() -> None:
     assert adams_twist(U, 1) == U
     # Twisting commutes with taking Segre classes.
     assert twisted.total_segre() == U.total_segre().degree_scale(2)
+
+
+def test_sym_power_commutes_with_twists(monkeypatch) -> None:
+    # A twisted U* is not generated by its own Chern classes, so its power
+    # goes through substitute; U* itself takes the identity route.  The
+    # twist is a ring homomorphism, so both routes must agree exactly.
+    substituted = []
+    original = bundles.substitute
+
+    def counted(*args):
+        substituted.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bundles, "substitute", counted)
+    for ctx in (GrassContext(1, 3), GrassContext(1, 4), GrassContext(2, 5)):
+        U = ustar(ctx)
+        for d in range(1, 5):
+            for m in (2, 3, -1):
+                before = len(substituted)
+                twisted_first = sym_power(adams_twist(U, m), d)
+                assert len(substituted) == before + 1
+                powered_first = adams_twist(sym_power(U, d), m)
+                assert len(substituted) == before + 1
+                assert twisted_first == powered_first
+                assert twisted_first.total_chern.terms == powered_first.total_chern.terms
+
+
+def test_twisted_segre_matches_inverted_chern() -> None:
+    for ctx in (GrassContext(1, 3), GrassContext(2, 5)):
+        for d in (1, 2, 3):
+            E = sym_power(ustar(ctx), d)
+            for m in (2, 3, -1, 0):
+                twisted = adams_twist(E, m)
+                assert twisted.total_segre() == series_inverse(twisted.total_chern)
+    ring = blowup_plane_at_point()
+    N = BundleClass(2, ring.parse("1 + 2*h") ** 2)
+    for m in (2, -3):
+        twisted = adams_twist(N, m)
+        assert twisted.total_segre() == twisted.total_chern.series_inverse()
 
 
 def test_difference_virtual_class() -> None:

@@ -71,6 +71,51 @@ def test_compiled_kernel_keeps_huge_coefficients_exact() -> None:
     assert _pykernel.mul_terms(a, b, degrees, truncation) == expected
 
 
+def test_cancelling_inputs_leave_no_zero_coefficients() -> None:
+    # Coefficients of +-1 over few exponents make partial sums cancel often;
+    # every cancelled term must be gone from the result, not kept as zero.
+    rng = random.Random(29)
+    cancelled = 0
+    for _ in range(200):
+        ngens = rng.randint(1, 3)
+        degrees = tuple(rng.randint(1, 2) for _ in range(ngens))
+        truncation = rng.randint(2, 6)
+        a = random_terms(rng, ngens, degrees, truncation, rng.randint(1, 6), 1)
+        b = random_terms(rng, ngens, degrees, truncation, rng.randint(1, 6), 1)
+        expected = naive_mul(a, b, degrees, truncation)
+        touched = {
+            tuple(x + y for x, y in zip(ea, eb))
+            for ea in a
+            for eb in b
+            if sum(d * (x + y) for d, x, y in zip(degrees, ea, eb)) <= truncation
+        }
+        cancelled += len(touched - expected.keys())
+        for backend in backends():
+            result = backend.mul_terms(a, b, degrees, truncation)
+            assert result == expected
+            assert 0 not in result.values()
+    assert cancelled > 0
+    # (x + y)(x - y) = x^2 - y^2: the mixed term cancels exactly.
+    for backend in backends():
+        assert backend.mul_terms(
+            {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}, (1, 1), 2
+        ) == {(2, 0): 1, (0, 2): -1}
+
+
+def test_huge_coefficients_stay_exact() -> None:
+    degrees = (1, 2)
+    truncation = 6
+    a = {(1, 0): 10**30 + 7, (0, 1): -(10**25), (0, 0): 2**70}
+    b = {(2, 0): 3, (0, 2): 10**28, (1, 0): -(2**70)}
+    expected = naive_mul(a, b, degrees, truncation)
+    for backend in backends():
+        assert backend.mul_terms(a, b, degrees, truncation) == expected
+    # A product whose 2**140-sized partial sums cancel to zero.
+    assert _pykernel.mul_terms(
+        {(1, 0): 2**70, (0, 0): 2**70}, {(1, 0): 2**70, (0, 0): -(2**70)}, degrees, 1
+    ) == {(0, 0): -(2**140)}
+
+
 def test_zero_generator_ring() -> None:
     for backend in backends():
         assert backend.mul_terms({(): 3}, {(): 5}, (), 0) == {(): 15}

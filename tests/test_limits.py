@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from schubres import chow
+from schubres import bundles, chow, kernel, symfunc
 from schubres.chow import GrassContext
 from schubres.limits import (
     DegenerationSpec,
@@ -193,3 +193,35 @@ def test_quartic_table_pieri_work_is_bounded(monkeypatch) -> None:
         assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
     assert 0 < len(steps) <= 174
     assert len(ctx._schubert_memo) <= 174
+
+
+def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
+    # Exact products behind both paper tables from cold caches: the root
+    # ring of each untwisted Sym^k U* lands directly in the Chern ring (no
+    # substitute), twisted pieces inherit their Segre class (one inversion
+    # per distinct untwisted piece: 4 on G(1,4), 3 on G(2,7)), and the
+    # adjunct Segre products are formed once per decomposition.  Counted,
+    # not timed; the engine needs 1,086 products, 7 inversions and no
+    # substitute.
+    counts = {"mul_terms": 0, "series_inverse": 0, "substitute": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(kernel, "mul_terms")
+    counting(symfunc, "series_inverse")
+    counting(bundles, "substitute")
+    bundles.sym_ustar.cache_clear()
+    for context, degree in (((1, 4), 5), ((2, 7), 4)):
+        ctx = GrassContext(*context)
+        for pieces in enumerate_degenerations(degree):
+            assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
+    assert 0 < counts["mul_terms"] <= 1100
+    assert 0 < counts["series_inverse"] <= 7
+    assert counts["substitute"] == 0

@@ -10,11 +10,15 @@ depending on which piece is treated as the divisor.
 
 from __future__ import annotations
 
+import random
+from math import comb
+
 import pytest
 
-from schubres.bundles import BundleClass, sym_ustar, ustar
+from schubres.bundles import BundleClass, segre, sym_ustar, ustar
 from schubres.chow import GrassContext, StructRing, blowup_plane_at_point, projective_space
 from schubres.errors import UnsupportedOperationError
+from schubres.limits import enumerate_degenerations
 from schubres.residual import (
     Decomposition,
     IntersectionSetup,
@@ -237,6 +241,63 @@ def test_regular_decompose_empty_adjunct_ranges() -> None:
     # One-dimensional excess: [c(N) s(N1)] in degree 1 is c1(N) - c1(N1).
     assert dec.components[0].main == (N.chern(1) - ustar(ctx).chern(1)) * z
     assert dec.components[0].main == parse_poly(ctx.spec, "2*x*y")
+
+
+def unshared_regular_components(setup, N1, N2, z1, z2, zint):
+    """(main, adjunct) of each piece, every adjunct term formed on its own.
+
+    The reference for ``regular_decompose``: each term
+    comb(d-1-i, j) * c_i(N) * s_{j-r_o}(N_other) * s_{d-r_l-i-j}(N_l) is a
+    separate pair of products, and nothing is shared between the pieces.
+    """
+    d = setup.d
+    r1, r2 = N1.rank, N2.rank
+
+    def main_for(N_l, z_l):
+        excess_codim = d - N_l.rank
+        excess = setup.cN.zero_like()
+        for i in range(0, excess_codim + 1):
+            excess = excess + setup.cN.degree_part(i) * segre(N_l, excess_codim - i)
+        return excess * z_l
+
+    def adjunct_for(N_l, N_other):
+        acc = setup.cN.zero_like()
+        r_l, r_o = N_l.rank, N_other.rank
+        for i in range(0, d - r1 - r2 + 1):
+            ci = setup.cN.degree_part(i)
+            for j in range(r_o, d - r_l - i + 1):
+                term = ci * segre(N_other, j - r_o) * segre(N_l, d - r_l - i - j)
+                acc = acc + comb(d - 1 - i, j) * term
+        return -(acc * zint)
+
+    return (
+        (main_for(N1, z1), adjunct_for(N1, N2)),
+        (main_for(N2, z2), adjunct_for(N2, N1)),
+    )
+
+
+def test_regular_decompose_matches_unshared_reference() -> None:
+    rng = random.Random(20261018)
+    excess_free_seen = set()
+    for r, n, degrees in ((1, 4, (2, 3, 4, 5)), (2, 5, (2, 3, 4)), (2, 7, (2, 3, 4))):
+        ctx = GrassContext(r, n)
+        for _ in range(6):
+            d = rng.choice(degrees)
+            (k1, e1), (k2, e2) = rng.choice(enumerate_degenerations(d))
+            N = sym_ustar(ctx, d)
+            setup = IntersectionSetup(cN=N.total_chern, d=N.rank, k=ctx.dim)
+            N1, N2 = sym_ustar(ctx, k1, e1), sym_ustar(ctx, k2, e2)
+            z1, z2 = N1.chern(N1.rank), N2.chern(N2.rank)
+            excess_free_seen.add(N.rank - N1.rank - N2.rank < 0)
+            for A, B, za, zb in ((N1, N2, z1, z2), (N2, N1, z2, z1)):
+                dec = regular_decompose(setup, A, B, za, zb, z1 * z2)
+                expected = unshared_regular_components(setup, A, B, za, zb, z1 * z2)
+                for component, (main, adjunct) in zip(dec.components, expected):
+                    assert component.main == main
+                    assert component.adjunct == adjunct
+                    assert component.total == main + adjunct
+    # Both empty and non-empty adjunct ranges were exercised.
+    assert excess_free_seen == {True, False}
 
 
 def test_decomposition_conserved_flag() -> None:

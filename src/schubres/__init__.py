@@ -31,7 +31,6 @@ from .chow import (
     to_schubert,
 )
 from .identities import IdentityCase, bracket_sum, identity_holds, verify_identity
-from .kernel import available_backends, backend_name
 from .limits import (
     DegenerationSpec,
     LimitReport,
@@ -55,8 +54,6 @@ from .symfunc import (
     GeneratorSpec,
     GradedPoly,
     parse_poly,
-    poly_add,
-    poly_mul,
     roots_to_e,
     series_inverse,
 )
@@ -79,8 +76,6 @@ __all__ = [
     "StructRing",
     "VirtualClass",
     "adams_twist",
-    "available_backends",
-    "backend_name",
     "blowup_plane_at_point",
     "bracket_sum",
     "builtin_ring",
@@ -96,8 +91,6 @@ __all__ = [
     "load_ring",
     "main_term",
     "parse_poly",
-    "poly_add",
-    "poly_mul",
     "projective_space",
     "rank_sym",
     "regular_decompose",

@@ -135,9 +135,9 @@ class GrassContext:
         object.__setattr__(
             self, "_spec", GeneratorSpec(names, tuple(range(1, k + 1)), self.dim)
         )
-        # Exponent -> Schubert expansion of that Chern monomial, filled by
-        # ``_monomial_schubert``.  Not a dataclass field, so equality, hashing
-        # and repr still see only r and n.
+        # Packed monomial key -> Schubert expansion of that Chern monomial,
+        # filled by ``_monomial_schubert``.  Not a dataclass field, so
+        # equality, hashing and repr still see only r and n.
         object.__setattr__(self, "_schubert_memo", {})
 
     @property
@@ -317,23 +317,28 @@ def dual_pieri_multiply(vector: SchubertVector, i: int) -> SchubertVector:
     return SchubertVector(ctx, out)
 
 
-def _monomial_schubert(ctx: GrassContext, expo: tuple[int, ...]) -> SchubertVector:
-    """Schubert expansion of the Chern monomial c^expo, memoized on ``ctx``.
+def _monomial_schubert(ctx: GrassContext, key: int) -> SchubertVector:
+    """Schubert expansion of the Chern monomial with packed key ``key``,
+    memoized on ``ctx``.
 
     c^a is one Pieri step from c^(a - e_i), i the last generator present, so
-    each new entry costs exactly one ``dual_pieri_multiply``.  The memo holds
-    at most one entry per exponent of weighted degree up to ``ctx.dim``.
+    each new entry costs exactly one ``dual_pieri_multiply``; the key of
+    c^(a - e_i) is the key of c^a minus the key of c_i.  Only a new entry
+    unpacks its key.  The memo holds at most one entry per monomial of
+    weighted degree up to ``ctx.dim``.
     """
     memo = ctx._schubert_memo
-    vector = memo.get(expo)
+    vector = memo.get(key)
     if vector is None:
+        spec = ctx.spec
+        expo = spec.unpack(key)
         i = max((j for j, e in enumerate(expo) if e), default=None)
         if i is None:
             vector = SchubertVector.unit(ctx)
         else:
-            parent = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
-            vector = dual_pieri_multiply(_monomial_schubert(ctx, parent), i + 1)
-        memo[expo] = vector
+            parent = _monomial_schubert(ctx, key - spec.generator_keys[i])
+            vector = dual_pieri_multiply(parent, i + 1)
+        memo[key] = vector
     return vector
 
 
@@ -346,8 +351,8 @@ def to_schubert(ctx: GrassContext, p: GradedPoly) -> SchubertVector:
     if p.spec != ctx.spec:
         raise ContextMismatchError("polynomial does not live on this Grassmannian")
     out: dict[Partition, int] = {}
-    for expo, coeff in p.terms.items():
-        for partition, value in _monomial_schubert(ctx, expo).coeffs.items():
+    for key, coeff in p.packed.items():
+        for partition, value in _monomial_schubert(ctx, key).coeffs.items():
             out[partition] = out.get(partition, 0) + coeff * value
     return SchubertVector(ctx, out)
 
@@ -378,7 +383,7 @@ def integrate_oracle(ctx: GrassContext, p: GradedPoly) -> int:
             )
             alternant = alternant * diff
     target = tuple(m + k - 1 - i for i in range(k))
-    return (expanded * alternant).terms.get(target, 0)
+    return (expanded * alternant).packed.get(rspec.pack(target), 0)
 
 
 def schubert_poly(ctx: GrassContext, partition: Partition) -> GradedPoly:

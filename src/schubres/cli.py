@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 import yaml
 
-from . import __version__, kernel
+from . import __version__
 from .chow import GrassContext, Partition, StructRing, builtin_ring, load_ring
 from .errors import EngineError
 from .identities import verify_identity
@@ -637,7 +637,7 @@ SELFTEST_CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 
 
 def run_selftest() -> int:
-    print(f"schubres {__version__} selftest (kernel backend: {kernel.backend_name()})")
+    print(f"schubres {__version__} selftest")
     failures = 0
     for name, check in SELFTEST_CHECKS:
         start = time.perf_counter()

@@ -1,59 +1,41 @@
-"""Backend selection for the polynomial multiplication kernel.
+"""Multiplication kernel for truncated polynomials over packed monomial keys.
 
-Two interchangeable implementations exist: a pure Python one and a compiled
-one built from ``_mulcore.pyx``.  The compiled kernel is preferred when the
-extension imported successfully; setting the environment variable
-``SCHUBRES_PURE`` to a non-empty value before import forces the pure kernel.
-``set_backend`` switches at runtime, which the benchmark harness relies on.
+A term map is a dict from packed monomial keys to nonzero int coefficients,
+laid out as in ``symfunc``: the weighted degree sits in the bits from
+``key_shift`` up and the exponent fields below it, each wide enough to hold
+twice the truncation bound.  The fields of a sum of two in-range keys never
+carry, so the key of a product is the sum of the keys, and the product is
+within the truncation exactly when that sum is below the spec's
+``key_limit``, ``(truncation + 1) << key_shift``.
 
-Both backends implement the same contract: ``mul_terms(a, b, degrees,
-truncation)`` over canonical term maps, exact integer coefficients, identical
-results.
+The kernel multiplies two canonical term maps and returns a canonical term
+map, dropping every product above the truncation.  Coefficients are Python
+ints throughout; intermediate values routinely exceed 64 bits, so no
+fixed-width arithmetic is allowed here.
+
+Loop contract: the smaller operand is sorted by key, which sorts it by
+weighted degree, so the inner loop stops at the first product above the
+bound.  Partial sums are accumulated without testing for zero, and terms that
+cancelled to zero are dropped in one pass at the end, so the result never
+holds a zero coefficient.
 """
 
 from __future__ import annotations
 
-import os
 
-from . import _pykernel
-
-try:
-    from . import _mulcore
-except ImportError:
-    _mulcore = None
-
-_BACKENDS = {"python": _pykernel}
-if _mulcore is not None:
-    _BACKENDS["cython"] = _mulcore
-
-if os.environ.get("SCHUBRES_PURE"):
-    _active = _pykernel
-else:
-    _active = _mulcore if _mulcore is not None else _pykernel
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def backend_name() -> str:
-    return "python" if _active is _pykernel else "cython"
-
-
-def set_backend(name: str) -> None:
-    global _active
-    try:
-        _active = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: {available_backends()}"
-        ) from None
-
-
-def mul_terms(
-    a: dict[tuple[int, ...], int],
-    b: dict[tuple[int, ...], int],
-    degrees: tuple[int, ...],
-    truncation: int,
-) -> dict[tuple[int, ...], int]:
-    return _active.mul_terms(a, b, degrees, truncation)
+def mul_terms(a: dict[int, int], b: dict[int, int], limit: int) -> dict[int, int]:
+    if not a or not b:
+        return {}
+    if len(b) > len(a):
+        a, b = b, a
+    b_sorted = sorted(b.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for key_a, coeff_a in a.items():
+        room = limit - key_a
+        for key_b, coeff_b in b_sorted:
+            if key_b >= room:
+                break
+            key = key_a + key_b
+            out[key] = get(key, 0) + coeff_a * coeff_b
+    return {key: value for key, value in out.items() if value}

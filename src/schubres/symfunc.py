@@ -2,11 +2,24 @@
 
 Everything downstream computes in rings of the form
 ``Z[g_1, ..., g_n] / (terms of weighted degree > D)`` where each generator
-carries a positive integer degree and D is the truncation bound.  Terms are
-stored sparsely as a dict from exponent tuples to nonzero integer
-coefficients; all arithmetic is exact and every product is truncated eagerly,
-which is safe because truncation only ever discards degrees nothing of lower
-degree can depend on.
+carries a positive integer degree and D is the truncation bound.  All
+arithmetic is exact and every product is truncated eagerly, which is safe
+because truncation only ever discards degrees nothing of lower degree can
+depend on.
+
+Terms are stored sparsely as a dict from packed monomial keys to nonzero
+integer coefficients.  With W = (2 * D).bit_length() bits per field, the
+monomial with exponents (e_0, ..., e_{n-1}) and weighted degree w has the key
+
+    w << (n * W) | e_0 << ((n - 1) * W) | ... | e_{n-1}
+
+Every exponent of an in-range monomial is at most D, so the fields of the sum
+of two keys are at most 2 * D < 2**W and never carry: the key of a product is
+the sum of the keys, its weighted degree is ``key >> (n * W)``, and it is
+within the truncation exactly when the sum is below ``(D + 1) << (n * W)``.
+Integer order on keys is graded-lex order on monomials.  The layout lives in
+``GeneratorSpec`` alone; ``GradedPoly.terms`` unpacks a tuple-keyed view for
+printing and callers outside the engine.
 
 The module also provides the two symmetric-function conversions the rest of
 the package is built on: series inversion (total Segre class from total Chern
@@ -16,16 +29,19 @@ polynomial in the elementary symmetric functions.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
+from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from . import kernel
 from .errors import ContextMismatchError, NonUnitError, NotSymmetricError
 
 Exponent = tuple[int, ...]
-TermMap = dict[Exponent, int]
+TermMap = dict[int, int]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -36,7 +52,10 @@ class GeneratorSpec:
 
     A spec with no generators is the ring of plain integers (every element is
     a constant).  Specs compare by value, so equal specs built independently
-    are interchangeable.
+    are interchangeable.  The packed key layout of the module docstring is
+    derived from the fields: ``key_shift`` is n * W, ``key_limit`` is
+    ``(truncation + 1) << key_shift`` and ``generator_keys`` holds the key of
+    each generator.
     """
 
     names: tuple[str, ...]
@@ -57,6 +76,21 @@ class GeneratorSpec:
             raise ValueError("generator degrees must be positive")
         if not isinstance(self.truncation, int) or self.truncation < 0:
             raise ValueError("truncation must be a non-negative integer")
+        width = (2 * self.truncation).bit_length()
+        n = len(self.degrees)
+        shift = n * width
+        positions = tuple((n - 1 - i) * width for i in range(n))
+        derived = {
+            "_mask": (1 << width) - 1,
+            "_positions": positions,
+            "key_shift": shift,
+            "key_limit": (self.truncation + 1) << shift,
+            "generator_keys": tuple(
+                d << shift | 1 << pos for d, pos in zip(self.degrees, positions)
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def ngens(self) -> int:
@@ -65,8 +99,13 @@ class GeneratorSpec:
     def weighted_degree(self, expo: Exponent) -> int:
         return sum(e * d for e, d in zip(expo, self.degrees))
 
-    def zero_exponent(self) -> Exponent:
-        return (0,) * self.ngens
+    def pack(self, expo: Exponent) -> int:
+        """The key of a monomial; its exponents must fit the key fields."""
+        return sum(map(mul, expo, self.generator_keys))
+
+    def unpack(self, key: int) -> Exponent:
+        mask = self._mask
+        return tuple(key >> pos & mask for pos in self._positions)
 
     def index(self, name: str) -> int:
         try:
@@ -78,14 +117,15 @@ class GeneratorSpec:
 class GradedPoly:
     """Immutable truncated polynomial with exact integer coefficients.
 
-    ``terms`` is canonical: no zero coefficients, every exponent tuple has
-    the spec's length and weighted degree at most the truncation bound.
+    ``packed`` is canonical: a dict from packed monomial keys (see the module
+    docstring) to nonzero coefficients, every key within the truncation.
+    ``terms`` is a read-only view of the same terms keyed by exponent tuples.
     Treat instances as read-only; all operations return new objects.  The
     homogeneous parts are split out on first use and kept, so repeated
     ``degree_part`` calls on one series do not rescan its terms.
     """
 
-    __slots__ = ("spec", "terms", "_parts")
+    __slots__ = ("spec", "packed", "_parts")
 
     def __init__(
         self,
@@ -106,26 +146,33 @@ class GradedPoly:
                 raise ValueError(f"coefficient {coeff!r} is not an integer")
             if coeff == 0 or spec.weighted_degree(expo) > spec.truncation:
                 continue
-            value = canonical.get(expo, 0) + coeff
+            key = spec.pack(expo)
+            value = canonical.get(key, 0) + coeff
             if value:
-                canonical[expo] = value
-            elif expo in canonical:
-                del canonical[expo]
+                canonical[key] = value
+            elif key in canonical:
+                del canonical[key]
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", canonical)
+        object.__setattr__(self, "packed", canonical)
         object.__setattr__(self, "_parts", None)
 
     @classmethod
-    def _raw(cls, spec: GeneratorSpec, terms: TermMap) -> "GradedPoly":
-        # Trusted constructor: terms must already be canonical.
+    def _raw(cls, spec: GeneratorSpec, packed: TermMap) -> "GradedPoly":
+        # Trusted constructor: packed must already be canonical.
         self = object.__new__(cls)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_parts", None)
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GradedPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[Exponent, int]:
+        """The terms keyed by exponent tuples, unpacked on each access."""
+        unpack = self.spec.unpack
+        return MappingProxyType({unpack(k): c for k, c in self.packed.items()})
 
     @classmethod
     def zero(cls, spec: GeneratorSpec) -> "GradedPoly":
@@ -139,38 +186,37 @@ class GradedPoly:
     def constant(cls, spec: GeneratorSpec, value: int) -> "GradedPoly":
         if value == 0:
             return cls.zero(spec)
-        return cls._raw(spec, {spec.zero_exponent(): int(value)})
+        return cls._raw(spec, {0: int(value)})
 
     @classmethod
     def generator(cls, spec: GeneratorSpec, name: str) -> "GradedPoly":
         i = spec.index(name)
         if spec.degrees[i] > spec.truncation:
             return cls.zero(spec)
-        expo = tuple(1 if j == i else 0 for j in range(spec.ngens))
-        return cls._raw(spec, {expo: 1})
+        return cls._raw(spec, {spec.generator_keys[i]: 1})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     @property
     def constant_term(self) -> int:
-        return self.terms.get(self.spec.zero_exponent(), 0)
+        return self.packed.get(0, 0)
 
     def max_degree(self) -> int:
         """Largest weighted degree with a nonzero term; -1 for the zero poly."""
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(self.spec.weighted_degree(e) for e in self.terms)
+        return max(self.packed) >> self.spec.key_shift
 
     def degree_part(self, d: int) -> "GradedPoly":
         part = self._homogeneous().get(d)
         return part if part is not None else GradedPoly.zero(self.spec)
 
     def truncate_above(self, bound: int) -> "GradedPoly":
-        wd = self.spec.weighted_degree
+        limit = (bound + 1) << self.spec.key_shift
         return GradedPoly._raw(
-            self.spec, {e: c for e, c in self.terms.items() if wd(e) <= bound}
+            self.spec, {k: c for k, c in self.packed.items() if k < limit}
         )
 
     def homogeneous_parts(self) -> dict[int, "GradedPoly"]:
@@ -181,21 +227,21 @@ class GradedPoly:
         parts = self._parts
         if parts is None:
             buckets: dict[int, TermMap] = {}
-            wd = self.spec.weighted_degree
-            for expo, coeff in self.terms.items():
-                buckets.setdefault(wd(expo), {})[expo] = coeff
+            shift = self.spec.key_shift
+            for key, coeff in self.packed.items():
+                buckets.setdefault(key >> shift, {})[key] = coeff
             parts = {d: GradedPoly._raw(self.spec, t) for d, t in sorted(buckets.items())}
             object.__setattr__(self, "_parts", parts)
         return parts
 
     def degree_scale(self, m: int) -> "GradedPoly":
         """Multiply each homogeneous degree-i component by m**i."""
-        wd = self.spec.weighted_degree
+        shift = self.spec.key_shift
         out: TermMap = {}
-        for expo, coeff in self.terms.items():
-            value = coeff * m ** wd(expo)
+        for key, coeff in self.packed.items():
+            value = coeff * m ** (key >> shift)
             if value:
-                out[expo] = value
+                out[key] = value
         return GradedPoly._raw(self.spec, out)
 
     def zero_like(self) -> "GradedPoly":
@@ -221,19 +267,19 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_spec(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            value = out.get(expo, 0) + coeff
+        out = dict(self.packed)
+        for key, coeff in other.packed.items():
+            value = out.get(key, 0) + coeff
             if value:
-                out[expo] = value
-            elif expo in out:
-                del out[expo]
+                out[key] = value
+            elif key in out:
+                del out[key]
         return GradedPoly._raw(self.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._raw(self.spec, {e: -c for e, c in self.terms.items()})
+        return GradedPoly._raw(self.spec, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "GradedPoly | int") -> "GradedPoly":
         if isinstance(other, int):
@@ -250,14 +296,12 @@ class GradedPoly:
             if other == 0:
                 return GradedPoly.zero(self.spec)
             return GradedPoly._raw(
-                self.spec, {e: c * other for e, c in self.terms.items()}
+                self.spec, {k: c * other for k, c in self.packed.items()}
             )
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_spec(other)
-        out = kernel.mul_terms(
-            self.terms, other.terms, self.spec.degrees, self.spec.truncation
-        )
+        out = kernel.mul_terms(self.packed, other.packed, self.spec.key_limit)
         return GradedPoly._raw(self.spec, out)
 
     __rmul__ = __mul__
@@ -279,25 +323,24 @@ class GradedPoly:
             other = GradedPoly.constant(self.spec, other)
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return self.spec == other.spec and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash((self.spec, frozenset(self.terms.items())))
+        return hash((self.spec, frozenset(self.packed.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def _sorted_terms(self) -> list[tuple[Exponent, int]]:
-        # Ascending weighted degree, then descending lexicographic exponent,
-        # so leading generators print before trailing ones within a degree.
-        wd = self.spec.weighted_degree
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (wd(item[0]), tuple(-e for e in item[0])),
-        )
+        # Ascending weighted degree, then descending lexicographic exponent
+        # (descending key), so leading generators print before trailing ones
+        # within a degree.
+        shift, unpack = self.spec.key_shift, self.spec.unpack
+        keys = sorted(self.packed, key=lambda key: (key >> shift, -key))
+        return [(unpack(key), self.packed[key]) for key in keys]
 
     def to_string(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         chunks: list[str] = []
         for expo, coeff in self._sorted_terms():
@@ -325,14 +368,6 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.to_string()!r})"
-
-
-def poly_add(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    return a + b
-
-
-def poly_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
-    return a * b
 
 
 def series_inverse(a: GradedPoly) -> GradedPoly:
@@ -381,10 +416,10 @@ def elementary_symmetric(spec: GeneratorSpec, i: int) -> GradedPoly:
     if i == 0:
         return GradedPoly.one(spec)
     terms: TermMap = {}
-    for subset in itertools.combinations(range(k), i):
-        expo = tuple(1 if j in subset else 0 for j in range(k))
-        if spec.weighted_degree(expo) <= spec.truncation:
-            terms[expo] = 1
+    for subset in itertools.combinations(spec.generator_keys, i):
+        key = sum(subset)
+        if key < spec.key_limit:
+            terms[key] = 1
     return GradedPoly._raw(spec, terms)
 
 
@@ -397,10 +432,12 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
     e1..ek is created when none is given.  Raises NotSymmetricError when the
     input is not symmetric under permuting the roots.
 
-    Works by repeatedly clearing the lexicographically leading term: a
-    symmetric leading exponent is weakly decreasing, and subtracting the
-    matching e-monomial strictly lowers the leading term.  The subtraction
-    updates one remainder term map in place.
+    Works by repeatedly clearing the leading term in graded-lex order (the
+    order of packed keys): a symmetric leading exponent is weakly decreasing,
+    and subtracting the matching e-monomial, which is homogeneous of the same
+    degree, strictly lowers the leading term.  The subtraction updates one
+    remainder term map in place; a max-heap of its keys finds each leading
+    term, and keys cleared after they were pushed are skipped when popped.
     """
     spec = p.spec
     k = spec.ngens
@@ -417,7 +454,7 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
     if out_spec.truncation != spec.truncation:
         raise ValueError("output spec must keep the input truncation")
     if k == 0:
-        return GradedPoly(out_spec, dict(p.terms))
+        return GradedPoly._raw(out_spec, dict(p.packed))
 
     e_polys = [elementary_symmetric(spec, i + 1) for i in range(k)]
     expansions: dict[Exponent, GradedPoly] = {(0,) * k: GradedPoly.one(spec)}
@@ -432,30 +469,41 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
         expansions[m] = value
         return value
 
+    # Leading monomials strictly decrease and each fixes its e-monomial, so
+    # every output key is written once, with a nonzero coefficient.
     out: TermMap = {}
-    rem = dict(p.terms)
-    prev_lead: Exponent | None = None
+    rem = dict(p.packed)
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    prev_lead: int | None = None
     while rem:
-        lead = max(rem)
+        lead = -heapq.heappop(heap)
+        if lead not in rem:
+            continue
+        lead_expo = spec.unpack(lead)
         if prev_lead is not None and lead >= prev_lead:
-            raise NotSymmetricError(f"leading term did not decrease at {lead}")
+            raise NotSymmetricError(f"leading term did not decrease at {lead_expo}")
         prev_lead = lead
-        if any(lead[i] < lead[i + 1] for i in range(k - 1)):
+        if any(lead_expo[i] < lead_expo[i + 1] for i in range(k - 1)):
             raise NotSymmetricError(
-                f"leading exponent {lead} is not weakly decreasing"
+                f"leading exponent {lead_expo} is not weakly decreasing"
             )
         coeff = rem[lead]
         m = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < k else 0) for i in range(k)
+            lead_expo[i] - (lead_expo[i + 1] if i + 1 < k else 0) for i in range(k)
         )
-        out[m] = out.get(m, 0) + coeff
-        for expo, c in expansion(m).terms.items():
-            value = rem.get(expo, 0) - coeff * c
-            if value:
-                rem[expo] = value
+        out[out_spec.pack(m)] = coeff
+        for key, c in expansion(m).packed.items():
+            delta = coeff * c
+            value = rem.get(key)
+            if value is None:
+                rem[key] = -delta
+                heapq.heappush(heap, -key)
+            elif value == delta:
+                del rem[key]
             else:
-                del rem[expo]
-    return GradedPoly(out_spec, out)
+                rem[key] = value - delta
+    return GradedPoly._raw(out_spec, out)
 
 
 def substitute(p: GradedPoly, images, one):
@@ -478,9 +526,10 @@ def substitute(p: GradedPoly, images, one):
         return cache[e]
 
     acc = one.zero_like()
-    for expo, coeff in sorted(p.terms.items()):
+    unpack = p.spec.unpack
+    for key, coeff in sorted(p.packed.items()):
         term = one * coeff
-        for j, e in enumerate(expo):
+        for j, e in enumerate(unpack(key)):
             if e:
                 term = term * power(j, e)
         acc = acc + term

@@ -12,8 +12,6 @@ from schubres.symfunc import (
     GradedPoly,
     elementary_symmetric,
     parse_poly,
-    poly_add,
-    poly_mul,
     root_spec,
     roots_to_e,
     series_inverse,
@@ -58,7 +56,7 @@ def test_spec_validation() -> None:
 def test_addition_merges_and_cancels() -> None:
     a = P("x + y")
     b = P("x - y")
-    assert poly_add(a, b) == P("2*x")
+    assert a + b == P("2*x")
     assert (a - a).is_zero
     assert (a - a).terms == {}
 
@@ -73,7 +71,7 @@ def test_multiplication_truncates_eagerly() -> None:
     spec = lines_spec(2)
     a = P("1 + x + y", spec)
     b = P("1 - x + x^2 - y", spec)
-    assert poly_mul(a, b) == GradedPoly.one(spec)
+    assert a * b == GradedPoly.one(spec)
     spec3 = lines_spec(3)
     product = P("1 + x + y", spec3) * P("1 - x + x^2 - y", spec3)
     assert product == P("1 + x^3 - 2*x*y", spec3)
@@ -243,3 +241,130 @@ def test_immutability() -> None:
     p = P("x + y")
     with pytest.raises(AttributeError):
         p.terms = {}
+    with pytest.raises(AttributeError):
+        p.packed = {}
+    with pytest.raises(TypeError):
+        p.terms[(1, 0)] = 5
+
+
+# Packed monomial keys.  The layout is fixed by the module docstring:
+# W = (2 * truncation).bit_length() bits per exponent field, e_0 in the most
+# significant field and the weighted degree above all of them.
+
+
+def random_layout_spec(rng: random.Random) -> GeneratorSpec:
+    # At least one degree-one generator, so exponents can reach the
+    # truncation itself, next to generators of higher degree.
+    n = rng.randint(1, 5)
+    degrees = [rng.randint(1, 4) for _ in range(n)]
+    degrees[rng.randrange(n)] = 1
+    return GeneratorSpec(
+        tuple(f"g{i}" for i in range(n)), tuple(degrees), rng.randint(1, 12)
+    )
+
+
+def in_range_exponent(
+    rng: random.Random, spec: GeneratorSpec, budget: int
+) -> tuple[int, ...]:
+    # A random exponent of weighted degree at most ``budget``, filled in a
+    # random generator order so that every field can come out large.
+    expo = [0] * spec.ngens
+    order = list(range(spec.ngens))
+    rng.shuffle(order)
+    for i in order:
+        expo[i] = rng.randint(0, budget // spec.degrees[i])
+        budget -= expo[i] * spec.degrees[i]
+    return tuple(expo)
+
+
+def axis_extremes(spec: GeneratorSpec) -> list[tuple[int, ...]]:
+    # The largest in-range power of each generator: truncation // degree.
+    return [
+        tuple(spec.truncation // d if j == i else 0 for j in range(spec.ngens))
+        for i, d in enumerate(spec.degrees)
+    ]
+
+
+def documented_key(spec: GeneratorSpec, expo: tuple[int, ...]) -> int:
+    width = (2 * spec.truncation).bit_length()
+    n = spec.ngens
+    key = spec.weighted_degree(expo) << (n * width)
+    for i, e in enumerate(expo):
+        key |= e << ((n - 1 - i) * width)
+    return key
+
+
+def layout_exponents(rng: random.Random, spec: GeneratorSpec) -> list[tuple[int, ...]]:
+    return axis_extremes(spec) + [
+        in_range_exponent(rng, spec, spec.truncation) for _ in range(20)
+    ]
+
+
+def test_packed_layout_round_trips() -> None:
+    # Every field of a sum of two in-range keys is at most twice the
+    # truncation, so pack and unpack must round-trip over that whole range.
+    rng = random.Random(101)
+    for _ in range(200):
+        spec = random_layout_spec(rng)
+        for expo in layout_exponents(rng, spec):
+            assert spec.unpack(spec.pack(expo)) == expo
+            assert spec.pack(expo) == documented_key(spec, expo)
+            assert spec.pack(expo) >> spec.key_shift == spec.weighted_degree(expo)
+        top = 2 * spec.truncation
+        for expo in [
+            tuple(rng.randint(0, top) for _ in range(spec.ngens)) for _ in range(10)
+        ] + [(top,) * spec.ngens]:
+            assert spec.unpack(spec.pack(expo)) == expo
+            assert spec.pack(expo) == documented_key(spec, expo)
+
+
+def test_packed_keys_add_without_carry() -> None:
+    rng = random.Random(102)
+    for _ in range(200):
+        spec = random_layout_spec(rng)
+        exponents = layout_exponents(rng, spec)
+        for a in exponents:
+            for b in rng.sample(exponents, 8) + [a]:
+                total = tuple(x + y for x, y in zip(a, b))
+                key = spec.pack(a) + spec.pack(b)
+                assert key == spec.pack(total)
+                assert spec.unpack(key) == total
+                degree = spec.weighted_degree(total)
+                assert key >> spec.key_shift == degree
+                assert (key < spec.key_limit) == (degree <= spec.truncation)
+
+
+def test_products_one_degree_over_truncation_are_dropped() -> None:
+    rng = random.Random(103)
+    for _ in range(300):
+        spec = random_layout_spec(rng)
+        j = spec.degrees.index(1)
+        a = list(in_range_exponent(rng, spec, spec.truncation))
+        if spec.weighted_degree(a) == 0:
+            a[j] = 1
+        over = spec.truncation + 1 - spec.weighted_degree(a)
+        b = list(in_range_exponent(rng, spec, over))
+        b[j] += over - spec.weighted_degree(b)
+        x_a, x_b = GradedPoly(spec, {tuple(a): 3}), GradedPoly(spec, {tuple(b): 5})
+        assert not x_a.is_zero and not x_b.is_zero
+        assert (x_a * x_b).is_zero
+        # One degree less is kept, with the summed exponent.
+        if b[j]:
+            b[j] -= 1
+            kept = x_a * GradedPoly(spec, {tuple(b): 5})
+            assert kept.terms == {tuple(x + y for x, y in zip(a, b)): 15}
+            assert kept.max_degree() == spec.truncation
+
+
+def test_key_order_is_graded_lex() -> None:
+    rng = random.Random(104)
+    for _ in range(200):
+        spec = random_layout_spec(rng)
+        exponents = layout_exponents(rng, spec)
+        graded_lex = sorted(exponents, key=lambda e: (spec.weighted_degree(e), e))
+        assert sorted(exponents, key=spec.pack) == graded_lex
+        for a in exponents:
+            for b in rng.sample(exponents, 5):
+                assert (spec.pack(a) < spec.pack(b)) == (
+                    (spec.weighted_degree(a), a) < (spec.weighted_degree(b), b)
+                )

@@ -1,13 +1,14 @@
 """Chern and Segre class computations for bundles over exact Chow rings.
 
-A bundle is represented by its rank and total Chern class; the class may
-live in a Grassmannian polynomial ring or in a tabulated structure ring,
-and every operation works over either carrier.  Segre classes are the
-series inverse of the Chern class.  Negative Segre indices follow the
-residual-intersection convention: indices strictly between -rank and zero
-vanish, and the index -rank itself is only meaningful inside a product
-that cancels it against the top Chern class, so asking for it alone is an
-error and ``segre_negrank_product`` provides the cancelled form.
+A bundle is represented by its rank and total Chern class.  That class is
+any ``symfunc.ClassCarrier`` -- a Grassmannian polynomial or an element of a
+tabulated structure ring -- and this module uses only the carrier protocol
+on it.  Segre classes are the series inverse of the Chern class.  Negative
+Segre indices follow the residual-intersection convention: indices strictly
+between -rank and zero vanish, and the index -rank itself is only
+meaningful inside a product that cancels it against the top Chern class, so
+asking for it alone is an error and ``segre_negrank_product`` provides the
+cancelled form.
 
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
@@ -26,17 +27,9 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .chow import GrassContext, StructElement
+from .chow import GrassContext
 from .errors import CancellationRequiredError
 from .symfunc import GradedPoly, root_spec, roots_to_e, substitute
-
-ClassLike = "GradedPoly | StructElement"
-
-
-def _truncation_bound(total: "GradedPoly | StructElement") -> int:
-    if isinstance(total, GradedPoly):
-        return total.spec.truncation
-    return total.ring.top_degree
 
 
 class BundleClass:
@@ -186,8 +179,7 @@ def sym_power(E: BundleClass, d: int) -> BundleClass:
     if d == 0:
         return BundleClass(1, one)
     k = E.rank
-    bound = _truncation_bound(E.total_chern)
-    rspec = root_spec(k, bound)
+    rspec = root_spec(k, E.total_chern.truncation)
     gens = [GradedPoly.generator(rspec, name) for name in rspec.names]
     total = GradedPoly.one(rspec)
     multisets = sorted(

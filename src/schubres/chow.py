@@ -7,7 +7,10 @@ with conversion to the Schubert basis and exact integration of top-degree
 classes.  ``StructRing`` is a finite graded ring given by explicit integer
 structure constants, used for ambient spaces such as a blown-up plane where
 a handful of basis classes suffice; it optionally carries a pushforward to
-another such ring.
+another such ring.  Its elements, ``StructElement``, are the second
+``symfunc.ClassCarrier`` next to ``GradedPoly``: the arithmetic the protocol
+derives, series inversion and printing come from that base class.  Ring
+descriptions must give integers; a float or bool is refused, not rounded.
 
 Integration over the Grassmannian is implemented twice on purpose: the
 production path converts to the Schubert basis via the Pieri rule for the
@@ -30,16 +33,13 @@ from typing import Iterable, Mapping
 
 import yaml
 
-from .errors import (
-    ContextMismatchError,
-    NonUnitError,
-    RingFormatError,
-    UnsupportedOperationError,
-)
+from .errors import ContextMismatchError, RingFormatError, UnsupportedOperationError
 from .symfunc import (
+    ClassCarrier,
     GeneratorSpec,
     GradedPoly,
     elementary_symmetric,
+    format_terms,
     parse_linear_terms,
     root_spec,
     substitute,
@@ -231,10 +231,9 @@ class SchubertVector:
     def __neg__(self) -> "SchubertVector":
         return SchubertVector(self.context, {p: -c for p, c in self.coeffs.items()})
 
-    def __sub__(self, other: "SchubertVector") -> "SchubertVector":
-        if not isinstance(other, SchubertVector):
-            return NotImplemented
-        return self + (-other)
+    # Not a class carrier (two vectors do not multiply), but its subtraction
+    # is the carrier one: add the negation.
+    __sub__ = ClassCarrier.__sub__
 
     def __mul__(self, scalar: int) -> "SchubertVector":
         if not isinstance(scalar, int):
@@ -254,21 +253,8 @@ class SchubertVector:
         return hash((self.context, frozenset(self.coeffs.items())))
 
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks: list[str] = []
-        for partition, coeff in sorted(
-            self.coeffs.items(), key=lambda item: (item[0].size, item[0].parts)
-        ):
-            body = f"sigma{partition}"
-            magnitude = abs(coeff)
-            if magnitude != 1:
-                body = f"{magnitude}*{body}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        ordered = sorted(self.coeffs.items(), key=lambda item: (item[0].size, item[0].parts))
+        return format_terms((coeff, f"sigma{partition}") for partition, coeff in ordered)
 
     def __str__(self) -> str:
         return self.to_string()
@@ -425,6 +411,14 @@ def schubert_poly(ctx: GrassContext, partition: Partition) -> GradedPoly:
     return total
 
 
+def _exact_int(value, what: str) -> int:
+    """``value`` itself if it is an int; a float or bool is an error, never
+    rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RingFormatError(f"{what} {value!r} is not an integer")
+    return value
+
+
 class StructRing:
     """Finite graded ring described by integer structure constants.
 
@@ -450,7 +444,7 @@ class StructRing:
         pushforward: "tuple[StructRing, Mapping[str, Mapping[str, int]]] | None" = None,
     ) -> None:
         labels = tuple(labels)
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(_exact_int(d, "degree") for d in degrees)
         if len(labels) != len(degrees):
             raise RingFormatError("basis and degrees must have equal length")
         if len(set(labels)) != len(labels):
@@ -477,9 +471,7 @@ class StructRing:
             for label, coeff in value.items():
                 if label not in index:
                     raise RingFormatError(f"product value references unknown label {label!r}")
-                if not isinstance(coeff, int):
-                    raise RingFormatError(f"structure constant {coeff!r} is not an integer")
-                if coeff:
+                if _exact_int(coeff, "structure constant"):
                     entry[index[label]] = entry.get(index[label], 0) + coeff
             entry = {i: c for i, c in entry.items() if c}
             if (ia, ib) in table and table[(ia, ib)] != entry:
@@ -494,8 +486,8 @@ class StructRing:
         for label, coeff in items:
             if label not in index:
                 raise RingFormatError(f"integral references unknown label {label!r}")
-            if coeff:
-                integral_map[index[label]] = int(coeff)
+            if _exact_int(coeff, "integral"):
+                integral_map[index[label]] = coeff
         object.__setattr__(self, "_integral", integral_map)
 
         if pushforward is not None:
@@ -644,19 +636,19 @@ class StructRing:
         return f"StructRing({self.name!r}, basis={self.labels})"
 
 
-class StructElement:
-    """Element of a ``StructRing``: an integer combination of basis classes."""
+class StructElement(ClassCarrier):
+    """Element of a ``StructRing``: an integer combination of basis classes.
+
+    A ``ClassCarrier`` whose truncation is the ring's top degree.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: StructRing, coeffs: Mapping[int, int] = ()) -> None:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        canonical = {i: int(c) for i, c in items if c}
+        canonical = {i: c for i, c in items if _exact_int(c, "coefficient")}
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", canonical)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("StructElement is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -665,6 +657,10 @@ class StructElement:
     @property
     def constant_term(self) -> int:
         return self.coeffs.get(self.ring._unit, 0)
+
+    @property
+    def truncation(self) -> int:
+        return self.ring.top_degree
 
     def zero_like(self) -> "StructElement":
         return self.ring.zero()
@@ -683,11 +679,6 @@ class StructElement:
         return StructElement(
             self.ring, {i: c for i, c in self.coeffs.items() if degrees[i] <= bound}
         )
-
-    def max_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(self.ring.degrees[i] for i in self.coeffs)
 
     def degree_scale(self, m: int) -> "StructElement":
         degrees = self.ring.degrees
@@ -714,20 +705,8 @@ class StructElement:
                 del out[i]
         return StructElement(self.ring, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "StructElement":
         return StructElement(self.ring, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "StructElement | int") -> "StructElement":
-        if isinstance(other, int):
-            other = other * self.ring.one()
-        if not isinstance(other, StructElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "StructElement":
-        return (other * self.ring.one()) + (-self)
 
     def __mul__(self, other: "StructElement | int") -> "StructElement":
         if isinstance(other, int):
@@ -745,40 +724,6 @@ class StructElement:
                     elif i in out:
                         del out[i]
         return StructElement(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "StructElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
-    def series_inverse(self) -> "StructElement":
-        """Inverse of an element with constant term one.
-
-        The non-constant part is nilpotent, so the geometric series
-        terminates at the top degree.
-        """
-        if self.constant_term != 1:
-            raise NonUnitError(
-                f"series inverse needs constant term 1, got {self.constant_term}"
-            )
-        nilpotent = self - 1
-        result = self.ring.one()
-        power = self.ring.one()
-        for _ in range(self.ring.top_degree):
-            power = power * (-nilpotent)
-            if power.is_zero:
-                break
-            result = result + power
-        return result
 
     def integrate(self) -> int:
         return sum(
@@ -806,54 +751,15 @@ class StructElement:
     def __hash__(self) -> int:
         return hash((self.ring, frozenset(self.coeffs.items())))
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def to_string(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks: list[str] = []
-        ordered = sorted(
-            self.coeffs.items(), key=lambda item: (self.ring.degrees[item[0]], item[0])
+        ring = self.ring
+        ordered = sorted(self.coeffs.items(), key=lambda item: (ring.degrees[item[0]], item[0]))
+        return format_terms(
+            (coeff, "" if i == ring._unit else ring.labels[i]) for i, coeff in ordered
         )
-        for i, coeff in ordered:
-            label = self.ring.labels[i]
-            magnitude = abs(coeff)
-            if i == self.ring._unit:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = label
-            else:
-                body = f"{magnitude}*{label}"
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
-
-    def __str__(self) -> str:
-        return self.to_string()
 
     def __repr__(self) -> str:
         return f"StructElement({self.to_string()!r} in {self.ring.name})"
-
-
-def struct_mul(ring: StructRing, a: StructElement, b: StructElement) -> StructElement:
-    if a.ring != ring or b.ring != ring:
-        raise ContextMismatchError("elements do not belong to the given ring")
-    return a * b
-
-
-def struct_integrate(ring: StructRing, a: StructElement) -> int:
-    if a.ring != ring:
-        raise ContextMismatchError("element does not belong to the given ring")
-    return a.integrate()
-
-
-def struct_pushforward(ring: StructRing, a: StructElement) -> StructElement:
-    if a.ring != ring:
-        raise ContextMismatchError("element does not belong to the given ring")
-    return a.pushforward()
 
 
 def _parse_linear_expression(text: str) -> dict[str, int]:
@@ -898,7 +804,7 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
         raise RingFormatError(f"unknown ring keys: {sorted(unknown)}")
     try:
         labels = tuple(str(label) for label in data["basis"])
-        degrees = tuple(int(d) for d in data["degrees"])
+        degrees = tuple(_exact_int(d, "degree") for d in data["degrees"])
     except KeyError as missing:
         raise RingFormatError(f"ring description lacks key {missing}") from None
     units = [label for label, d in zip(labels, degrees) if d == 0]
@@ -914,7 +820,7 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
         raw = _parse_linear_expression(value)
         products[(pieces[0], pieces[1])] = _resolve_unit_label(raw, labels, unit_label)
 
-    integral = {str(k): int(v) for k, v in (data.get("integral") or {}).items()}
+    integral = {str(k): v for k, v in (data.get("integral") or {}).items()}
 
     pushforward = None
     if "pushforward" in data and data["pushforward"] is not None:

@@ -201,48 +201,45 @@ def _limit_table(report: LimitReport) -> str:
     return "\n".join(lines)
 
 
-def _limit_csv_rows(report: LimitReport) -> list[dict]:
-    case = str(report.spec)
+_CSV_FIELDS = (
+    "case", "label", "k", "e",
+    "main_degree", "adjunct_degree", "total_degree",
+    "main_class", "adjunct_class", "total_class",
+)
+
+
+def _csv_rows(case: str, components, ambient_degree, ambient_class) -> list[dict]:
+    """One CSV row per component, then the ambient row.
+
+    Each component is ``(label, k, e, degrees, classes)`` with the
+    (main, adjunct, total) degrees and classes as triples.
+    """
     rows = [
-        {
-            "case": case,
-            "label": piece.label,
-            "k": piece.degree,
-            "e": piece.multiplicity,
-            "main_degree": piece.main_degree,
-            "adjunct_degree": piece.adjunct_degree,
-            "total_degree": piece.total_degree,
-            "main_class": piece.main_class.to_string(),
-            "adjunct_class": piece.adjunct_class.to_string(),
-            "total_class": piece.total_class.to_string(),
-        }
-        for piece in report.pieces
+        dict(zip(_CSV_FIELDS, (case, label, k, e, *degrees, *map(str, classes))))
+        for label, k, e, degrees, classes in components
     ]
-    rows.append(
-        {
-            "case": case,
-            "label": "ambient",
-            "k": "",
-            "e": "",
-            "main_degree": "",
-            "adjunct_degree": "",
-            "total_degree": report.ambient_degree,
-            "main_class": "",
-            "adjunct_class": "",
-            "total_class": report.ambient_class.to_string(),
-        }
-    )
+    ambient = (case, "ambient", "", "", "", "", ambient_degree, "", "", str(ambient_class))
+    rows.append(dict(zip(_CSV_FIELDS, ambient)))
     return rows
 
 
-def _write_csv(rows: list[dict]) -> str:
-    fieldnames = [
-        "case", "label", "k", "e",
-        "main_degree", "adjunct_degree", "total_degree",
-        "main_class", "adjunct_class", "total_class",
+def _limit_csv_rows(report: LimitReport) -> list[dict]:
+    components = [
+        (
+            piece.label,
+            piece.degree,
+            piece.multiplicity,
+            (piece.main_degree, piece.adjunct_degree, piece.total_degree),
+            (piece.main_class, piece.adjunct_class, piece.total_class),
+        )
+        for piece in report.pieces
     ]
+    return _csv_rows(str(report.spec), components, report.ambient_degree, report.ambient_class)
+
+
+def _write_csv(rows: list[dict]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue().rstrip("\n")
@@ -383,12 +380,19 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
     raise ValueError(f"cannot resolve ring from {value!r}")
 
 
+def _fixture_int(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"fixture key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _run_fixture(data: dict, base_dir: Path) -> tuple[Decomposition, IntersectionSetup, StructRing]:
     ring = _resolve_ring(data["ring"], base_dir)
     setup = IntersectionSetup(
         cN=ring.parse(str(data["normal_chern"])),
-        d=int(data["codim"]),
-        k=int(data["dim"]),
+        d=_fixture_int(data, "codim"),
+        k=_fixture_int(data, "dim"),
         ring=ring,
     )
     mode = data.get("mode", "divisor")
@@ -426,6 +430,23 @@ def _undecomposed_check(
     return whole == decomposition.ambient_total
 
 
+def _coarse_section(data: dict, d: int, base_dir: Path) -> dict:
+    """Main class and degree, and residual degree, of a fixture's ``coarse``
+    section: the same codimension-d intersection on a coarser ring, where
+    the pieces are not told apart."""
+    coarse = data["coarse"]
+    ring = _resolve_ring(coarse["ring"], base_dir)
+    setup = IntersectionSetup(
+        cN=ring.parse(str(coarse["normal_chern"])), d=d, k=ring.top_degree, ring=ring
+    )
+    main = main_term(setup, SegreData(ring.parse(str(coarse["segre"]))))
+    return {
+        "main_class": main.to_string(),
+        "main_degree": main.integrate(),
+        "residual_degree": (ring.parse(str(coarse["total"])) - main).integrate(),
+    }
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     path = _fixture_path(args.fixture)
     data = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -436,21 +457,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.coarse:
         if "coarse" not in data:
             return _usage_error(f"fixture {data.get('name', path.name)!r} has no coarse section")
-        coarse = data["coarse"]
-        coarse_ring = _resolve_ring(coarse["ring"], path.parent)
-        coarse_setup = IntersectionSetup(
-            cN=coarse_ring.parse(str(coarse["normal_chern"])),
-            d=setup.d,
-            k=coarse_ring.top_degree,
-            ring=coarse_ring,
-        )
-        coarse_main = main_term(coarse_setup, SegreData(coarse_ring.parse(str(coarse["segre"]))))
-        coarse_total = coarse_ring.parse(str(coarse["total"]))
-        coarse_payload = {
-            "main_class": coarse_main.to_string(),
-            "main_degree": coarse_main.integrate(),
-            "residual_degree": (coarse_total - coarse_main).integrate(),
-        }
+        coarse_payload = _coarse_section(data, setup.d, path.parent)
 
     name = data.get("name", path.stem)
     degrees = decomposition.degrees or tuple(
@@ -487,34 +494,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     if args.format == "csv":
-        rows = [
-            {
-                "case": name,
-                "label": component.label,
-                "k": "",
-                "e": "",
-                "main_degree": triple[0],
-                "adjunct_degree": triple[1],
-                "total_degree": triple[2],
-                "main_class": component.main.to_string(),
-                "adjunct_class": component.adjunct.to_string(),
-                "total_class": component.total.to_string(),
-            }
-            for component, triple in zip(decomposition.components, degrees)
+        components = [
+            (c.label, "", "", triple, (c.main, c.adjunct, c.total))
+            for c, triple in zip(decomposition.components, degrees)
         ]
-        rows.append(
-            {
-                "case": name,
-                "label": "ambient",
-                "k": "",
-                "e": "",
-                "main_degree": "",
-                "adjunct_degree": "",
-                "total_degree": decomposition.ambient_degree,
-                "main_class": "",
-                "adjunct_class": "",
-                "total_class": decomposition.ambient_total.to_string(),
-            }
+        rows = _csv_rows(
+            name, components, decomposition.ambient_degree, decomposition.ambient_total
         )
         _emit(_write_csv(rows), args)
         return 0 if ok else 1
@@ -615,15 +600,9 @@ def _check_fixtures() -> None:
         assert decomposition.ambient_degree == 4
         assert decomposition.conserved
         assert _undecomposed_check(data, decomposition, setup, ring) is not False
-    single = yaml.safe_load(_fixture_path("double_line_split_single").read_text(encoding="utf-8"))
-    coarse = single["coarse"]
-    ring = builtin_ring(coarse["ring"])
-    setup = IntersectionSetup(
-        cN=ring.parse(coarse["normal_chern"]), d=2, k=2, ring=ring
-    )
-    main = main_term(setup, SegreData(ring.parse(coarse["segre"])))
-    assert main.integrate() == 1
-    assert (ring.parse(coarse["total"]) - main).integrate() == 3
+        if stem == "double_line_split_single":
+            coarse = _coarse_section(data, setup.d, path.parent)
+            assert (coarse["main_degree"], coarse["residual_degree"]) == (1, 3)
 
 
 SELFTEST_CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (

@@ -21,10 +21,15 @@ Integer order on keys is graded-lex order on monomials.  The layout lives in
 ``GeneratorSpec`` alone; ``GradedPoly.terms`` unpacks a tuple-keyed view for
 printing and callers outside the engine.
 
-The module also provides the two symmetric-function conversions the rest of
-the package is built on: series inversion (total Segre class from total Chern
-class) and rewriting a symmetric polynomial in degree-one root variables as a
-polynomial in the elementary symmetric functions.
+``ClassCarrier`` states the protocol every ring of classes follows: this
+module's ``GradedPoly`` and the tabulated ``chow.StructElement``.  The bundle,
+residual and identity layers are written once against it.  The base class
+implements the representation-free half of the protocol once: the derived
+operators, immutability, printing through ``format_terms`` and series
+inversion (total Segre class from total Chern class).
+
+The module also rewrites a symmetric polynomial in degree-one root variables
+as a polynomial in the elementary symmetric functions.
 """
 
 from __future__ import annotations
@@ -114,7 +119,98 @@ class GeneratorSpec:
             raise KeyError(f"no generator named {name!r}") from None
 
 
-class GradedPoly:
+def format_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Print (coefficient, monomial) pairs, in the given order, as a signed sum.
+
+    Coefficients must be nonzero.  An empty monomial is the unit, and a unit
+    coefficient is left out in front of any other monomial: ``3 + 2*h - P``.
+    """
+    chunks: list[str] = []
+    for coeff, monomial in terms:
+        magnitude = abs(coeff)
+        if not monomial:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = monomial
+        else:
+            body = f"{magnitude}*{monomial}"
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks) if chunks else "0"
+
+
+class ClassCarrier:
+    """An immutable element of a graded ring of classes, truncated above a
+    top degree.
+
+    This is the whole interface the bundle, residual and identity layers may
+    use of a class:
+
+    * ``a + b``, ``a - b``, ``-a`` and ``a * b``, where either operand may be
+      an ``int`` (read as that multiple of the unit) and two carriers must
+      live in the same ring (else ``ContextMismatchError``); ``a ** n`` for
+      ``n >= 0``; ``a == b``, hashing and truth (nonzero);
+    * ``degree_part(d)``, the homogeneous part of degree d (zero outside
+      0..truncation); ``truncate_above(d)``, the parts of degree <= d;
+      ``degree_scale(m)``, each degree-i part times m**i;
+    * ``zero_like()`` and ``one_like()``, the zero and unit of the ring;
+    * ``constant_term``, the unit coefficient as an int; ``is_zero``;
+      ``truncation``, the top degree the ring keeps;
+    * ``series_inverse()``, the inverse of an element with constant term 1;
+    * ``to_string()``, also ``str(a)``.
+
+    A carrier supplies its own storage, ``+``, unary ``-``, ``*`` (both
+    accepting an ``int``), ``==``, hashing, the graded accessors and
+    ``to_string``.  This base supplies the rest once.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # The reflected operators call the carrier's own methods directly, so an
+    # operand of a foreign type gets NotImplemented back instead of bouncing
+    # between two reflected methods.
+    def __radd__(self, other: int) -> "ClassCarrier":
+        return self.__add__(other)
+
+    def __sub__(self, other: "ClassCarrier | int") -> "ClassCarrier":
+        return self.__add__(-other)
+
+    def __rsub__(self, other: int) -> "ClassCarrier":
+        return (-self).__add__(other)
+
+    def __rmul__(self, other: int) -> "ClassCarrier":
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int) -> "ClassCarrier":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = self.one_like()
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __str__(self) -> str:
+        return self.to_string()
+
+    def series_inverse(self) -> "ClassCarrier":
+        # Looked up in this module at call time, so the one module-level
+        # binding serves every carrier.
+        return series_inverse(self)
+
+
+class GradedPoly(ClassCarrier):
     """Immutable truncated polynomial with exact integer coefficients.
 
     ``packed`` is canonical: a dict from packed monomial keys (see the module
@@ -165,9 +261,6 @@ class GradedPoly:
         object.__setattr__(self, "_parts", None)
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GradedPoly is immutable")
-
     @property
     def terms(self) -> Mapping[Exponent, int]:
         """The terms keyed by exponent tuples, unpacked on each access."""
@@ -202,6 +295,10 @@ class GradedPoly:
     @property
     def constant_term(self) -> int:
         return self.packed.get(0, 0)
+
+    @property
+    def truncation(self) -> int:
+        return self.spec.truncation
 
     def max_degree(self) -> int:
         """Largest weighted degree with a nonzero term; -1 for the zero poly."""
@@ -250,9 +347,6 @@ class GradedPoly:
     def one_like(self) -> "GradedPoly":
         return GradedPoly.one(self.spec)
 
-    def series_inverse(self) -> "GradedPoly":
-        return series_inverse(self)
-
     def _check_spec(self, other: "GradedPoly") -> None:
         if self.spec is other.spec:
             return
@@ -276,20 +370,8 @@ class GradedPoly:
                 del out[key]
         return GradedPoly._raw(self.spec, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "GradedPoly":
         return GradedPoly._raw(self.spec, {k: -c for k, c in self.packed.items()})
-
-    def __sub__(self, other: "GradedPoly | int") -> "GradedPoly":
-        if isinstance(other, int):
-            other = GradedPoly.constant(self.spec, other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "GradedPoly":
-        return GradedPoly.constant(self.spec, other) + (-self)
 
     def __mul__(self, other: "GradedPoly | int") -> "GradedPoly":
         if isinstance(other, int):
@@ -304,20 +386,6 @@ class GradedPoly:
         out = kernel.mul_terms(self.packed, other.packed, self.spec.key_limit)
         return GradedPoly._raw(self.spec, out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "GradedPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = GradedPoly.one(self.spec)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = GradedPoly.constant(self.spec, other)
@@ -328,73 +396,55 @@ class GradedPoly:
     def __hash__(self) -> int:
         return hash((self.spec, frozenset(self.packed.items())))
 
-    def __bool__(self) -> bool:
-        return bool(self.packed)
+    def _monomial(self, key: int) -> str:
+        factors = []
+        for name, e in zip(self.spec.names, self.spec.unpack(key)):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        return "*".join(factors)
 
-    def _sorted_terms(self) -> list[tuple[Exponent, int]]:
+    def to_string(self) -> str:
         # Ascending weighted degree, then descending lexicographic exponent
         # (descending key), so leading generators print before trailing ones
         # within a degree.
-        shift, unpack = self.spec.key_shift, self.spec.unpack
+        shift = self.spec.key_shift
         keys = sorted(self.packed, key=lambda key: (key >> shift, -key))
-        return [(unpack(key), self.packed[key]) for key in keys]
-
-    def to_string(self) -> str:
-        if not self.packed:
-            return "0"
-        chunks: list[str] = []
-        for expo, coeff in self._sorted_terms():
-            factors = []
-            for name, e in zip(self.spec.names, expo):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            magnitude = abs(coeff)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(magnitude)] + factors)
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
-
-    def __str__(self) -> str:
-        return self.to_string()
+        return format_terms((self.packed[key], self._monomial(key)) for key in keys)
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.to_string()!r})"
 
 
-def series_inverse(a: GradedPoly) -> GradedPoly:
-    """Multiplicative inverse of a series with constant term one.
+def series_inverse(a: ClassCarrier) -> ClassCarrier:
+    """Multiplicative inverse of a class with constant term one.
 
     Computed degree by degree: if a = 1 + a_1 + a_2 + ... then the inverse
     b = 1 + b_1 + b_2 + ... satisfies b_n = -(a_1 b_{n-1} + ... + a_n b_0).
+    Uses only the carrier protocol, so it serves every ``ClassCarrier``.
     """
     if a.constant_term != 1:
         raise NonUnitError(
             f"series inverse needs constant term 1, got {a.constant_term}"
         )
-    parts_a = a.homogeneous_parts()
-    parts_a.pop(0, None)
-    result = GradedPoly.one(a.spec)
-    parts_b: dict[int, GradedPoly] = {0: result}
-    for n in range(1, a.spec.truncation + 1):
-        acc = GradedPoly.zero(a.spec)
-        for j, a_j in parts_a.items():
+    top = a.truncation
+    parts_a = [(j, a.degree_part(j)) for j in range(1, top + 1)]
+    parts_a = [(j, part) for j, part in parts_a if not part.is_zero]
+    result = a.one_like()
+    parts_b = {0: result}
+    for n in range(1, top + 1):
+        acc = None
+        for j, a_j in parts_a:
             if j > n:
                 break
             b_prev = parts_b.get(n - j)
             if b_prev is not None:
-                acc = acc - a_j * b_prev
-        if not acc.is_zero:
-            parts_b[n] = acc
-            result = result + acc
+                term = a_j * b_prev
+                acc = term if acc is None else acc + term
+        if acc is not None and not acc.is_zero:
+            parts_b[n] = -acc
+            result = result + parts_b[n]
     return result
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.resources
+import operator
 import random
 import sys
 import threading
+from importlib.resources import as_file, files
 
 import pytest
 
@@ -14,6 +15,7 @@ from schubres.chow import (
     GrassContext,
     Partition,
     SchubertVector,
+    StructElement,
     StructRing,
     blowup_plane_at_point,
     builtin_ring,
@@ -25,9 +27,6 @@ from schubres.chow import (
     projective_space,
     ring_from_dict,
     schubert_poly,
-    struct_integrate,
-    struct_mul,
-    struct_pushforward,
     to_schubert,
 )
 from schubres.errors import ContextMismatchError, RingFormatError, UnsupportedOperationError
@@ -278,18 +277,18 @@ def test_blowup_ring_products() -> None:
     assert h * h == point
     assert (h * e).is_zero
     assert e * e == -point
-    assert struct_mul(ring, h + e, h + e) == ring.zero()
-    assert struct_integrate(ring, 3 * point) == 3
-    assert struct_integrate(ring, h) == 0
+    assert (h + e) * (h + e) == ring.zero()
+    assert (3 * point).integrate() == 3
+    assert h.integrate() == 0
 
 
 def test_blowup_pushforward() -> None:
     ring = blowup_plane_at_point()
     target = ring.pushforward_target
-    assert struct_pushforward(ring, ring.element("h")) == target.element("h")
-    assert struct_pushforward(ring, ring.element("e")).is_zero
-    assert struct_pushforward(ring, ring.element("P")) == target.element("h2")
-    assert struct_pushforward(ring, ring.one()) == target.one()
+    assert ring.element("h").pushforward() == target.element("h")
+    assert ring.element("e").pushforward().is_zero
+    assert ring.element("P").pushforward() == target.element("h2")
+    assert ring.one().pushforward() == target.one()
     with pytest.raises(UnsupportedOperationError):
         projective_space(2).one().pushforward()
 
@@ -301,6 +300,49 @@ def test_struct_element_series_inverse() -> None:
     assert a * a.series_inverse() == ring.one()
     with pytest.raises(Exception):
         ring.parse("2*h").series_inverse()
+
+
+def geometric_series_inverse(a: StructElement) -> StructElement:
+    """Reference inverse: the non-constant part is nilpotent, so the
+    geometric series 1 - u + u^2 - ... terminates at the top degree."""
+    ring = a.ring
+    nilpotent = a - 1
+    result = power = ring.one()
+    for _ in range(ring.top_degree):
+        power = power * (-nilpotent)
+        if power.is_zero:
+            break
+        result = result + power
+    return result
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [projective_space(m) for m in range(1, 6)] + [blowup_plane_at_point()],
+    ids=lambda ring: ring.name,
+)
+def test_struct_series_inverse_matches_geometric_series(ring: StructRing) -> None:
+    rng = random.Random(sum(map(ord, ring.name)))
+    for _ in range(25):
+        coeffs = {i: rng.randint(-6, 6) for i in range(len(ring.labels))}
+        coeffs[ring.labels.index("1")] = 1
+        a = StructElement(ring, coeffs)
+        inverse = a.series_inverse()
+        assert inverse == geometric_series_inverse(a)
+        assert a * inverse == ring.one()
+
+
+def test_carriers_of_different_kinds_do_not_mix() -> None:
+    point = blowup_plane_at_point().element("P")
+    poly = parse_poly(GrassContext(1, 3).spec, "x")
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((point, poly), (poly, point)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(AttributeError, match="StructElement is immutable"):
+        point.coeffs = {}
+    assert (2 - point).to_string() == "2 - P"
+    assert (point - 2) == -(2 - point)
 
 
 def test_struct_parse_and_string_round_trip() -> None:
@@ -320,7 +362,7 @@ def test_projective_space_ring() -> None:
     h = ring.element("h")
     assert h ** 3 == ring.element("h3")
     assert (h ** 4).is_zero
-    assert struct_integrate(ring, h ** 3) == 1
+    assert (h ** 3).integrate() == 1
     assert ring.parse("1 + 4*h + 4*h2") == ring.one() + 4 * h + 4 * h * h
 
 
@@ -356,7 +398,7 @@ def test_ring_validation_catches_bad_tables() -> None:
 
 
 def test_ring_yaml_fixture_matches_builtin() -> None:
-    with importlib.resources.path("schubres.data", "blowup_p2.yaml") as path:
+    with as_file(files("schubres") / "data" / "blowup_p2.yaml") as path:
         loaded = load_ring(path)
     assert loaded == blowup_plane_at_point()
     assert loaded.element("e") * loaded.element("e") == -loaded.element("P")
@@ -375,6 +417,47 @@ def test_ring_from_dict_rejects_malformed() -> None:
                 "products": {"h": "h"},
             }
         )
+
+
+def test_ring_from_dict_rejects_non_integers() -> None:
+    good = {
+        "basis": ["1", "h", "h2"],
+        "degrees": [0, 1, 2],
+        "products": {"h*h": "h2"},
+        "integral": {"h2": 1},
+    }
+    assert ring_from_dict(good).element("h2").integrate() == 1
+    for key, value in (
+        ("degrees", [0, 1.7, 2]),
+        ("degrees", [0, True, 2]),
+        ("integral", {"h2": 1.5}),
+        ("integral", {"h2": True}),
+    ):
+        with pytest.raises(RingFormatError):
+            ring_from_dict({**good, key: value})
+
+
+def test_struct_ring_rejects_non_integers() -> None:
+    labels, degrees = ("1", "h", "P"), (0, 1, 2)
+    products, integral = {("h", "h"): {"P": 1}}, {"P": 1}
+    assert StructRing("ok", labels, degrees, products, integral).element("P").integrate() == 1
+    for bad in (
+        {"degrees": (0, 1.0, 2)},
+        {"products": {("h", "h"): {"P": True}}},
+        {"integral": {"P": 1.5}},
+        {"integral": {"P": False}},
+    ):
+        args = {"degrees": degrees, "products": products, "integral": integral, **bad}
+        with pytest.raises(RingFormatError):
+            StructRing("bad", labels, **args)
+
+
+def test_struct_element_rejects_non_integers() -> None:
+    ring = projective_space(2)
+    assert StructElement(ring, {1: 2}).to_string() == "2*h"
+    for bad in (2.9, 1.0, 0.0, True):
+        with pytest.raises(RingFormatError):
+            StructElement(ring, {1: bad})
 
 
 def test_builtin_ring_lookup() -> None:

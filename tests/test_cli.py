@@ -189,6 +189,38 @@ residual_segre: "0"
     assert payload["undecomposed_ok"] is None
 
 
+def test_decompose_rejects_non_integer_inputs(tmp_path, capsys) -> None:
+    fixture = """
+name: non-integer
+mode: divisor
+ring: {ring}
+dim: {dim}
+codim: {codim}
+normal_chern: "1 + 4*h + 4*P"
+divisor_class: "2*e"
+divisor_segre: "2*e + 4*P"
+residual_segre: "0"
+"""
+    (tmp_path / "ring.yaml").write_text(
+        """
+basis: ["1", "h", "e", "P"]
+degrees: [0, 1, 1, 2]
+products: {"h*h": "P", "e*e": "-P"}
+integral: {P: 1.5}
+""",
+        encoding="utf-8",
+    )
+    for values in (
+        {"ring": "blowup_p2", "dim": 2, "codim": 1.5},
+        {"ring": "blowup_p2", "dim": "true", "codim": 2},
+        {"ring": "ring.yaml", "dim": 2, "codim": 2},
+    ):
+        path = tmp_path / "case.yaml"
+        path.write_text(fixture.format(**values), encoding="utf-8")
+        assert main(["decompose", str(path)]) == 2, values
+        assert "integer" in capsys.readouterr().err, values
+
+
 def test_output_file(tmp_path, capsys) -> None:
     target = tmp_path / "result.json"
     code, _ = run(

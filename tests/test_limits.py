@@ -200,10 +200,12 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     # ring of each untwisted Sym^k U* lands directly in the Chern ring (no
     # substitute), twisted pieces inherit their Segre class (one inversion
     # per distinct untwisted piece: 4 on G(1,4), 3 on G(2,7)), and the
-    # adjunct Segre products are formed once per decomposition.  Counted,
-    # not timed; the engine needs 1,086 products, 7 inversions and no
-    # substitute.
-    counts = {"mul_terms": 0, "series_inverse": 0, "substitute": 0}
+    # adjunct Segre products are formed once per decomposition.  Series
+    # inversion sums each degree and negates it once, so nothing on this
+    # path subtracts (a subtraction copies its operand twice).  Counted,
+    # not timed; the engine needs 1,086 products, 7 inversions, no
+    # substitute and no subtraction.
+    counts = {"mul_terms": 0, "series_inverse": 0, "substitute": 0, "__sub__": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -217,6 +219,7 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     counting(kernel, "mul_terms")
     counting(symfunc, "series_inverse")
     counting(bundles, "substitute")
+    counting(symfunc.ClassCarrier, "__sub__")
     bundles.sym_ustar.cache_clear()
     for context, degree in (((1, 4), 5), ((2, 7), 4)):
         ctx = GrassContext(*context)
@@ -225,3 +228,4 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     assert 0 < counts["mul_terms"] <= 1100
     assert 0 < counts["series_inverse"] <= 7
     assert counts["substitute"] == 0
+    assert counts["__sub__"] == 0

@@ -30,7 +30,7 @@ from .chow import (
     schubert_poly,
     to_schubert,
 )
-from .identities import IdentityCase, bracket_sum, identity_holds, verify_identity
+from .identities import IdentityCase, bracket_sum, verify_identity
 from .limits import (
     DegenerationSpec,
     LimitReport,
@@ -86,7 +86,6 @@ __all__ = [
     "enumerate_degenerations",
     "fano_class",
     "fano_degree",
-    "identity_holds",
     "integrate",
     "load_ring",
     "main_term",

@@ -7,8 +7,9 @@ on it.  Segre classes are the series inverse of the Chern class.  Negative
 Segre indices follow the residual-intersection convention: indices strictly
 between -rank and zero vanish, and the index -rank itself is only
 meaningful inside a product that cancels it against the top Chern class, so
-asking for it alone is an error and ``segre_negrank_product`` provides the
-cancelled form.
+asking for it alone is an error; that product is -1, and callers write it as
+a negation.  ``BundleClass.chern``, ``segre`` and ``total_segre`` are the one
+spelling of these operations.
 
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
@@ -29,7 +30,7 @@ from math import comb
 
 from .chow import GrassContext
 from .errors import CancellationRequiredError
-from .symfunc import GradedPoly, root_spec, roots_to_e, substitute
+from .symfunc import GradedPoly, exact_int, root_spec, roots_to_e, substitute
 
 
 class BundleClass:
@@ -44,7 +45,7 @@ class BundleClass:
     __slots__ = ("rank", "total_chern", "_segre")
 
     def __init__(self, rank: int, total_chern) -> None:
-        if not isinstance(rank, int) or rank < 1:
+        if exact_int(rank, "rank") < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         if total_chern.constant_term != 1:
             raise ValueError(
@@ -59,10 +60,32 @@ class BundleClass:
         raise AttributeError("BundleClass is immutable")
 
     def chern(self, i: int):
-        return chern(self, i)
+        """The i-th Chern class; zero beyond the carried degrees."""
+        if not isinstance(i, int) or i < 0:
+            raise IndexError(f"Chern index must be a non-negative integer, got {i}")
+        return self.total_chern.degree_part(i)
 
     def segre(self, i: int):
-        return segre(self, i)
+        """The i-th Segre class.
+
+        Non-negative indices come from inverting the total Chern class.
+        Indices strictly between -rank and zero are zero; the index -rank is
+        refused because it only makes sense multiplied against the top Chern
+        class, where the product is -1; anything lower is out of range.
+        """
+        if not isinstance(i, int):
+            raise IndexError(f"Segre index must be an integer, got {i!r}")
+        if i >= 0:
+            return self.total_segre().degree_part(i)
+        if -self.rank < i < 0:
+            return self.total_chern.zero_like()
+        if i == -self.rank:
+            raise CancellationRequiredError(
+                f"Segre index {-self.rank} of a rank-{self.rank} bundle is only "
+                "defined against the top Chern class, where the product is -1; "
+                "write that product as a negation"
+            )
+        raise IndexError(f"Segre index {i} below -rank = {-self.rank}")
 
     def total_segre(self):
         if self._segre is None:
@@ -97,8 +120,7 @@ class VirtualClass:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("VirtualClass is immutable")
 
-    def chern(self, i: int):
-        return chern(self, i)
+    chern = BundleClass.chern
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VirtualClass):
@@ -110,49 +132,6 @@ class VirtualClass:
 
     def __repr__(self) -> str:
         return f"VirtualClass(c={self.total_chern.to_string()!r})"
-
-
-def chern(E: "BundleClass | VirtualClass", i: int):
-    """The i-th Chern class; zero beyond the carried degrees."""
-    if not isinstance(i, int) or i < 0:
-        raise IndexError(f"Chern index must be a non-negative integer, got {i}")
-    return E.total_chern.degree_part(i)
-
-
-def segre(E: BundleClass, i: int):
-    """The i-th Segre class of an honest bundle.
-
-    Non-negative indices come from inverting the total Chern class.
-    Indices strictly between -rank and zero are zero; the index -rank is
-    refused because it only makes sense multiplied against the top Chern
-    class (use ``segre_negrank_product``); anything lower is out of range.
-    """
-    if not isinstance(i, int):
-        raise IndexError(f"Segre index must be an integer, got {i!r}")
-    if i >= 0:
-        return E.total_segre().degree_part(i)
-    if -E.rank < i < 0:
-        return E.total_chern.zero_like()
-    if i == -E.rank:
-        raise CancellationRequiredError(
-            f"Segre index {-E.rank} of a rank-{E.rank} bundle is only defined "
-            "against the top Chern class; use segre_negrank_product"
-        )
-    raise IndexError(f"Segre index {i} below -rank = {-E.rank}")
-
-
-def segre_negrank_product(E: BundleClass, other):
-    """The product (top Chern class of E) * (Segre class of index -rank) * other.
-
-    The two extreme classes cancel to minus one, so the result is just the
-    negation; having it as a named operation keeps callers in exact integer
-    arithmetic instead of dividing by a top Chern class.
-    """
-    return -other
-
-
-def total_segre(E: BundleClass):
-    return E.total_segre()
 
 
 def rank_sym(r: int, m: int) -> int:
@@ -196,7 +175,7 @@ def sym_power(E: BundleClass, d: int) -> BundleClass:
         # The e-basis result already is the total Chern class.
         return BundleClass(rank_sym(k - 1, d), roots_to_e(total, chern_spec))
     in_e_basis = roots_to_e(total)
-    images = [chern(E, i) for i in range(1, k + 1)]
+    images = [E.chern(i) for i in range(1, k + 1)]
     return BundleClass(rank_sym(k - 1, d), substitute(in_e_basis, images, one))
 
 

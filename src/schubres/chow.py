@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import yaml
 
@@ -38,7 +38,9 @@ from .symfunc import (
     ClassCarrier,
     GeneratorSpec,
     GradedPoly,
+    add_terms,
     elementary_symmetric,
+    exact_int,
     format_terms,
     parse_linear_terms,
     root_spec,
@@ -53,7 +55,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(exact_int(p, "partition part") for p in self.parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
@@ -123,9 +125,8 @@ class GrassContext:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.r, int) and isinstance(self.n, int)):
-            raise ValueError("r and n must be integers")
-        if self.r < 0 or self.n <= self.r:
+        r, n = exact_int(self.r, "r"), exact_int(self.n, "n")
+        if r < 0 or n <= r:
             raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
         k = self.k
         if k <= len(_GENERATOR_LETTERS):
@@ -176,22 +177,21 @@ class SchubertVector:
         self, context: GrassContext, coeffs: Mapping[Partition, int] = ()
     ) -> None:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        canonical: dict[Partition, int] = {}
-        for partition, coeff in items:
-            if not isinstance(partition, Partition):
-                partition = Partition(tuple(partition))
-            if not partition.fits_in_box(context.k, context.m):
-                raise ValueError(f"{partition} does not fit the {context.k}x{context.m} box")
-            if not isinstance(coeff, int):
-                raise ValueError(f"coefficient {coeff!r} is not an integer")
-            if coeff:
-                value = canonical.get(partition, 0) + coeff
-                if value:
-                    canonical[partition] = value
-                elif partition in canonical:
-                    del canonical[partition]
+
+        def checked() -> Iterator[tuple[Partition, int]]:
+            for partition, coeff in items:
+                if not isinstance(partition, Partition):
+                    partition = Partition(tuple(partition))
+                if not partition.fits_in_box(context.k, context.m):
+                    raise ValueError(
+                        f"{partition} does not fit the {context.k}x{context.m} box"
+                    )
+                if not isinstance(coeff, int):
+                    raise ValueError(f"coefficient {coeff!r} is not an integer")
+                yield partition, coeff
+
         object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coeffs", canonical)
+        object.__setattr__(self, "coeffs", add_terms({}, checked()))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SchubertVector is immutable")
@@ -219,14 +219,7 @@ class SchubertVector:
         if not isinstance(other, SchubertVector):
             return NotImplemented
         self._check_context(other)
-        out = dict(self.coeffs)
-        for partition, coeff in other.coeffs.items():
-            value = out.get(partition, 0) + coeff
-            if value:
-                out[partition] = value
-            elif partition in out:
-                del out[partition]
-        return SchubertVector(self.context, out)
+        return SchubertVector(self.context, add_terms(dict(self.coeffs), other.coeffs.items()))
 
     def __neg__(self) -> "SchubertVector":
         return SchubertVector(self.context, {p: -c for p, c in self.coeffs.items()})
@@ -292,15 +285,12 @@ def dual_pieri_multiply(vector: SchubertVector, i: int) -> SchubertVector:
     ctx = vector.context
     if not 1 <= i <= ctx.k:
         raise IndexError(f"Pieri index {i} outside 1..{ctx.k}")
-    out: dict[Partition, int] = {}
-    for partition, coeff in vector.coeffs.items():
-        for target in _vertical_strip_targets(partition, i, ctx.k, ctx.m):
-            value = out.get(target, 0) + coeff
-            if value:
-                out[target] = value
-            elif target in out:
-                del out[target]
-    return SchubertVector(ctx, out)
+    pairs = (
+        (target, coeff)
+        for partition, coeff in vector.coeffs.items()
+        for target in _vertical_strip_targets(partition, i, ctx.k, ctx.m)
+    )
+    return SchubertVector(ctx, add_terms({}, pairs))
 
 
 def _monomial_schubert(ctx: GrassContext, key: int) -> SchubertVector:
@@ -411,14 +401,6 @@ def schubert_poly(ctx: GrassContext, partition: Partition) -> GradedPoly:
     return total
 
 
-def _exact_int(value, what: str) -> int:
-    """``value`` itself if it is an int; a float or bool is an error, never
-    rounded."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RingFormatError(f"{what} {value!r} is not an integer")
-    return value
-
-
 class StructRing:
     """Finite graded ring described by integer structure constants.
 
@@ -444,7 +426,7 @@ class StructRing:
         pushforward: "tuple[StructRing, Mapping[str, Mapping[str, int]]] | None" = None,
     ) -> None:
         labels = tuple(labels)
-        degrees = tuple(_exact_int(d, "degree") for d in degrees)
+        degrees = tuple(exact_int(d, "degree", RingFormatError) for d in degrees)
         if len(labels) != len(degrees):
             raise RingFormatError("basis and degrees must have equal length")
         if len(set(labels)) != len(labels):
@@ -471,7 +453,7 @@ class StructRing:
             for label, coeff in value.items():
                 if label not in index:
                     raise RingFormatError(f"product value references unknown label {label!r}")
-                if _exact_int(coeff, "structure constant"):
+                if exact_int(coeff, "structure constant", RingFormatError):
                     entry[index[label]] = entry.get(index[label], 0) + coeff
             entry = {i: c for i, c in entry.items() if c}
             if (ia, ib) in table and table[(ia, ib)] != entry:
@@ -486,7 +468,7 @@ class StructRing:
         for label, coeff in items:
             if label not in index:
                 raise RingFormatError(f"integral references unknown label {label!r}")
-            if _exact_int(coeff, "integral"):
+            if exact_int(coeff, "integral", RingFormatError):
                 integral_map[index[label]] = coeff
         object.__setattr__(self, "_integral", integral_map)
 
@@ -576,33 +558,13 @@ class StructRing:
         return self.basis_element(self._unit)
 
     def parse(self, text: str) -> "StructElement":
-        """Parse a linear combination of basis labels such as ``2*h - P``."""
-        coeffs: dict[int, int] = {}
-        for coeff, factors in parse_linear_terms(text):
-            merged: list[str] = []
-            for name, exponent in factors:
-                if exponent != 1:
-                    raise ValueError(
-                        f"element expressions are linear in the basis, got {name}^{exponent}"
-                    )
-                merged.append(name)
-            if len(merged) > 1:
-                raise ValueError(
-                    "element expressions are linear in the basis, got a product "
-                    f"of {merged}"
-                )
-            if merged:
-                if merged[0] not in self._index:
-                    raise KeyError(f"no basis label {merged[0]!r} in ring {self.name!r}")
-                i = self._index[merged[0]]
-            else:
-                i = self._unit
-            value = coeffs.get(i, 0) + coeff
-            if value:
-                coeffs[i] = value
-            elif i in coeffs:
-                del coeffs[i]
-        return StructElement(self, coeffs)
+        """Parse a linear combination of basis labels such as ``2*h - P``.
+
+        A bare integer is that multiple of the unit.  A power or product of
+        labels raises ``ValueError``, an unknown label ``KeyError``.
+        """
+        terms = _parse_linear_expression(text, self.labels[self._unit]).items()
+        return sum((coeff * self.element(label) for label, coeff in terms), self.zero())
 
     def _mul_basis(self, ia: int, ib: int) -> dict[int, int]:
         if ia == self._unit:
@@ -646,7 +608,7 @@ class StructElement(ClassCarrier):
 
     def __init__(self, ring: StructRing, coeffs: Mapping[int, int] = ()) -> None:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        canonical = {i: c for i, c in items if _exact_int(c, "coefficient")}
+        canonical = {i: c for i, c in items if exact_int(c, "coefficient", RingFormatError)}
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", canonical)
 
@@ -696,14 +658,7 @@ class StructElement(ClassCarrier):
         if not isinstance(other, StructElement):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            value = out.get(i, 0) + c
-            if value:
-                out[i] = value
-            elif i in out:
-                del out[i]
-        return StructElement(self.ring, out)
+        return StructElement(self.ring, add_terms(dict(self.coeffs), other.coeffs.items()))
 
     def __neg__(self) -> "StructElement":
         return StructElement(self.ring, {i: -c for i, c in self.coeffs.items()})
@@ -714,16 +669,13 @@ class StructElement(ClassCarrier):
         if not isinstance(other, StructElement):
             return NotImplemented
         self._check_ring(other)
-        out: dict[int, int] = {}
-        for ia, ca in self.coeffs.items():
-            for ib, cb in other.coeffs.items():
-                for i, c in self.ring._mul_basis(ia, ib).items():
-                    value = out.get(i, 0) + ca * cb * c
-                    if value:
-                        out[i] = value
-                    elif i in out:
-                        del out[i]
-        return StructElement(self.ring, out)
+        products = (
+            (i, ca * cb * c)
+            for ia, ca in self.coeffs.items()
+            for ib, cb in other.coeffs.items()
+            for i, c in self.ring._mul_basis(ia, ib).items()
+        )
+        return StructElement(self.ring, add_terms({}, products))
 
     def integrate(self) -> int:
         return sum(
@@ -762,30 +714,21 @@ class StructElement(ClassCarrier):
         return f"StructElement({self.to_string()!r} in {self.ring.name})"
 
 
-def _parse_linear_expression(text: str) -> dict[str, int]:
-    """Parse an element expression into a raw label-to-coefficient map.
+def _parse_linear_expression(text, unit_label: str) -> dict[str, int]:
+    """Parse an element expression into a label-to-coefficient map.
 
-    Used while loading ring descriptions, before the ring exists to resolve
-    labels; the pseudo-label ``"1"`` stands for the unit.
+    A bare integer counts as a multiple of ``unit_label``.  Labels are not
+    checked here, so ring descriptions can be parsed before their ring
+    exists.  A power or product of labels raises ``RingFormatError``.
     """
-    out: dict[str, int] = {}
-    for coeff, factors in parse_linear_terms(str(text)):
-        if len(factors) > 1 or (factors and factors[0][1] != 1):
-            raise RingFormatError(f"expected a linear expression, got {text!r}")
-        label = factors[0][0] if factors else "1"
-        value = out.get(label, 0) + coeff
-        if value:
-            out[label] = value
-        elif label in out:
-            del out[label]
-    return out
 
+    def terms() -> Iterator[tuple[str, int]]:
+        for coeff, factors in parse_linear_terms(str(text)):
+            if len(factors) > 1 or (factors and factors[0][1] != 1):
+                raise RingFormatError(f"expected a linear expression, got {text!r}")
+            yield (factors[0][0] if factors else unit_label), coeff
 
-def _resolve_unit_label(raw: dict[str, int], labels: tuple[str, ...], unit_label: str) -> dict[str, int]:
-    out = dict(raw)
-    if "1" in out and "1" not in labels:
-        out[unit_label] = out.get(unit_label, 0) + out.pop("1")
-    return out
+    return add_terms({}, terms())
 
 
 def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
@@ -804,7 +747,7 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
         raise RingFormatError(f"unknown ring keys: {sorted(unknown)}")
     try:
         labels = tuple(str(label) for label in data["basis"])
-        degrees = tuple(_exact_int(d, "degree") for d in data["degrees"])
+        degrees = tuple(exact_int(d, "degree", RingFormatError) for d in data["degrees"])
     except KeyError as missing:
         raise RingFormatError(f"ring description lacks key {missing}") from None
     units = [label for label, d in zip(labels, degrees) if d == 0]
@@ -817,8 +760,7 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
         pieces = [piece.strip() for piece in str(key).split("*")]
         if len(pieces) != 2 or not all(pieces):
             raise RingFormatError(f"product key must look like 'a*b', got {key!r}")
-        raw = _parse_linear_expression(value)
-        products[(pieces[0], pieces[1])] = _resolve_unit_label(raw, labels, unit_label)
+        products[(pieces[0], pieces[1])] = _parse_linear_expression(value, unit_label)
 
     integral = {str(k): v for k, v in (data.get("integral") or {}).items()}
 
@@ -832,13 +774,11 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
             target = builtin_ring(target_data)
         else:
             target = ring_from_dict(target_data, name_hint=f"{name_hint}.target")
-        target_units = [
-            label for label, d in zip(target.labels, target.degrees) if d == 0
-        ]
-        mapping: dict[str, dict[str, int]] = {}
-        for label, value in (block.get("map") or {}).items():
-            raw = _parse_linear_expression(value)
-            mapping[str(label)] = _resolve_unit_label(raw, target.labels, target_units[0])
+        target_unit = target.labels[target._unit]
+        mapping = {
+            str(label): _parse_linear_expression(value, target_unit)
+            for label, value in (block.get("map") or {}).items()
+        }
         pushforward = (target, mapping)
 
     return StructRing(

@@ -46,6 +46,7 @@ from .residual import (
     main_term,
     symmetric_decompose,
 )
+from .symfunc import exact_int
 
 Piece = tuple[int, int]
 
@@ -96,6 +97,19 @@ def _parse_pieces(text: str) -> tuple[Piece, Piece]:
             f"expected exactly two pieces joined by '+', got {len(pieces)} in {text!r}"
         )
     return tuple(pieces)
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_pairing(text: str) -> Partition:
@@ -380,19 +394,12 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
     raise ValueError(f"cannot resolve ring from {value!r}")
 
 
-def _fixture_int(data: dict, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"fixture key {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def _run_fixture(data: dict, base_dir: Path) -> tuple[Decomposition, IntersectionSetup, StructRing]:
     ring = _resolve_ring(data["ring"], base_dir)
     setup = IntersectionSetup(
         cN=ring.parse(str(data["normal_chern"])),
-        d=_fixture_int(data, "codim"),
-        k=_fixture_int(data, "dim"),
+        d=exact_int(data["codim"], "fixture key 'codim'"),
+        k=exact_int(data["dim"], "fixture key 'dim'"),
         ring=ring,
     )
     mode = data.get("mode", "divisor")
@@ -670,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="class and count of subspaces on a general hypersurface",
     )
     _context_arguments(fano)
-    fano.add_argument("-d", "--degree", type=int, required=True,
+    fano.add_argument("-d", "--degree", type=_int_at_least(1), required=True,
                       help="degree of the hypersurface")
     fano.add_argument("--pair", type=_parse_pairing, default=None, metavar="P1,P2,...",
                       help="Schubert partition to pair a positive-dimensional family against")
@@ -696,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the conservation identity on a grid of piece degrees",
     )
     _context_arguments(verify)
-    verify.add_argument("--max-degree", type=int, default=4,
+    verify.add_argument("--max-degree", type=_int_at_least(2), default=4,
                         help="check all k, l >= 1 with k + l <= this bound (default 4)")
     verify.set_defaults(func=cmd_verify)
 

@@ -22,8 +22,8 @@ class NotSymmetricError(EngineError):
 class CancellationRequiredError(EngineError):
     """A Segre class of index -rank was requested on its own.
 
-    That index is only meaningful multiplied by the matching top Chern class;
-    callers must use the product form instead of the bare class.
+    That index is only meaningful multiplied by the matching top Chern class,
+    and that product is -1; callers write it as a negation instead.
     """
 
 
@@ -31,5 +31,9 @@ class UnsupportedOperationError(EngineError):
     """The ring at hand does not support the requested operation."""
 
 
-class RingFormatError(EngineError):
-    """A structure-constant ring description is malformed or inconsistent."""
+class RingFormatError(EngineError, ValueError):
+    """A structure-constant ring description is malformed or inconsistent.
+
+    Also a ``ValueError``, so callers that parse ring elements catch one
+    error type for bad text whether or not it comes from a ring file.
+    """

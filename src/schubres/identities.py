@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bundles import segre, segre_negrank_product, sym_ustar
+from .bundles import sym_ustar
 from .chow import GrassContext
 from .limits import fano_class
 from .symfunc import GradedPoly
 
-__all__ = ["IdentityCase", "bracket_sum", "verify_identity", "identity_holds"]
+__all__ = ["IdentityCase", "bracket_sum", "verify_identity"]
 
 # Binomial hook: kept at module level so tests can break it deliberately and
 # confirm the verification actually distinguishes right from wrong weights.
@@ -91,12 +91,12 @@ def bracket_sum(case: IdentityCase) -> GradedPoly:
                     # The fold: s_{-rank}(N_other) cancels the other piece's
                     # top Chern class inside the interface term, leaving
                     # -z_own behind.
-                    tail = segre_negrank_product(bundles[other], tops[own])
+                    tail = -tops[own]
                 elif idx_other < 0:
                     continue
                 else:
-                    tail = segre(bundles[other], idx_other) * interface
-                total = total + coeff * chern_i * segre(bundles[own], idx_own) * tail
+                    tail = bundles[other].segre(idx_other) * interface
+                total = total + coeff * chern_i * bundles[own].segre(idx_own) * tail
     return total
 
 
@@ -105,7 +105,3 @@ def verify_identity(ctx: GrassContext, k: int, l: int) -> GradedPoly:
     ambient bundle minus the bracket total.  Zero when the identity holds."""
     case = IdentityCase(ctx, k, l)
     return fano_class(ctx, case.degree) - bracket_sum(case)
-
-
-def identity_holds(ctx: GrassContext, k: int, l: int) -> bool:
-    return verify_identity(ctx, k, l).is_zero

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .bundles import BundleClass, sym_ustar
 from .chow import GrassContext, Partition, integrate, schubert_poly
 from .residual import IntersectionSetup, regular_decompose
-from .symfunc import GradedPoly
+from .symfunc import GradedPoly, exact_int
 
 __all__ = [
     "DegenerationSpec",
@@ -57,7 +57,10 @@ class DegenerationSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.context, GrassContext):
             raise TypeError("context must be a GrassContext")
-        pieces = tuple((int(k), int(e)) for k, e in self.pieces)
+        pieces = tuple(
+            (exact_int(k, "piece degree"), exact_int(e, "piece multiplicity"))
+            for k, e in self.pieces
+        )
         if len(pieces) != 2:
             raise ValueError("exactly two pieces are supported")
         for k, e in pieces:

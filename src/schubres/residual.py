@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .bundles import BundleClass, chern, segre
+from .bundles import BundleClass
 from .chow import GrassContext, StructRing
 from .chow import integrate as grass_integrate
 from .errors import UnsupportedOperationError
@@ -245,13 +245,7 @@ def symmetric_decompose(
         if ci.is_zero:
             continue
         ambient = ambient + ci * (-total_divisor) ** (d - 1 - i) * total_divisor
-    ambient = ambient.pushforward()
-
-    degrees = tuple(
-        (c.main.integrate(), c.adjunct.integrate(), c.total.integrate())
-        for c in components
-    )
-    return Decomposition(components, ambient, degrees, ambient.integrate())
+    return _attach_degrees(setup, components, ambient.pushforward())
 
 
 def regular_decompose(
@@ -287,14 +281,14 @@ def regular_decompose(
         for i in range(0, excess_codim + 1):
             ci = setup.cN.degree_part(i)
             if not ci.is_zero:
-                excess = excess + ci * segre(N_l, excess_codim - i)
+                excess = excess + ci * N_l.segre(excess_codim - i)
         return excess * z_l
 
     # The adjunct of Z_l sums comb(d-1-i, a + r_other) * c_i(N) *
     # s_a(N_other) * s_b(N_l) over i + a + b = d - r1 - r2.
     span = d - r1 - r2
     pairs = {
-        (x, y): segre(N1, x) * segre(N2, y)
+        (x, y): N1.segre(x) * N2.segre(y)
         for x in range(span + 1)
         for y in range(span + 1 - x)
     }

@@ -51,6 +51,27 @@ TermMap = dict[int, int]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def exact_int(value, what: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` itself if it is an int; a float or bool raises ``error``,
+    never rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} {value!r} is not an integer")
+    return value
+
+
+def add_terms(out: dict, items: Iterable[tuple[object, int]]) -> dict:
+    """Add (key, coefficient) pairs into ``out`` in place, dropping every key
+    whose coefficient cancels to zero; returns ``out``."""
+    get = out.get
+    for key, coeff in items:
+        value = get(key, 0) + coeff
+        if value:
+            out[key] = value
+        elif key in out:
+            del out[key]
+    return out
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Names, weighted degrees and truncation bound of a polynomial ring.
@@ -69,7 +90,9 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(
+            self, "degrees", tuple(exact_int(d, "generator degree") for d in self.degrees)
+        )
         if len(self.names) != len(self.degrees):
             raise ValueError("names and degrees must have equal length")
         if len(set(self.names)) != len(self.names):
@@ -79,7 +102,7 @@ class GeneratorSpec:
                 raise ValueError(f"invalid generator name {name!r}")
         if any(d <= 0 for d in self.degrees):
             raise ValueError("generator degrees must be positive")
-        if not isinstance(self.truncation, int) or self.truncation < 0:
+        if exact_int(self.truncation, "truncation") < 0:
             raise ValueError("truncation must be a non-negative integer")
         width = (2 * self.truncation).bit_length()
         n = len(self.degrees)
@@ -229,27 +252,23 @@ class GradedPoly(ClassCarrier):
         terms: Mapping[Exponent, int] | Iterable[tuple[Exponent, int]] = (),
     ) -> None:
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canonical: TermMap = {}
-        for expo, coeff in items:
-            expo = tuple(expo)
-            if len(expo) != spec.ngens:
-                raise ValueError(
-                    f"exponent {expo} has length {len(expo)}, expected {spec.ngens}"
-                )
-            if any(not isinstance(e, int) or e < 0 for e in expo):
-                raise ValueError(f"exponents must be non-negative integers: {expo}")
-            if not isinstance(coeff, int):
-                raise ValueError(f"coefficient {coeff!r} is not an integer")
-            if coeff == 0 or spec.weighted_degree(expo) > spec.truncation:
-                continue
-            key = spec.pack(expo)
-            value = canonical.get(key, 0) + coeff
-            if value:
-                canonical[key] = value
-            elif key in canonical:
-                del canonical[key]
+
+        def packed_items() -> Iterator[tuple[int, int]]:
+            for expo, coeff in items:
+                expo = tuple(expo)
+                if len(expo) != spec.ngens:
+                    raise ValueError(
+                        f"exponent {expo} has length {len(expo)}, expected {spec.ngens}"
+                    )
+                if any(not isinstance(e, int) or e < 0 for e in expo):
+                    raise ValueError(f"exponents must be non-negative integers: {expo}")
+                if not isinstance(coeff, int):
+                    raise ValueError(f"coefficient {coeff!r} is not an integer")
+                if coeff and spec.weighted_degree(expo) <= spec.truncation:
+                    yield spec.pack(expo), coeff
+
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "packed", canonical)
+        object.__setattr__(self, "packed", add_terms({}, packed_items()))
         object.__setattr__(self, "_parts", None)
 
     @classmethod
@@ -307,7 +326,15 @@ class GradedPoly(ClassCarrier):
         return max(self.packed) >> self.spec.key_shift
 
     def degree_part(self, d: int) -> "GradedPoly":
-        part = self._homogeneous().get(d)
+        parts = self._parts
+        if parts is None:
+            buckets: dict[int, TermMap] = {}
+            shift = self.spec.key_shift
+            for key, coeff in self.packed.items():
+                buckets.setdefault(key >> shift, {})[key] = coeff
+            parts = {d: GradedPoly._raw(self.spec, t) for d, t in buckets.items()}
+            object.__setattr__(self, "_parts", parts)
+        part = parts.get(d)
         return part if part is not None else GradedPoly.zero(self.spec)
 
     def truncate_above(self, bound: int) -> "GradedPoly":
@@ -315,21 +342,6 @@ class GradedPoly(ClassCarrier):
         return GradedPoly._raw(
             self.spec, {k: c for k, c in self.packed.items() if k < limit}
         )
-
-    def homogeneous_parts(self) -> dict[int, "GradedPoly"]:
-        return dict(self._homogeneous())
-
-    def _homogeneous(self) -> dict[int, "GradedPoly"]:
-        # The cached split behind degree_part; callers must not mutate it.
-        parts = self._parts
-        if parts is None:
-            buckets: dict[int, TermMap] = {}
-            shift = self.spec.key_shift
-            for key, coeff in self.packed.items():
-                buckets.setdefault(key >> shift, {})[key] = coeff
-            parts = {d: GradedPoly._raw(self.spec, t) for d, t in sorted(buckets.items())}
-            object.__setattr__(self, "_parts", parts)
-        return parts
 
     def degree_scale(self, m: int) -> "GradedPoly":
         """Multiply each homogeneous degree-i component by m**i."""
@@ -361,14 +373,7 @@ class GradedPoly(ClassCarrier):
         if not isinstance(other, GradedPoly):
             return NotImplemented
         self._check_spec(other)
-        out = dict(self.packed)
-        for key, coeff in other.packed.items():
-            value = out.get(key, 0) + coeff
-            if value:
-                out[key] = value
-            elif key in out:
-                del out[key]
-        return GradedPoly._raw(self.spec, out)
+        return GradedPoly._raw(self.spec, add_terms(dict(self.packed), other.packed.items()))
 
     def __neg__(self) -> "GradedPoly":
         return GradedPoly._raw(self.spec, {k: -c for k, c in self.packed.items()})

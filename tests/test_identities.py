@@ -8,7 +8,7 @@ import pytest
 
 import schubres.identities as identities
 from schubres.chow import GrassContext
-from schubres.identities import IdentityCase, bracket_sum, identity_holds, verify_identity
+from schubres.identities import IdentityCase, bracket_sum, verify_identity
 from schubres.limits import DegenerationSpec, decompose_degeneration
 
 
@@ -26,7 +26,7 @@ def test_identity_grid_is_zero() -> None:
     for ctx, k, l in grid_cases():
         residual = verify_identity(ctx, k, l)
         assert residual.is_zero, f"residual nonzero for {ctx!r} k={k} l={l}"
-        assert identity_holds(ctx, k, l)
+        assert verify_identity(ctx, k, l).is_zero
 
 
 def test_bracket_matches_decomposition_totals() -> None:

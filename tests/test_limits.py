@@ -38,6 +38,13 @@ def test_spec_validation() -> None:
         DegenerationSpec(ctx, ((1, 1), (1, 1), (1, 1)))  # type: ignore[arg-type]
 
 
+def test_spec_rejects_non_integers() -> None:
+    ctx = GrassContext(1, 4)
+    for pieces in (((1.9, 1), (1, 3)), ((1, 1), (True, 3)), ((1, 1.0), (1, 3))):
+        with pytest.raises(ValueError, match="not an integer"):
+            DegenerationSpec(ctx, pieces)
+
+
 def test_fano_counts_for_classical_surfaces() -> None:
     assert fano_degree(GrassContext(1, 3), 3) == 27
     assert fano_degree(GrassContext(1, 4), 5) == 2875

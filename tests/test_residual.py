@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from schubres.bundles import BundleClass, segre, sym_ustar, ustar
+from schubres.bundles import BundleClass, sym_ustar, ustar
 from schubres.chow import GrassContext, StructRing, blowup_plane_at_point, projective_space
 from schubres.errors import UnsupportedOperationError
 from schubres.limits import enumerate_degenerations
@@ -257,7 +257,7 @@ def unshared_regular_components(setup, N1, N2, z1, z2, zint):
         excess_codim = d - N_l.rank
         excess = setup.cN.zero_like()
         for i in range(0, excess_codim + 1):
-            excess = excess + setup.cN.degree_part(i) * segre(N_l, excess_codim - i)
+            excess = excess + setup.cN.degree_part(i) * N_l.segre(excess_codim - i)
         return excess * z_l
 
     def adjunct_for(N_l, N_other):
@@ -266,7 +266,7 @@ def unshared_regular_components(setup, N1, N2, z1, z2, zint):
         for i in range(0, d - r1 - r2 + 1):
             ci = setup.cN.degree_part(i)
             for j in range(r_o, d - r_l - i + 1):
-                term = ci * segre(N_other, j - r_o) * segre(N_l, d - r_l - i - j)
+                term = ci * N_other.segre(j - r_o) * N_l.segre(d - r_l - i - j)
                 acc = acc + comb(d - 1 - i, j) * term
         return -(acc * zint)
 

@@ -7,9 +7,18 @@ import random
 import pytest
 
 from schubres.errors import ContextMismatchError, NonUnitError, NotSymmetricError
+from schubres.chow import (
+    GrassContext,
+    Partition,
+    SchubertVector,
+    StructElement,
+    dual_pieri_multiply,
+    projective_space,
+)
 from schubres.symfunc import (
     GeneratorSpec,
     GradedPoly,
+    add_terms,
     elementary_symmetric,
     parse_poly,
     root_spec,
@@ -51,6 +60,68 @@ def test_spec_validation() -> None:
         GeneratorSpec(("2bad",), (1,), 4)
     with pytest.raises(ValueError):
         GeneratorSpec(("x",), (1,), -1)
+
+
+def test_spec_rejects_non_integers() -> None:
+    for bad in (1.7, 1.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            GeneratorSpec(("x",), (bad,), 4)
+    with pytest.raises(ValueError, match="not an integer"):
+        GeneratorSpec(("x",), (1,), True)
+
+
+def naive_merge(pairs) -> dict:
+    totals: dict = {}
+    for key, coeff in pairs:
+        totals[key] = totals.get(key, 0) + coeff
+    return {key: value for key, value in totals.items() if value}
+
+
+def random_pairs(rng: random.Random, keys: list, count: int) -> list:
+    # Few keys and small coefficients, zero among them, so that terms
+    # cancel often.
+    return [(rng.choice(keys), rng.randint(-3, 3)) for _ in range(count)]
+
+
+def test_add_terms_matches_naive_merge() -> None:
+    assert add_terms({1: 2, 4: 1}, [(1, -2), (2, 0), (3, 1), (3, -1)]) == {4: 1}
+    rng = random.Random(31)
+    for _ in range(300):
+        start = naive_merge(random_pairs(rng, list(range(6)), rng.randrange(8)))
+        items = random_pairs(rng, list(range(6)), rng.randrange(12))
+        out = dict(start)
+        assert add_terms(out, iter(items)) is out
+        assert out == naive_merge(list(start.items()) + items)
+
+
+def test_term_merges_match_naive_merge() -> None:
+    # Every carrier constructor, sum, product and parser that merges terms
+    # agrees with a naive merge on the same random terms.
+    rng = random.Random(32)
+    spec = lines_spec(4)
+    expos = [(0, 0), (1, 0), (0, 1), (2, 1), (4, 0)]
+    ctx = GrassContext(1, 3)
+    parts = [Partition(p) for p in ((), (1,), (2,), (1, 1), (2, 1))]
+    ring = projective_space(4)
+    for _ in range(100):
+        a, b = random_pairs(rng, expos, 6), random_pairs(rng, expos, 6)
+        assert GradedPoly(spec, a).terms == naive_merge(a)
+        assert (GradedPoly(spec, a) + GradedPoly(spec, b)).terms == naive_merge(a + b)
+        a, b = random_pairs(rng, parts, 6), random_pairs(rng, parts, 6)
+        va, vb = SchubertVector(ctx, a), SchubertVector(ctx, b)
+        assert va.coeffs == naive_merge(a)
+        assert (va + vb).coeffs == naive_merge(a + b)
+        by_term = SchubertVector.zero(ctx)
+        for partition, coeff in va.coeffs.items():
+            by_term = by_term + coeff * dual_pieri_multiply(SchubertVector(ctx, {partition: 1}), 1)
+        assert dual_pieri_multiply(va, 1) == by_term
+        a, b = random_pairs(rng, range(5), 6), random_pairs(rng, range(5), 6)
+        ea, eb = StructElement(ring, naive_merge(a)), StructElement(ring, naive_merge(b))
+        assert (ea + eb).coeffs == naive_merge(a + b)
+        product = [(i + j, ca * cb) for i, ca in a for j, cb in b if i + j <= 4]
+        assert (ea * eb).coeffs == naive_merge(product)
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{ring.labels[i]}" for i, c in a)
+        assert ring.parse(text).coeffs == naive_merge(a)
 
 
 def test_addition_merges_and_cancels() -> None:

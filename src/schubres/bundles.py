@@ -136,7 +136,7 @@ class VirtualClass:
 
 def rank_sym(r: int, m: int) -> int:
     """Rank of the m-th symmetric power of a bundle of rank r + 1."""
-    if r < 0 or m < 0:
+    if exact_int(r, "rank_sym r") < 0 or exact_int(m, "rank_sym m") < 0:
         raise ValueError("rank_sym needs non-negative arguments")
     return comb(m + r, r)
 
@@ -152,7 +152,7 @@ def sym_power(E: BundleClass, d: int) -> BundleClass:
     ``ustar``), the rewrite lands in that ring directly and the evaluation,
     an identity, is skipped.
     """
-    if not isinstance(d, int) or d < 0:
+    if exact_int(d, "symmetric power exponent") < 0:
         raise IndexError(f"symmetric power exponent must be non-negative, got {d}")
     one = E.total_chern.one_like()
     if d == 0:
@@ -225,7 +225,7 @@ def ustar(ctx: GrassContext) -> BundleClass:
     return BundleClass(ctx.k, total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sym_ustar(ctx: GrassContext, d: int, twist: int = 1) -> BundleClass:
     """Twisted symmetric power of the dual subbundle, cached per context.
 
@@ -234,8 +234,10 @@ def sym_ustar(ctx: GrassContext, d: int, twist: int = 1) -> BundleClass:
     Safe because contexts and bundle classes are immutable values.  A twist
     rescales the cached untwisted power; the untwisted lookup passes the
     twist positionally so it shares its cache entry with callers that ask
-    for ``sym_ustar(ctx, k, 1)``.
+    for ``sym_ustar(ctx, k, 1)``.  The cache is typed, so ``True`` or ``1.0``
+    never hits the entry of ``1``: ``sym_power`` refuses it like any other
+    non-integer exponent.
     """
-    if twist != 1:
+    if exact_int(twist, "twist") != 1:
         return adams_twist(sym_ustar(ctx, d, 1), twist)
     return sym_power(ustar(ctx), d)

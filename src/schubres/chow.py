@@ -23,6 +23,12 @@ expanded once per ``GrassContext`` and kept in a memo on that context, built
 as one Pieri step from the memoized c^(a - e_i).  Converting or integrating a
 polynomial then costs one lookup per term, and the memo never grows beyond
 the monomials of weighted degree up to the dimension.
+
+A Schubert expansion is a plain dict from a partition's parts (a tuple with
+no trailing zeros, equal to ``Partition.parts``) to its nonzero coefficient.
+``Partition`` is the validated type where a partition enters from outside
+(``schubert_poly``, ``GrassContext.box``, the pairing of a count); the Pieri
+rule and integration build none.
 """
 
 from __future__ import annotations
@@ -168,100 +174,13 @@ class GrassContext:
         return GradedPoly.generator(self.spec, self.spec.names[i - 1])
 
 
-class SchubertVector:
-    """Integer combination of Schubert classes on a fixed Grassmannian."""
-
-    __slots__ = ("context", "coeffs")
-
-    def __init__(
-        self, context: GrassContext, coeffs: Mapping[Partition, int] = ()
-    ) -> None:
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-
-        def checked() -> Iterator[tuple[Partition, int]]:
-            for partition, coeff in items:
-                if not isinstance(partition, Partition):
-                    partition = Partition(tuple(partition))
-                if not partition.fits_in_box(context.k, context.m):
-                    raise ValueError(
-                        f"{partition} does not fit the {context.k}x{context.m} box"
-                    )
-                if not isinstance(coeff, int):
-                    raise ValueError(f"coefficient {coeff!r} is not an integer")
-                yield partition, coeff
-
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "coeffs", add_terms({}, checked()))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SchubertVector is immutable")
-
-    @classmethod
-    def zero(cls, context: GrassContext) -> "SchubertVector":
-        return cls(context)
-
-    @classmethod
-    def unit(cls, context: GrassContext) -> "SchubertVector":
-        return cls(context, {Partition(()): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, partition: Partition) -> int:
-        return self.coeffs.get(partition, 0)
-
-    def _check_context(self, other: "SchubertVector") -> None:
-        if self.context != other.context:
-            raise ContextMismatchError("Schubert vectors over different Grassmannians")
-
-    def __add__(self, other: "SchubertVector") -> "SchubertVector":
-        if not isinstance(other, SchubertVector):
-            return NotImplemented
-        self._check_context(other)
-        return SchubertVector(self.context, add_terms(dict(self.coeffs), other.coeffs.items()))
-
-    def __neg__(self) -> "SchubertVector":
-        return SchubertVector(self.context, {p: -c for p, c in self.coeffs.items()})
-
-    # Not a class carrier (two vectors do not multiply), but its subtraction
-    # is the carrier one: add the negation.
-    __sub__ = ClassCarrier.__sub__
-
-    def __mul__(self, scalar: int) -> "SchubertVector":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return SchubertVector(
-            self.context, {p: c * scalar for p, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SchubertVector):
-            return NotImplemented
-        return self.context == other.context and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.context, frozenset(self.coeffs.items())))
-
-    def to_string(self) -> str:
-        ordered = sorted(self.coeffs.items(), key=lambda item: (item[0].size, item[0].parts))
-        return format_terms((coeff, f"sigma{partition}") for partition, coeff in ordered)
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def __repr__(self) -> str:
-        return f"SchubertVector({self.to_string()!r})"
-
-
 def _vertical_strip_targets(
-    partition: Partition, i: int, rows: int, cols: int
-) -> list[Partition]:
+    parts: tuple[int, ...], i: int, rows: int, cols: int
+) -> list[tuple[int, ...]]:
     # Adding a vertical strip means at most one new box per row; the result
-    # must stay a partition inside the rows-by-cols box.
-    padded = [partition.part(j) for j in range(rows)]
+    # must stay a partition inside the rows-by-cols box.  Parts are weakly
+    # decreasing, so dropping the zeros drops exactly the trailing ones.
+    padded = parts + (0,) * (rows - len(parts))
     targets = []
     for chosen in itertools.combinations(range(rows), i):
         grown = list(padded)
@@ -271,31 +190,35 @@ def _vertical_strip_targets(
             continue
         if any(grown[j] < grown[j + 1] for j in range(rows - 1)):
             continue
-        targets.append(Partition(tuple(grown)))
+        targets.append(tuple(p for p in grown if p))
     return targets
 
 
-def dual_pieri_multiply(vector: SchubertVector, i: int) -> SchubertVector:
-    """Multiply by the i-th Chern class of the dual tautological subbundle.
+def dual_pieri_multiply(
+    ctx: GrassContext, vector: Mapping[tuple[int, ...], int], i: int
+) -> dict[tuple[int, ...], int]:
+    """Multiply a Schubert combination by the i-th Chern class of the dual
+    tautological subbundle.
 
-    The product of a Schubert class with that Chern class is the sum of the
-    Schubert classes obtained by adding a vertical strip of i boxes, staying
-    inside the box; classes that grow out of the box vanish.
+    A combination maps the parts of each partition in the box (no trailing
+    zeros) to its coefficient.  The product of a Schubert class with that
+    Chern class is the sum of the Schubert classes obtained by adding a
+    vertical strip of i boxes, staying inside the box; classes that grow out
+    of the box vanish.
     """
-    ctx = vector.context
     if not 1 <= i <= ctx.k:
         raise IndexError(f"Pieri index {i} outside 1..{ctx.k}")
     pairs = (
         (target, coeff)
-        for partition, coeff in vector.coeffs.items()
-        for target in _vertical_strip_targets(partition, i, ctx.k, ctx.m)
+        for parts, coeff in vector.items()
+        for target in _vertical_strip_targets(parts, i, ctx.k, ctx.m)
     )
-    return SchubertVector(ctx, add_terms({}, pairs))
+    return add_terms({}, pairs)
 
 
-def _monomial_schubert(ctx: GrassContext, key: int) -> SchubertVector:
+def _monomial_schubert(ctx: GrassContext, key: int) -> dict[tuple[int, ...], int]:
     """Schubert expansion of the Chern monomial with packed key ``key``,
-    memoized on ``ctx``.
+    memoized on ``ctx``; the caller must not mutate it.
 
     c^a is one Pieri step from c^(a - e_i), i the last generator present, so
     each new entry costs exactly one ``dual_pieri_multiply``; the key of
@@ -310,32 +233,33 @@ def _monomial_schubert(ctx: GrassContext, key: int) -> SchubertVector:
         expo = spec.unpack(key)
         i = max((j for j, e in enumerate(expo) if e), default=None)
         if i is None:
-            vector = SchubertVector.unit(ctx)
+            vector = {(): 1}
         else:
             parent = _monomial_schubert(ctx, key - spec.generator_keys[i])
-            vector = dual_pieri_multiply(parent, i + 1)
+            vector = dual_pieri_multiply(ctx, parent, i + 1)
         memo[key] = vector
     return vector
 
 
-def to_schubert(ctx: GrassContext, p: GradedPoly) -> SchubertVector:
+def to_schubert(ctx: GrassContext, p: GradedPoly) -> dict[tuple[int, ...], int]:
     """Expand a polynomial in the Chern generators in the Schubert basis.
 
-    The expansion is linear in ``p``: each term contributes its coefficient
-    times the memoized expansion of its monomial.
+    The result is a new dict from partition parts (``Partition.parts``) to
+    nonzero coefficients.  The expansion is linear in ``p``: each term
+    contributes its coefficient times the memoized expansion of its monomial.
     """
     if p.spec != ctx.spec:
         raise ContextMismatchError("polynomial does not live on this Grassmannian")
-    out: dict[Partition, int] = {}
+    out: dict[tuple[int, ...], int] = {}
     for key, coeff in p.packed.items():
-        for partition, value in _monomial_schubert(ctx, key).coeffs.items():
-            out[partition] = out.get(partition, 0) + coeff * value
-    return SchubertVector(ctx, out)
+        expansion = _monomial_schubert(ctx, key)
+        add_terms(out, ((parts, coeff * value) for parts, value in expansion.items()))
+    return out
 
 
 def integrate(ctx: GrassContext, p: GradedPoly) -> int:
     """Degree of the top-dimensional part of ``p`` against the point class."""
-    return to_schubert(ctx, p.degree_part(ctx.dim)).coefficient(ctx.box)
+    return to_schubert(ctx, p.degree_part(ctx.dim)).get((ctx.m,) * ctx.k, 0)
 
 
 def integrate_oracle(ctx: GrassContext, p: GradedPoly) -> int:

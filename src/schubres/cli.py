@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import yaml
 
 from . import __version__
+from .bundles import sym_ustar
 from .chow import GrassContext, Partition, StructRing, builtin_ring, load_ring
 from .errors import EngineError
 from .identities import verify_identity
@@ -267,8 +268,6 @@ def cmd_fano(args: argparse.Namespace) -> int:
     ctx = GrassContext(args.r, args.n)
     cls = fano_class(ctx, args.degree)
     count = fano_degree(ctx, args.degree, args.pair)
-    from .bundles import sym_ustar
-
     family_dim = max(ctx.dim - sym_ustar(ctx, args.degree).rank, 0)
     if args.format == "json":
         payload = {
@@ -389,8 +388,6 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
             return builtin_ring(value)
         except KeyError:
             return load_ring(base_dir / value)
-    if isinstance(value, dict) and "file" in value:
-        return load_ring(base_dir / value["file"])
     raise ValueError(f"cannot resolve ring from {value!r}")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bundles import sym_ustar
 from .chow import GrassContext
 from .limits import fano_class
-from .symfunc import GradedPoly
+from .symfunc import GradedPoly, exact_int
 
 __all__ = ["IdentityCase", "bracket_sum", "verify_identity"]
 
@@ -36,9 +36,7 @@ class IdentityCase:
     l: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.l, int)):
-            raise TypeError("piece degrees must be integers")
-        if self.k < 1 or self.l < 1:
+        if exact_int(self.k, "piece degree") < 1 or exact_int(self.l, "piece degree") < 1:
             raise ValueError(
                 f"piece degrees must be >= 1, got ({self.k}, {self.l})"
             )

@@ -13,9 +13,9 @@ recovers the top Chern class of ``Sym^d U*``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .bundles import BundleClass, sym_ustar
+from .bundles import sym_ustar
 from .chow import GrassContext, Partition, integrate, schubert_poly
 from .residual import IntersectionSetup, regular_decompose
 from .symfunc import GradedPoly, exact_int
@@ -117,8 +117,8 @@ def fano_class(ctx: GrassContext, d: int) -> GradedPoly:
     return bundle.chern(bundle.rank)
 
 
-def _coerce_pairing(pairing) -> Partition:
-    if isinstance(pairing, Partition):
+def _coerce_pairing(pairing) -> Partition | None:
+    if pairing is None or isinstance(pairing, Partition):
         return pairing
     return Partition(tuple(pairing))
 
@@ -149,8 +149,7 @@ def fano_degree(ctx: GrassContext, d: int, pairing=None) -> int | None:
     the count is finite; otherwise the degree of the family paired against
     the given Schubert condition (``None`` if no pairing is supplied)."""
     excess = ctx.dim - sym_ustar(ctx, d).rank
-    coerced = _coerce_pairing(pairing) if pairing is not None else None
-    return _paired_degree(ctx, fano_class(ctx, d), excess, coerced)
+    return _paired_degree(ctx, fano_class(ctx, d), excess, _coerce_pairing(pairing))
 
 
 def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
@@ -182,12 +181,12 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
         setup, bundle1, bundle2, top1, top2, top1 * top2, labels=spec.labels
     )
 
-    ambient = fano_class(ctx, d)
-    total = decomposition.components[0].total + decomposition.components[1].total
-    conserved = total == ambient
+    # The pieces sum to ``ambient_total``; they must give c_top(Sym^d U*).
+    ambient = ambient_bundle.chern(ambient_bundle.rank)
+    conserved = decomposition.ambient_total == ambient
 
     excess = ctx.dim - ambient_bundle.rank
-    coerced = _coerce_pairing(pairing) if pairing is not None else None
+    coerced = _coerce_pairing(pairing)
     reports = tuple(
         PieceReport(
             label=component.label,

@@ -36,6 +36,7 @@ from .bundles import BundleClass
 from .chow import GrassContext, StructRing
 from .chow import integrate as grass_integrate
 from .errors import UnsupportedOperationError
+from .symfunc import exact_int
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,9 @@ class IntersectionSetup:
     ring: object = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if exact_int(self.d, "codimension d") < 1:
             raise ValueError(f"codimension d must be a positive integer, got {self.d}")
-        if not isinstance(self.k, int) or self.k < 0:
+        if exact_int(self.k, "dimension k") < 0:
             raise ValueError(f"dimension k must be non-negative, got {self.k}")
         if self.cN.constant_term != 1:
             raise ValueError(

@@ -150,6 +150,34 @@ def test_rank_sym_values() -> None:
         rank_sym(-1, 2)
 
 
+def test_rank_sym_rejects_non_integers() -> None:
+    for r, m in ((1, 2.0), (1.0, 2), (True, 2), (1, False)):
+        with pytest.raises(ValueError, match="not an integer"):
+            rank_sym(r, m)
+
+
+def test_sym_power_rejects_non_integers() -> None:
+    U = ustar(lines_ctx())
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            sym_power(U, bad)
+    with pytest.raises(IndexError):
+        sym_power(U, -1)
+
+
+def test_sym_ustar_rejects_non_integers_after_a_cache_hit() -> None:
+    # The cache is typed: True and 1.0 must not reuse the entry of 1.
+    ctx = lines_ctx()
+    sym_ustar(ctx, 1)
+    sym_ustar(ctx, 2, 1)
+    for d, twist in ((True, 1), (1.0, 1), (2, True), (2, 1.0), (2, 2.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            sym_ustar(ctx, d, twist)
+    with pytest.raises(ValueError, match="not an integer"):
+        sym_ustar(ctx, True)
+    assert sym_ustar(ctx, 1) == ustar(ctx)
+
+
 def test_adams_twist() -> None:
     ctx = lines_ctx()
     U = ustar(ctx)

@@ -223,6 +223,39 @@ integral: {P: 1.5}
         assert "integer" in capsys.readouterr().err, values
 
 
+def test_decompose_rejects_unresolvable_rings(tmp_path, capsys) -> None:
+    # A ring is a built-in name or a path; a {file: ...} mapping is neither,
+    # even when the file it names is a valid ring.
+    (tmp_path / "ring.yaml").write_text(
+        """
+basis: ["1", "h", "e", "P"]
+degrees: [0, 1, 1, 2]
+products: {"h*h": "P", "e*e": "-P"}
+integral: {P: 1}
+""",
+        encoding="utf-8",
+    )
+    fixture = """
+name: unresolvable
+mode: divisor
+ring: {ring}
+dim: 2
+codim: 2
+normal_chern: "1 + 4*h + 4*P"
+divisor_class: "2*e"
+divisor_segre: "2*e + 4*P"
+residual_segre: "0"
+"""
+    path = tmp_path / "case.yaml"
+    path.write_text(fixture.format(ring="ring.yaml"), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    capsys.readouterr()
+    for ring in ("{file: ring.yaml}", "[ring.yaml]", "3"):
+        path.write_text(fixture.format(ring=ring), encoding="utf-8")
+        assert main(["decompose", str(path)]) == 2, ring
+        assert "cannot resolve ring" in capsys.readouterr().err, ring
+
+
 def test_output_file(tmp_path, capsys) -> None:
     target = tmp_path / "result.json"
     code, _ = run(

@@ -52,6 +52,13 @@ def test_case_validation() -> None:
         IdentityCase(ctx, 1, -1)
 
 
+def test_case_rejects_non_integers() -> None:
+    ctx = GrassContext(1, 3)
+    for k, l in ((True, 2), (2.0, 1), (1, True), (1, 2.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            IdentityCase(ctx, k, l)
+
+
 def test_broken_binomial_breaks_the_identity(monkeypatch) -> None:
     # Guard against a vacuous check: corrupt one binomial weight in a case
     # with a surviving adjunct term and make sure the residual notices.

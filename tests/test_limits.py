@@ -186,13 +186,13 @@ def test_conservation_across_random_specs() -> None:
 def test_quartic_table_pieri_work_is_bounded(monkeypatch) -> None:
     # Integration expands each Chern monomial once per context, so the whole
     # quartic table costs at most one Pieri step per monomial of weighted
-    # degree <= dim(G(2,7)) = 12, of which there are 174.
+    # degree <= dim(G(2,7)) = 15, of which there are 174.
     steps = []
     pieri = chow.dual_pieri_multiply
 
-    def counted(vector, i):
+    def counted(ctx, vector, i):
         steps.append(i)
-        return pieri(vector, i)
+        return pieri(ctx, vector, i)
 
     monkeypatch.setattr(chow, "dual_pieri_multiply", counted)
     ctx = GrassContext(2, 7)
@@ -236,3 +236,24 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     assert 0 < counts["series_inverse"] <= 7
     assert counts["substitute"] == 0
     assert counts["__sub__"] == 0
+
+
+def test_integration_builds_no_partition(monkeypatch) -> None:
+    # Pieri targets and memo entries are plain tuples of parts; Partition is
+    # validated only where a partition comes in from outside.  From cold
+    # caches, both paper tables and the G(3,8) cubic count build none.
+    built = []
+    validate = chow.Partition.__post_init__
+
+    def counted(self) -> None:
+        built.append(self.parts)
+        validate(self)
+
+    monkeypatch.setattr(chow.Partition, "__post_init__", counted)
+    bundles.sym_ustar.cache_clear()
+    for context, degree in (((1, 4), 5), ((2, 7), 4)):
+        ctx = GrassContext(*context)
+        for pieces in enumerate_degenerations(degree):
+            assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
+    assert fano_degree(GrassContext(3, 8), 3) == 321489
+    assert built == []

@@ -46,6 +46,13 @@ def test_setup_validation() -> None:
         IntersectionSetup(cN=ring.one(), d=0, k=2)
 
 
+def test_setup_rejects_non_integers() -> None:
+    one = blowup_plane_at_point().one()
+    for d, k in ((True, 2), (2.0, 2), (2, True), (2, 2.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntersectionSetup(cN=one, d=d, k=k)
+
+
 def test_segre_data_indexing() -> None:
     ring, setup = blowup_setup()
     data = SegreData(ring.parse("e + P"))

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from .bundles import (
     BundleClass,
-    VirtualClass,
     adams_twist,
-    difference,
     rank_sym,
     sym_power,
     sym_ustar,
@@ -30,7 +28,7 @@ from .chow import (
     schubert_poly,
     to_schubert,
 )
-from .identities import IdentityCase, bracket_sum, verify_identity
+from .identities import bracket_sum, verify_identity
 from .limits import (
     DegenerationSpec,
     LimitReport,
@@ -67,20 +65,17 @@ __all__ = [
     "GeneratorSpec",
     "GradedPoly",
     "GrassContext",
-    "IdentityCase",
     "IntersectionSetup",
     "LimitReport",
     "Partition",
     "PieceReport",
     "SegreData",
     "StructRing",
-    "VirtualClass",
     "adams_twist",
     "blowup_plane_at_point",
     "bracket_sum",
     "builtin_ring",
     "decompose_degeneration",
-    "difference",
     "disjoint_sum",
     "divisor_decompose",
     "enumerate_degenerations",

@@ -104,36 +104,6 @@ class BundleClass:
         return f"BundleClass(rank={self.rank}, c={self.total_chern.to_string()!r})"
 
 
-class VirtualClass:
-    """A formal difference of bundles: just a total Chern class, no rank."""
-
-    __slots__ = ("total_chern",)
-
-    def __init__(self, total_chern) -> None:
-        if total_chern.constant_term != 1:
-            raise ValueError(
-                f"total Chern class must have constant term 1, got "
-                f"{total_chern.constant_term}"
-            )
-        object.__setattr__(self, "total_chern", total_chern)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VirtualClass is immutable")
-
-    chern = BundleClass.chern
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VirtualClass):
-            return NotImplemented
-        return self.total_chern == other.total_chern
-
-    def __hash__(self) -> int:
-        return hash(self.total_chern)
-
-    def __repr__(self) -> str:
-        return f"VirtualClass(c={self.total_chern.to_string()!r})"
-
-
 def rank_sym(r: int, m: int) -> int:
     """Rank of the m-th symmetric power of a bundle of rank r + 1."""
     if exact_int(r, "rank_sym r") < 0 or exact_int(m, "rank_sym m") < 0:
@@ -210,11 +180,6 @@ def adams_twist(E: BundleClass, m: int) -> BundleClass:
     twisted = BundleClass(E.rank, E.total_chern.degree_scale(m))
     object.__setattr__(twisted, "_segre", E.total_segre().degree_scale(m))
     return twisted
-
-
-def difference(A: "BundleClass | VirtualClass", B: BundleClass) -> VirtualClass:
-    """The virtual class A - B: total Chern class c(A) times the Segre of B."""
-    return VirtualClass(A.total_chern * B.total_segre())
 
 
 def ustar(ctx: GrassContext) -> BundleClass:

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 import yaml
 
 from . import __version__
-from .bundles import sym_ustar
 from .chow import GrassContext, Partition, StructRing, builtin_ring, load_ring
 from .errors import EngineError
 from .identities import verify_identity
@@ -36,8 +35,8 @@ from .limits import (
     LimitReport,
     decompose_degeneration,
     enumerate_degenerations,
-    fano_class,
     fano_degree,
+    fano_family,
 )
 from .residual import (
     Decomposition,
@@ -266,9 +265,7 @@ def _write_csv(rows: list[dict]) -> str:
 
 def cmd_fano(args: argparse.Namespace) -> int:
     ctx = GrassContext(args.r, args.n)
-    cls = fano_class(ctx, args.degree)
-    count = fano_degree(ctx, args.degree, args.pair)
-    family_dim = max(ctx.dim - sym_ustar(ctx, args.degree).rank, 0)
+    cls, family_dim, count = fano_family(ctx, args.degree, args.pair)
     if args.format == "json":
         payload = {
             "context": _context_payload(ctx, args.degree),
@@ -317,14 +314,14 @@ def cmd_degenerate(args: argparse.Namespace) -> int:
     reports = [decompose_degeneration(spec, args.pair) for spec in specs]
 
     if args.format == "json":
-        if len(reports) == 1:
-            _emit(json.dumps(_limit_payload(reports[0]), indent=2), args)
-        else:
+        if args.all:
             payload = {
                 "context": _context_payload(ctx, args.degree),
                 "cases": [_limit_payload(report) for report in reports],
             }
-            _emit(json.dumps(payload, indent=2), args)
+        else:
+            payload = _limit_payload(reports[0])
+        _emit(json.dumps(payload, indent=2), args)
     elif args.format == "csv":
         rows = [row for report in reports for row in _limit_csv_rows(report)]
         _emit(_write_csv(rows), args)

@@ -13,41 +13,22 @@ ambient bundle is then a genuine cross-check of the index conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bundles import sym_ustar
 from .chow import GrassContext
 from .limits import fano_class
 from .symfunc import GradedPoly, exact_int
 
-__all__ = ["IdentityCase", "bracket_sum", "verify_identity"]
+__all__ = ["bracket_sum", "verify_identity"]
 
 # Binomial hook: kept at module level so tests can break it deliberately and
 # confirm the verification actually distinguishes right from wrong weights.
 _binomial = math.comb
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """A degeneration into two reduced pieces of degrees ``k`` and ``l``."""
-
-    context: GrassContext
-    k: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if exact_int(self.k, "piece degree") < 1 or exact_int(self.l, "piece degree") < 1:
-            raise ValueError(
-                f"piece degrees must be >= 1, got ({self.k}, {self.l})"
-            )
-
-    @property
-    def degree(self) -> int:
-        return self.k + self.l
-
-
-def bracket_sum(case: IdentityCase) -> GradedPoly:
-    """Evaluate the raw double-sum bracket over both pieces.
+def bracket_sum(ctx: GrassContext, k: int, l: int) -> GradedPoly:
+    """Evaluate the raw double-sum bracket for a degeneration into two
+    reduced pieces of degrees ``k`` and ``l``, both at least one.
 
     For each piece the summand is
 
@@ -57,11 +38,12 @@ def bracket_sum(case: IdentityCase) -> GradedPoly:
     with ``D`` the rank of the ambient bundle ``N``; ``j`` starts at zero,
     so the ``s_{-r_other}`` fold produces the main term and the genuinely
     positive Segre indices produce the adjunct."""
-    ctx = case.context
-    ambient = sym_ustar(ctx, case.degree)
+    if exact_int(k, "piece degree") < 1 or exact_int(l, "piece degree") < 1:
+        raise ValueError(f"piece degrees must be >= 1, got ({k}, {l})")
+    ambient = sym_ustar(ctx, k + l)
     rank_ambient = ambient.rank
 
-    bundles = (sym_ustar(ctx, case.k), sym_ustar(ctx, case.l))
+    bundles = (sym_ustar(ctx, k), sym_ustar(ctx, l))
     tops = tuple(bundle.chern(bundle.rank) for bundle in bundles)
     interface = tops[0] * tops[1]
 
@@ -101,5 +83,5 @@ def bracket_sum(case: IdentityCase) -> GradedPoly:
 def verify_identity(ctx: GrassContext, k: int, l: int) -> GradedPoly:
     """Residual of the conservation identity: the top Chern class of the
     ambient bundle minus the bracket total.  Zero when the identity holds."""
-    case = IdentityCase(ctx, k, l)
-    return fano_class(ctx, case.degree) - bracket_sum(case)
+    bracket = bracket_sum(ctx, k, l)
+    return fano_class(ctx, k + l) - bracket

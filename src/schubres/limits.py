@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bundles import sym_ustar
-from .chow import GrassContext, Partition, integrate, schubert_poly
+from .chow import GrassContext, Partition, integrate, to_schubert
 from .residual import IntersectionSetup, regular_decompose
 from .symfunc import GradedPoly, exact_int
 
@@ -26,6 +26,7 @@ __all__ = [
     "LimitReport",
     "piece_label",
     "fano_class",
+    "fano_family",
     "fano_degree",
     "decompose_degeneration",
     "enumerate_degenerations",
@@ -117,39 +118,52 @@ def fano_class(ctx: GrassContext, d: int) -> GradedPoly:
     return bundle.chern(bundle.rank)
 
 
-def _coerce_pairing(pairing) -> Partition | None:
-    if pairing is None or isinstance(pairing, Partition):
-        return pairing
-    return Partition(tuple(pairing))
+def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:
+    """``pairing`` as a ``Partition``, refused unless it fits the box and its
+    size is the family dimension ``max(excess, 0)``: none is dropped silently."""
+    if pairing is None:
+        return None
+    if not isinstance(pairing, Partition):
+        pairing = Partition(tuple(pairing))
+    size = max(excess, 0)
+    if pairing.size != size:
+        raise ValueError(f"pairing partition must have size {size}, got {pairing.size}")
+    if not pairing.fits_in_box(ctx.k, ctx.m):
+        raise ValueError(f"{pairing} does not fit the {ctx.k}x{ctx.m} box")
+    return pairing
 
 
 def _paired_degree(
     ctx: GrassContext, value: GradedPoly, excess: int, pairing: Partition | None
 ) -> int | None:
-    """Integrate ``value`` against the pairing class, or directly when the
-    class already sits in the top degree.
-
-    ``excess`` is the dimension of the family the class represents; when it
-    is positive a pairing partition of that size is required to produce a
-    number, and without one the degree is reported as ``None``.
-    """
-    if excess <= 0:
-        return integrate(ctx, value)
+    """Degree of ``value``, paired with the class of a checked ``pairing`` l
+    if one is given; ``None`` for an unpaired positive-dimensional family.
+    Schubert classes pair to one only with their duals, so the pairing is the
+    coefficient of l^v_i = m - l_(k+1-i) in the Schubert expansion of the
+    part of ``value`` in degree dim - |l|."""
     if pairing is None:
-        return None
-    if pairing.size != excess:
-        raise ValueError(
-            f"pairing partition must have size {excess}, got {pairing.size}"
-        )
-    return integrate(ctx, value * schubert_poly(ctx, pairing))
+        return None if excess > 0 else integrate(ctx, value)
+    dual = tuple(ctx.m - pairing.part(ctx.k - 1 - i) for i in range(ctx.k))
+    expansion = to_schubert(ctx, value.degree_part(ctx.dim - pairing.size))
+    return expansion.get(tuple(p for p in dual if p), 0)
+
+
+def fano_family(ctx: GrassContext, d: int, pairing=None) -> tuple[GradedPoly, int, int | None]:
+    """Class, dimension (zero when finite or empty) and count, as in
+    ``fano_degree``, of the scheme of ``r``-planes on a general degree-``d``
+    hypersurface, all from one lookup of ``Sym^d U*``."""
+    bundle = sym_ustar(ctx, d)
+    cls = bundle.chern(bundle.rank)
+    excess = ctx.dim - bundle.rank
+    count = _paired_degree(ctx, cls, excess, _check_pairing(ctx, pairing, excess))
+    return cls, max(excess, 0), count
 
 
 def fano_degree(ctx: GrassContext, d: int, pairing=None) -> int | None:
     """Count of ``r``-planes on a general degree-``d`` hypersurface when
     the count is finite; otherwise the degree of the family paired against
     the given Schubert condition (``None`` if no pairing is supplied)."""
-    excess = ctx.dim - sym_ustar(ctx, d).rank
-    return _paired_degree(ctx, fano_class(ctx, d), excess, _coerce_pairing(pairing))
+    return fano_family(ctx, d, pairing)[2]
 
 
 def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
@@ -168,6 +182,8 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     ctx = spec.context
     d = spec.degree
     ambient_bundle = sym_ustar(ctx, d)
+    excess = ctx.dim - ambient_bundle.rank
+    pairing = _check_pairing(ctx, pairing, excess)
     # No integration ring: the degrees are paired below, once per class.
     setup = IntersectionSetup(
         cN=ambient_bundle.total_chern, d=ambient_bundle.rank, k=ctx.dim
@@ -185,8 +201,6 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     ambient = ambient_bundle.chern(ambient_bundle.rank)
     conserved = decomposition.ambient_total == ambient
 
-    excess = ctx.dim - ambient_bundle.rank
-    coerced = _coerce_pairing(pairing)
     reports = tuple(
         PieceReport(
             label=component.label,
@@ -195,9 +209,9 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
             main_class=component.main,
             adjunct_class=component.adjunct,
             total_class=component.total,
-            main_degree=_paired_degree(ctx, component.main, excess, coerced),
-            adjunct_degree=_paired_degree(ctx, component.adjunct, excess, coerced),
-            total_degree=_paired_degree(ctx, component.total, excess, coerced),
+            main_degree=_paired_degree(ctx, component.main, excess, pairing),
+            adjunct_degree=_paired_degree(ctx, component.adjunct, excess, pairing),
+            total_degree=_paired_degree(ctx, component.total, excess, pairing),
         )
         for component, (k, e) in zip(decomposition.components, spec.pieces)
     )
@@ -205,7 +219,7 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
         spec=spec,
         pieces=reports,
         ambient_class=ambient,
-        ambient_degree=_paired_degree(ctx, ambient, excess, coerced),
+        ambient_degree=_paired_degree(ctx, ambient, excess, pairing),
         conserved=conserved,
     )
 

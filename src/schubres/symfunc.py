@@ -34,7 +34,6 @@ as a polynomial in the elementary symmetric functions.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -453,11 +452,9 @@ def series_inverse(a: ClassCarrier) -> ClassCarrier:
     return result
 
 
-def root_spec(k: int, truncation: int, prefix: str = "t") -> GeneratorSpec:
-    """Spec of k degree-one root variables, for splitting-principle work."""
-    return GeneratorSpec(
-        tuple(f"{prefix}{i}" for i in range(1, k + 1)), (1,) * k, truncation
-    )
+def root_spec(k: int, truncation: int) -> GeneratorSpec:
+    """Spec of k degree-one root variables t1..tk, for splitting-principle work."""
+    return GeneratorSpec(tuple(f"t{i}" for i in range(1, k + 1)), (1,) * k, truncation)
 
 
 def elementary_symmetric(spec: GeneratorSpec, i: int) -> GradedPoly:
@@ -478,6 +475,21 @@ def elementary_symmetric(spec: GeneratorSpec, i: int) -> GradedPoly:
     return GradedPoly._raw(spec, terms)
 
 
+def _descending_partitions(k: int, top: int) -> list[Exponent]:
+    """Every weakly decreasing k-tuple of non-negative integers with sum at
+    most ``top``, in descending packed-key order: by sum from ``top`` down,
+    then lexicographically descending."""
+
+    def parts(total: int, slots: int, cap: int) -> list[Exponent]:
+        if not slots:
+            return [] if total else [()]
+        # The first part is at most ``cap`` and at least the average.
+        firsts = range(min(total, cap), -(-total // slots) - 1, -1)
+        return [(a,) + rest for a in firsts for rest in parts(total - a, slots - 1, a)]
+
+    return [lam for total in range(top, -1, -1) for lam in parts(total, k, total)]
+
+
 def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPoly:
     """Rewrite a symmetric polynomial in root variables in the e-basis.
 
@@ -487,12 +499,12 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
     e1..ek is created when none is given.  Raises NotSymmetricError when the
     input is not symmetric under permuting the roots.
 
-    Works by repeatedly clearing the leading term in graded-lex order (the
-    order of packed keys): a symmetric leading exponent is weakly decreasing,
-    and subtracting the matching e-monomial, which is homogeneous of the same
-    degree, strictly lowers the leading term.  The subtraction updates one
-    remainder term map in place; a max-heap of its keys finds each leading
-    term, and keys cleared after they were pushed are skipped when popped.
+    One sweep over the weakly decreasing exponents in descending key order:
+    the e-monomial e_1^(l_1-l_2) ... e_k^(l_k) is homogeneous with leading
+    term t^l of coefficient one, so subtracting the remainder's coefficient
+    at t^l times its expansion clears that key and touches only smaller ones.
+    A symmetric remainder with no weakly decreasing exponent is zero, so
+    whatever is left after the sweep shows the input was not symmetric.
     """
     spec = p.spec
     k = spec.ngens
@@ -508,8 +520,6 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
         raise ValueError("output spec must have generator degrees 1..k")
     if out_spec.truncation != spec.truncation:
         raise ValueError("output spec must keep the input truncation")
-    if k == 0:
-        return GradedPoly._raw(out_spec, dict(p.packed))
 
     e_polys = [elementary_symmetric(spec, i + 1) for i in range(k)]
     expansions: dict[Exponent, GradedPoly] = {(0,) * k: GradedPoly.one(spec)}
@@ -524,40 +534,24 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
         expansions[m] = value
         return value
 
-    # Leading monomials strictly decrease and each fixes its e-monomial, so
-    # every output key is written once, with a nonzero coefficient.
     out: TermMap = {}
     rem = dict(p.packed)
-    heap = [-key for key in rem]
-    heapq.heapify(heap)
-    prev_lead: int | None = None
-    while rem:
-        lead = -heapq.heappop(heap)
-        if lead not in rem:
+    get = rem.get
+    for lam in _descending_partitions(k, p.max_degree()):
+        coeff = get(spec.pack(lam))
+        if coeff is None:
             continue
-        lead_expo = spec.unpack(lead)
-        if prev_lead is not None and lead >= prev_lead:
-            raise NotSymmetricError(f"leading term did not decrease at {lead_expo}")
-        prev_lead = lead
-        if any(lead_expo[i] < lead_expo[i + 1] for i in range(k - 1)):
-            raise NotSymmetricError(
-                f"leading exponent {lead_expo} is not weakly decreasing"
-            )
-        coeff = rem[lead]
-        m = tuple(
-            lead_expo[i] - (lead_expo[i + 1] if i + 1 < k else 0) for i in range(k)
-        )
+        m = tuple(a - b for a, b in zip(lam, lam[1:])) + lam[-1:]
         out[out_spec.pack(m)] = coeff
         for key, c in expansion(m).packed.items():
-            delta = coeff * c
-            value = rem.get(key)
-            if value is None:
-                rem[key] = -delta
-                heapq.heappush(heap, -key)
-            elif value == delta:
-                del rem[key]
+            value = get(key, 0) - coeff * c
+            if value:  # a zero difference needs a present key: coeff, c != 0
+                rem[key] = value
             else:
-                rem[key] = value - delta
+                del rem[key]
+    if rem:
+        leftover = spec.unpack(next(iter(rem)))
+        raise NotSymmetricError(f"not symmetric: exponent {leftover} is left over")
     return GradedPoly._raw(out_spec, out)
 
 

@@ -10,9 +10,7 @@ import pytest
 from schubres import bundles
 from schubres.bundles import (
     BundleClass,
-    VirtualClass,
     adams_twist,
-    difference,
     rank_sym,
     sym_power,
     sym_ustar,
@@ -37,8 +35,6 @@ def test_bundle_constructor_validation() -> None:
         BundleClass(0, GradedPoly.one(ctx.spec))
     with pytest.raises(ValueError):
         BundleClass(2, c(ctx, "2 + x"))
-    with pytest.raises(ValueError):
-        VirtualClass(c(ctx, "x"))
     # Honest bundles carry nothing above their rank.
     line = BundleClass(1, c(ctx, "1 + x + y"))
     assert line.total_chern == c(ctx, "1 + x")
@@ -226,17 +222,6 @@ def test_twisted_segre_matches_inverted_chern() -> None:
     for m in (2, -3):
         twisted = adams_twist(N, m)
         assert twisted.total_segre() == twisted.total_chern.series_inverse()
-
-
-def test_difference_virtual_class() -> None:
-    ctx = lines_ctx()
-    U = ustar(ctx)
-    cube = sym_power(U, 3)
-    diff = difference(cube, U)
-    assert diff.chern(1) == c(ctx, "5*x")
-    assert diff.chern(2) == c(ctx, "6*x^2 + 9*y")
-    trivial = BundleClass(1, GradedPoly.one(ctx.spec))
-    assert difference(cube, trivial).total_chern == cube.total_chern
 
 
 def test_chern_times_segre_is_one_random() -> None:

@@ -11,10 +11,11 @@ import re
 
 import pytest
 
+from schubres.bundles import sym_ustar
 from schubres.chow import GrassContext
 from schubres.cli import main, _parse_pieces
 from schubres.limits import fano_class
-from schubres.symfunc import parse_poly
+from schubres.symfunc import GradedPoly, parse_poly
 
 
 def run(capsys, argv: list[str]) -> tuple[int, str]:
@@ -114,6 +115,53 @@ def test_degenerate_all_enumerates_every_case(capsys) -> None:
     assert len(payload["cases"]) == 7
     assert all(case["conserved"] for case in payload["cases"])
     assert {case["ambient"]["degree"] for case in payload["cases"]} == {2875}
+
+
+def test_degenerate_all_json_shape_follows_the_flag(capsys) -> None:
+    # One degeneration of degree 2 still prints the case list under --all.
+    code, out = run(
+        capsys,
+        ["degenerate", "-r", "1", "-n", "3", "--all", "-d", "2", "--format", "json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"context", "cases"}
+    assert payload["context"] == {"r": 1, "n": 3, "d": 2}
+    assert [case["conserved"] for case in payload["cases"]] == [True]
+
+
+def test_fano_refuses_a_pairing_it_cannot_use(capsys) -> None:
+    for argv, message in (
+        (["fano", "-r", "1", "-n", "3", "-d", "3", "--pair", "1"], "must have size 0, got 1"),
+        (["fano", "-r", "1", "-n", "4", "-d", "2", "--pair", "1,1,1"], "does not fit"),
+        (["degenerate", "-r", "1", "-n", "3", "1+2", "--pair", "1"], "must have size 0"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert message in captured.err, argv
+
+
+def test_fano_looks_up_its_bundle_once(monkeypatch, capsys) -> None:
+    # Class, family dimension and count come from one Sym^d U* lookup: from
+    # a cleared cache one miss, and one degree_part for c_top plus one in
+    # integrate.
+    calls = []
+    degree_part = GradedPoly.degree_part
+
+    def counted(self, d):
+        calls.append(d)
+        return degree_part(self, d)
+
+    monkeypatch.setattr(GradedPoly, "degree_part", counted)
+    sym_ustar.cache_clear()
+    code, out = run(capsys, ["fano", "-r", "3", "-n", "8", "-d", "3"])
+    assert code == 0
+    assert "count: 321,489" in out
+    info = sym_ustar.cache_info()
+    assert info.misses == 1
+    assert info.hits <= 1
+    assert len(calls) == 2
 
 
 def test_degenerate_with_pairing(capsys) -> None:

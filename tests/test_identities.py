@@ -8,7 +8,7 @@ import pytest
 
 import schubres.identities as identities
 from schubres.chow import GrassContext
-from schubres.identities import IdentityCase, bracket_sum, verify_identity
+from schubres.identities import bracket_sum, verify_identity
 from schubres.limits import DegenerationSpec, decompose_degeneration
 
 
@@ -34,29 +34,29 @@ def test_bracket_matches_decomposition_totals() -> None:
     for k, l in ((1, 2), (2, 3), (1, 4)):
         report = decompose_degeneration(DegenerationSpec(ctx, ((k, 1), (l, 1))))
         total = report.pieces[0].total_class + report.pieces[1].total_class
-        assert bracket_sum(IdentityCase(ctx, k, l)) == total
+        assert bracket_sum(ctx, k, l) == total
 
 
 def test_bracket_is_symmetric_in_the_pieces() -> None:
     ctx = GrassContext(1, 4)
-    assert bracket_sum(IdentityCase(ctx, 1, 3)) == bracket_sum(IdentityCase(ctx, 3, 1))
+    assert bracket_sum(ctx, 1, 3) == bracket_sum(ctx, 3, 1)
 
 
 def test_case_validation() -> None:
     ctx = GrassContext(1, 3)
     with pytest.raises(ValueError):
-        IdentityCase(ctx, 0, 2)
+        bracket_sum(ctx, 0, 2)
     with pytest.raises(ValueError):
-        IdentityCase(ctx, 2, 0)
+        bracket_sum(ctx, 2, 0)
     with pytest.raises(ValueError):
-        IdentityCase(ctx, 1, -1)
+        bracket_sum(ctx, 1, -1)
 
 
 def test_case_rejects_non_integers() -> None:
     ctx = GrassContext(1, 3)
     for k, l in ((True, 2), (2.0, 1), (1, True), (1, 2.0)):
         with pytest.raises(ValueError, match="not an integer"):
-            IdentityCase(ctx, k, l)
+            bracket_sum(ctx, k, l)
 
 
 def test_broken_binomial_breaks_the_identity(monkeypatch) -> None:

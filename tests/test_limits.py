@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from schubres import bundles, chow, kernel, symfunc
-from schubres.chow import GrassContext
+from schubres import bundles, chow, kernel, limits, symfunc
+from schubres.chow import GrassContext, integrate, partitions_in_box, schubert_poly
 from schubres.limits import (
     DegenerationSpec,
     decompose_degeneration,
@@ -155,6 +155,89 @@ def test_positive_dimensional_family_needs_pairing() -> None:
 
     with pytest.raises(ValueError):
         decompose_degeneration(spec, pairing=(2,))
+
+
+def test_pairing_must_match_the_family_dimension() -> None:
+    # A finite family takes no pairing but the empty one, and a pairing that
+    # does not fit the box is refused; none is dropped silently.
+    cubic = GrassContext(1, 3)
+    spec = DegenerationSpec(cubic, ((1, 1), (2, 1)))
+    for pairing in ((1,), (1, 1), (2,)):
+        with pytest.raises(ValueError, match="must have size 0"):
+            fano_degree(cubic, 3, pairing)
+        with pytest.raises(ValueError, match="must have size 0"):
+            decompose_degeneration(spec, pairing=pairing)
+    assert fano_degree(cubic, 3, ()) == 27
+    assert decompose_degeneration(spec, pairing=()).ambient_degree == 27
+    with pytest.raises(ValueError, match="does not fit"):
+        fano_degree(GrassContext(1, 4), 2, (1, 1, 1))
+
+
+# Contexts with a positive-dimensional family: (r, n, total degree, pieces).
+PAIRED_CASES = (
+    (1, 4, 2, ((1, 1), (1, 1))),
+    (1, 5, 2, ((1, 1), (1, 1))),
+    (2, 5, 2, ((1, 1), (1, 1))),
+    (2, 6, 2, ((1, 1), (1, 1))),
+    (1, 6, 3, ((2, 1), (1, 1))),
+)
+
+
+def test_paired_degree_is_the_dual_schubert_coefficient() -> None:
+    # Reference route: multiply by the determinantal Schubert polynomial and
+    # integrate.  Every partition of the family's dimension in the box.
+    for r, n, d, pieces in PAIRED_CASES:
+        ctx = GrassContext(r, n)
+        spec = DegenerationSpec(ctx, pieces)
+        excess = ctx.dim - bundles.sym_ustar(ctx, d).rank
+        pairings = [p for p in partitions_in_box(ctx.k, ctx.m) if p.size == excess]
+        assert pairings
+        for pairing in pairings:
+            sigma = schubert_poly(ctx, pairing)
+
+            def reference(value):
+                return integrate(ctx, value * sigma)
+
+            assert fano_degree(ctx, d, pairing) == reference(fano_class(ctx, d))
+            report = decompose_degeneration(spec, pairing=pairing.parts)
+            assert report.ambient_degree == reference(report.ambient_class)
+            for piece in report.pieces:
+                assert piece.main_degree == reference(piece.main_class)
+                assert piece.adjunct_degree == reference(piece.adjunct_class)
+                assert piece.total_degree == reference(piece.total_class)
+
+
+def test_paired_counts_need_no_schubert_polynomial(monkeypatch) -> None:
+    def refused(*args):
+        raise AssertionError("schubert_poly called")
+
+    monkeypatch.setattr(chow, "schubert_poly", refused)
+    monkeypatch.setattr(limits, "schubert_poly", refused, raising=False)
+    ctx = GrassContext(1, 3)
+    assert fano_degree(ctx, 2, (1,)) == 4
+    report = decompose_degeneration(DegenerationSpec(ctx, ((1, 1), (1, 1))), (1,))
+    assert [piece.total_degree for piece in report.pieces] == [2, 2]
+    assert fano_degree(GrassContext(1, 10), 2, (9, 6)) == 0
+
+
+def closed_form_line_count(n: int) -> int:
+    """Lines on a general hypersurface of degree 2n - 3 in P^n: the
+    coefficient of z^(n-1) in (1 - z) * prod_j ((2n-3-j) + j*z), j = 0..2n-3
+    (Zagier's formula in Grunberg-Moree, Experimental Math. 2008)."""
+    d = 2 * n - 3
+    coeffs = [1]
+    for j in range(d + 1):
+        shifted = [0] + [j * c for c in coeffs]
+        coeffs = [(d - j) * c for c in coeffs] + [0]
+        coeffs = [a + b for a, b in zip(coeffs, shifted)]
+    return coeffs[n - 1] - coeffs[n - 2]
+
+
+def test_line_counts_match_the_closed_form() -> None:
+    expected = [27, 2875, 698005, 305093061, 210480374951, 210776836330775]
+    assert [closed_form_line_count(n) for n in range(3, 9)] == expected
+    for n, count in zip(range(3, 9), expected):
+        assert fano_degree(GrassContext(1, n), 2 * n - 3) == count
 
 
 def test_enumerate_degenerations() -> None:

@@ -41,7 +41,6 @@ from .limits import (
 from .residual import (
     Decomposition,
     IntersectionSetup,
-    SegreData,
     disjoint_sum,
     divisor_decompose,
     main_term,
@@ -69,7 +68,6 @@ __all__ = [
     "LimitReport",
     "Partition",
     "PieceReport",
-    "SegreData",
     "StructRing",
     "adams_twist",
     "blowup_plane_at_point",

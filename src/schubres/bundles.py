@@ -14,12 +14,13 @@ spelling of these operations.
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
 roots, and the resulting symmetric polynomial is rewritten in elementary
-symmetric functions and evaluated on the actual Chern classes.  A bundle
-whose Chern classes are the generators of its polynomial ring, such as the
-dual tautological subbundle, needs no evaluation: the elementary symmetric
-functions are written straight into that ring.  Twisting by a line bundle
-rescales Chern and Segre classes alike, so a twisted bundle inherits its
-Segre class instead of inverting its Chern class again.
+symmetric functions.  ``sym_power`` evaluates that at the Chern classes of
+any bundle.  ``sym_ustar`` needs no evaluation: the Chern classes of the
+dual tautological subbundle are the generators of the Grassmannian's Chow
+ring, so it writes the elementary symmetric functions straight into that
+ring.  Twisting by a line bundle rescales Chern and Segre classes alike, so
+a twisted bundle inherits its Segre class instead of inverting its Chern
+class again.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .symfunc import GradedPoly, exact_int, root_spec, roots_to_e, substitute
 class BundleClass:
     """An honest bundle: positive rank, total Chern class with unit term.
 
-    Chern components above the rank vanish for honest bundles, so the
-    constructor drops them; they can only arise as truncation debris of
-    virtual inputs.  Instances are immutable; the total Segre class is
-    computed on first use and cached, or set by ``adams_twist``.
+    Chern classes above the rank vanish for honest bundles, so a total Chern
+    class with a nonzero part there is refused.  Instances are immutable;
+    the total Segre class is computed on first use and cached, or set by
+    ``adams_twist``.
     """
 
     __slots__ = ("rank", "total_chern", "_segre")
@@ -52,8 +53,11 @@ class BundleClass:
                 f"total Chern class must have constant term 1, got "
                 f"{total_chern.constant_term}"
             )
+        for i in range(rank + 1, total_chern.truncation + 1):
+            if not total_chern.degree_part(i).is_zero:
+                raise ValueError(f"a rank-{rank} bundle has a Chern class in degree {i}")
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "total_chern", total_chern.truncate_above(rank))
+        object.__setattr__(self, "total_chern", total_chern)
         object.__setattr__(self, "_segre", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -111,24 +115,17 @@ def rank_sym(r: int, m: int) -> int:
     return comb(m + r, r)
 
 
-def sym_power(E: BundleClass, d: int) -> BundleClass:
-    """The d-th symmetric power via the splitting principle.
+def _sym_chern_in_e(k: int, d: int, truncation: int, out_spec=None) -> GradedPoly:
+    """Total Chern class of the d-th symmetric power of a rank-k bundle,
+    written in the elementary symmetric functions of the k Chern roots.
 
-    Enumerates the d-element multisets of Chern roots in colexicographic
-    order, multiplies the linear factors in a root ring truncated at the
-    carrier's bound, rewrites the symmetric result in elementary symmetric
-    functions, and evaluates those at the Chern classes of E.  When those
-    Chern classes are exactly the generators of their own ring (as for
-    ``ustar``), the rewrite lands in that ring directly and the evaluation,
-    an identity, is skipped.
+    Enumerates the d-element multisets of roots in colexicographic order,
+    multiplies the linear factors in a root ring truncated at ``truncation``
+    and rewrites the symmetric result with ``roots_to_e`` over ``out_spec``.
     """
     if exact_int(d, "symmetric power exponent") < 0:
         raise IndexError(f"symmetric power exponent must be non-negative, got {d}")
-    one = E.total_chern.one_like()
-    if d == 0:
-        return BundleClass(1, one)
-    k = E.rank
-    rspec = root_spec(k, E.total_chern.truncation)
+    rspec = root_spec(k, truncation)
     gens = [GradedPoly.generator(rspec, name) for name in rspec.names]
     total = GradedPoly.one(rspec)
     multisets = sorted(
@@ -140,32 +137,16 @@ def sym_power(E: BundleClass, d: int) -> BundleClass:
         for index in multiset:
             factor = factor + gens[index]
         total = total * factor
-    chern_spec = _generator_chern_spec(E)
-    if chern_spec is not None:
-        # The e-basis result already is the total Chern class.
-        return BundleClass(rank_sym(k - 1, d), roots_to_e(total, chern_spec))
-    in_e_basis = roots_to_e(total)
-    images = [E.chern(i) for i in range(1, k + 1)]
-    return BundleClass(rank_sym(k - 1, d), substitute(in_e_basis, images, one))
+    return roots_to_e(total, out_spec)
 
 
-def _generator_chern_spec(E: BundleClass):
-    """The spec of E's Chern ring when c_1..c_k of E are exactly its
-    generators, of degrees 1..k; None otherwise.
-
-    Then evaluating a polynomial in the elementary symmetric functions at
-    the Chern classes of E is the identity on its terms.
-    """
-    total = E.total_chern
-    if not isinstance(total, GradedPoly):
-        return None
-    spec = total.spec
-    if spec.degrees != tuple(range(1, E.rank + 1)):
-        return None
-    generic = GradedPoly.one(spec)
-    for name in spec.names:
-        generic = generic + GradedPoly.generator(spec, name)
-    return spec if total == generic else None
+def sym_power(E: BundleClass, d: int) -> BundleClass:
+    """The d-th symmetric power via the splitting principle, evaluated at
+    the Chern classes of E."""
+    in_e_basis = _sym_chern_in_e(E.rank, d, E.total_chern.truncation)
+    images = [E.chern(i) for i in range(1, E.rank + 1)]
+    chern = substitute(in_e_basis, images, E.total_chern.one_like())
+    return BundleClass(rank_sym(E.rank - 1, d), chern)
 
 
 def adams_twist(E: BundleClass, m: int) -> BundleClass:
@@ -190,19 +171,24 @@ def ustar(ctx: GrassContext) -> BundleClass:
     return BundleClass(ctx.k, total)
 
 
-@lru_cache(maxsize=None, typed=True)
+# One op uses at most 21 entries (the identity grid); the bound lets an
+# unused context and its Schubert memo be freed.
+@lru_cache(maxsize=64, typed=True)
 def sym_ustar(ctx: GrassContext, d: int, twist: int = 1) -> BundleClass:
-    """Twisted symmetric power of the dual subbundle, cached per context.
+    """Twisted symmetric power of the dual subbundle, cached.
 
     These are the normal bundle ingredients every degeneration needs, and
     the same powers recur across cases, so memoization pays for itself.
-    Safe because contexts and bundle classes are immutable values.  A twist
-    rescales the cached untwisted power; the untwisted lookup passes the
-    twist positionally so it shares its cache entry with callers that ask
-    for ``sym_ustar(ctx, k, 1)``.  The cache is typed, so ``True`` or ``1.0``
-    never hits the entry of ``1``: ``sym_power`` refuses it like any other
-    non-integer exponent.
+    Safe because contexts and bundle classes are immutable values.  The
+    Chern classes of U* are the generators of ``ctx.spec``, so the e-basis
+    result lands in that ring as the total Chern class, with nothing to
+    evaluate.  A twist rescales the cached untwisted power; the untwisted
+    lookup passes the twist positionally so it shares its cache entry with
+    callers that ask for ``sym_ustar(ctx, k, 1)``.  The cache is typed, so
+    ``True`` or ``1.0`` never hits the entry of ``1`` and is refused like
+    any other non-integer.
     """
     if exact_int(twist, "twist") != 1:
         return adams_twist(sym_ustar(ctx, d, 1), twist)
-    return sym_power(ustar(ctx), d)
+    chern = _sym_chern_in_e(ctx.k, d, ctx.dim, ctx.spec)
+    return BundleClass(rank_sym(ctx.k - 1, d), chern)

@@ -551,25 +551,10 @@ class StructElement(ClassCarrier):
     def zero_like(self) -> "StructElement":
         return self.ring.zero()
 
-    def one_like(self) -> "StructElement":
-        return self.ring.one()
-
     def degree_part(self, d: int) -> "StructElement":
         degrees = self.ring.degrees
         return StructElement(
             self.ring, {i: c for i, c in self.coeffs.items() if degrees[i] == d}
-        )
-
-    def truncate_above(self, bound: int) -> "StructElement":
-        degrees = self.ring.degrees
-        return StructElement(
-            self.ring, {i: c for i, c in self.coeffs.items() if degrees[i] <= bound}
-        )
-
-    def degree_scale(self, m: int) -> "StructElement":
-        degrees = self.ring.degrees
-        return StructElement(
-            self.ring, {i: c * m ** degrees[i] for i, c in self.coeffs.items()}
         )
 
     def _check_ring(self, other: "StructElement") -> None:

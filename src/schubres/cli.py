@@ -41,7 +41,6 @@ from .limits import (
 from .residual import (
     Decomposition,
     IntersectionSetup,
-    SegreData,
     divisor_decompose,
     main_term,
     symmetric_decompose,
@@ -390,10 +389,15 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
 
 def _run_fixture(data: dict, base_dir: Path) -> tuple[Decomposition, IntersectionSetup, StructRing]:
     ring = _resolve_ring(data["ring"], base_dir)
+    dim = exact_int(data["dim"], "fixture key 'dim'")
+    if dim != ring.top_degree:
+        raise ValueError(
+            f"fixture key 'dim' is {dim}, but ring {ring.name!r} has top degree "
+            f"{ring.top_degree}"
+        )
     setup = IntersectionSetup(
         cN=ring.parse(str(data["normal_chern"])),
         d=exact_int(data["codim"], "fixture key 'codim'"),
-        k=exact_int(data["dim"], "fixture key 'dim'"),
         ring=ring,
     )
     mode = data.get("mode", "divisor")
@@ -401,9 +405,9 @@ def _run_fixture(data: dict, base_dir: Path) -> tuple[Decomposition, Intersectio
     if mode == "divisor":
         decomposition = divisor_decompose(
             setup,
-            SegreData(ring.parse(str(data["divisor_segre"]))),
+            ring.parse(str(data["divisor_segre"])),
             ring.parse(str(data["divisor_class"])),
-            SegreData(ring.parse(str(data["residual_segre"]))),
+            ring.parse(str(data["residual_segre"])),
             labels=labels,
         )
     elif mode == "symmetric":
@@ -425,7 +429,7 @@ def _undecomposed_check(
     the whole scheme, when the fixture records its total Segre class."""
     if "total_segre" not in data:
         return None
-    whole = main_term(setup, SegreData(ring.parse(str(data["total_segre"]))))
+    whole = main_term(setup, ring.parse(str(data["total_segre"])))
     if data.get("mode") == "symmetric":
         whole = whole.pushforward()
     return whole == decomposition.ambient_total
@@ -437,10 +441,8 @@ def _coarse_section(data: dict, d: int, base_dir: Path) -> dict:
     the pieces are not told apart."""
     coarse = data["coarse"]
     ring = _resolve_ring(coarse["ring"], base_dir)
-    setup = IntersectionSetup(
-        cN=ring.parse(str(coarse["normal_chern"])), d=d, k=ring.top_degree, ring=ring
-    )
-    main = main_term(setup, SegreData(ring.parse(str(coarse["segre"]))))
+    setup = IntersectionSetup(cN=ring.parse(str(coarse["normal_chern"])), d=d, ring=ring)
+    main = main_term(setup, ring.parse(str(coarse["segre"])))
     return {
         "main_class": main.to_string(),
         "main_degree": main.integrate(),

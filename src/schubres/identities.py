@@ -47,7 +47,7 @@ def bracket_sum(ctx: GrassContext, k: int, l: int) -> GradedPoly:
     tops = tuple(bundle.chern(bundle.rank) for bundle in bundles)
     interface = tops[0] * tops[1]
 
-    total = GradedPoly.zero(ctx.spec)
+    total = ambient.total_chern.zero_like()
     for own in (0, 1):
         other = 1 - own
         rank_own = bundles[own].rank

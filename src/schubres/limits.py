@@ -185,9 +185,7 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     excess = ctx.dim - ambient_bundle.rank
     pairing = _check_pairing(ctx, pairing, excess)
     # No integration ring: the degrees are paired below, once per class.
-    setup = IntersectionSetup(
-        cN=ambient_bundle.total_chern, d=ambient_bundle.rank, k=ctx.dim
-    )
+    setup = IntersectionSetup(cN=ambient_bundle.total_chern, d=ambient_bundle.rank)
     (k1, e1), (k2, e2) = spec.pieces
     bundle1 = sym_ustar(ctx, k1, e1)
     bundle2 = sym_ustar(ctx, k2, e2)

@@ -20,11 +20,12 @@ needs:
   intersection and built from Segre classes of the two normal bundles;
   both adjuncts share one table of products s_x(N1) * s_y(N2).
 
-All classes are graded by codimension.  Each component is reported as a
-main term (the class the piece would contribute if it were alone, weighted
-by its own Segre data) plus an adjunct correction; components always sum
-to the total intersection class, and the symmetric evaluator checks that
-against an independently computed, unregrouped total.
+All classes, Segre classes included, are carriers graded by codimension.
+Each component is reported as a main term (the class the piece would
+contribute if it were alone, weighted by its own Segre class) plus an
+adjunct correction; components always sum to the total intersection class,
+and the symmetric evaluator checks that against an independently computed,
+unregrouped total.
 """
 
 from __future__ import annotations
@@ -45,42 +46,21 @@ class IntersectionSetup:
 
     ``cN`` is the total Chern class of the pulled-back normal bundle (unit
     constant term required: the formulas feed it into truncated series),
-    ``d`` its codimension, ``k`` the dimension of the variety carrying the
-    Segre data, and ``ring`` an optional integration context (a
+    ``d`` its codimension, and ``ring`` an optional integration context (a
     ``GrassContext`` or a ``StructRing``) used to attach degrees.
     """
 
     cN: object
     d: int
-    k: int
     ring: object = None
 
     def __post_init__(self) -> None:
         if exact_int(self.d, "codimension d") < 1:
             raise ValueError(f"codimension d must be a positive integer, got {self.d}")
-        if exact_int(self.k, "dimension k") < 0:
-            raise ValueError(f"dimension k must be non-negative, got {self.k}")
         if self.cN.constant_term != 1:
             raise ValueError(
                 f"c(N) must have constant term 1, got {self.cN.constant_term}"
             )
-
-
-@dataclass(frozen=True)
-class SegreData:
-    """Segre class of a piece of W inside V, graded by codimension.
-
-    The literature indexes Segre classes by dimension; ``dim_part`` converts
-    using the ambient dimension k of the setup.
-    """
-
-    total: object
-
-    def codim_part(self, c: int):
-        return self.total.degree_part(c)
-
-    def dim_part(self, setup: IntersectionSetup, m: int):
-        return self.total.degree_part(setup.k - m)
 
 
 @dataclass(frozen=True)
@@ -138,16 +118,16 @@ def _attach_degrees(setup: IntersectionSetup, components, ambient_total) -> Deco
     return Decomposition(components, ambient_total, degrees, ambient_degree)
 
 
-def main_term(setup: IntersectionSetup, sZ: SegreData):
+def main_term(setup: IntersectionSetup, sZ):
     """The codimension-d part of c(N) * s(Z,V): the one-piece answer."""
-    return (setup.cN * sZ.total).degree_part(setup.d)
+    return (setup.cN * sZ).degree_part(setup.d)
 
 
 def disjoint_sum(setup: IntersectionSetup, segre_list) -> object:
     """Total class when the pieces of W are pairwise disjoint.
 
-    With no points in common there are no adjunct corrections; the
-    contributions just add up.
+    ``segre_list`` holds the Segre class of each piece.  With no points in
+    common there are no adjunct corrections; the contributions just add up.
     """
     total = setup.cN.zero_like()
     for sZ in segre_list:
@@ -157,15 +137,15 @@ def disjoint_sum(setup: IntersectionSetup, segre_list) -> object:
 
 def divisor_decompose(
     setup: IntersectionSetup,
-    sD: SegreData,
+    sD,
     Dclass,
-    sR: SegreData,
+    sR,
     labels: tuple[str, str] = ("D", "R"),
 ) -> Decomposition:
     """Split the intersection class between a divisor D and its residual R.
 
     ``Dclass`` is the divisor class of D; ``sD`` and ``sR`` are the Segre
-    data of the two pieces.  The adjunct terms weight Chern classes of N
+    classes of the two pieces.  The adjunct terms weight Chern classes of N
     against powers of -D and codimension components of s(R,V); every term
     of either adjunct vanishes when D and R share no geometry (sR has no
     low-codimension part), recovering the disjoint sum.
@@ -183,10 +163,10 @@ def divisor_decompose(
             continue
         for j in range(1, d - i):
             weight = comb(d - 1 - i, j)
-            s_j = sR.codim_part(j)
+            s_j = sR.degree_part(j)
             if not s_j.is_zero:
                 adj_d = adj_d + weight * (ci * s_j * (-Dclass) ** (d - i - j))
-            s_far = sR.codim_part(d - i - j)
+            s_far = sR.degree_part(d - i - j)
             if not s_far.is_zero:
                 adj_r = adj_r + weight * (ci * (-Dclass) ** j * s_far)
     components = (

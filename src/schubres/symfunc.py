@@ -25,8 +25,9 @@ printing and callers outside the engine.
 module's ``GradedPoly`` and the tabulated ``chow.StructElement``.  The bundle,
 residual and identity layers are written once against it.  The base class
 implements the representation-free half of the protocol once: the derived
-operators, immutability, printing through ``format_terms`` and series
-inversion (total Segre class from total Chern class).
+operators, immutability, the unit, degree scaling, printing through
+``format_terms`` and series inversion (total Segre class from total Chern
+class).
 
 The module also rewrites a symmetric polynomial in degree-one root variables
 as a polynomial in the elementary symmetric functions.
@@ -175,17 +176,21 @@ class ClassCarrier:
       live in the same ring (else ``ContextMismatchError``); ``a ** n`` for
       ``n >= 0``; ``a == b``, hashing and truth (nonzero);
     * ``degree_part(d)``, the homogeneous part of degree d (zero outside
-      0..truncation); ``truncate_above(d)``, the parts of degree <= d;
-      ``degree_scale(m)``, each degree-i part times m**i;
+      0..truncation); ``degree_scale(m)``, each degree-i part times m**i;
     * ``zero_like()`` and ``one_like()``, the zero and unit of the ring;
     * ``constant_term``, the unit coefficient as an int; ``is_zero``;
       ``truncation``, the top degree the ring keeps;
     * ``series_inverse()``, the inverse of an element with constant term 1;
     * ``to_string()``, also ``str(a)``.
 
-    A carrier supplies its own storage, ``+``, unary ``-``, ``*`` (both
-    accepting an ``int``), ``==``, hashing, the graded accessors and
-    ``to_string``.  This base supplies the rest once.
+    A carrier supplies its storage and only these members: ``+``, unary
+    ``-`` and ``*`` (each also accepting an ``int``), ``==`` with hashing,
+    ``degree_part``, ``zero_like``, ``constant_term``, ``is_zero``,
+    ``truncation`` and ``to_string``.  This base derives the rest once:
+    binary ``-``, the reflected operators, ``**``, truth, ``str``,
+    ``one_like``, ``degree_scale`` (from ``degree_part``) and
+    ``series_inverse``.  An exponent or a scale factor that is a float or a
+    bool raises ``ValueError``; it is never rounded.
     """
 
     __slots__ = ()
@@ -209,7 +214,7 @@ class ClassCarrier:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int) -> "ClassCarrier":
-        if not isinstance(exponent, int) or exponent < 0:
+        if exact_int(exponent, "exponent") < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = self.one_like()
         base = self
@@ -225,6 +230,19 @@ class ClassCarrier:
 
     def __str__(self) -> str:
         return self.to_string()
+
+    def one_like(self) -> "ClassCarrier":
+        return self.zero_like() + 1
+
+    def degree_scale(self, m: int) -> "ClassCarrier":
+        """Multiply each homogeneous degree-i part by m**i."""
+        exact_int(m, "degree scale")
+        out = self.zero_like()
+        for i in range(self.truncation + 1):
+            part = self.degree_part(i)
+            if not part.is_zero:
+                out = out + part * m**i
+        return out
 
     def series_inverse(self) -> "ClassCarrier":
         # Looked up in this module at call time, so the one module-level
@@ -259,10 +277,9 @@ class GradedPoly(ClassCarrier):
                     raise ValueError(
                         f"exponent {expo} has length {len(expo)}, expected {spec.ngens}"
                     )
-                if any(not isinstance(e, int) or e < 0 for e in expo):
+                if any(exact_int(e, "exponent") < 0 for e in expo):
                     raise ValueError(f"exponents must be non-negative integers: {expo}")
-                if not isinstance(coeff, int):
-                    raise ValueError(f"coefficient {coeff!r} is not an integer")
+                exact_int(coeff, "coefficient")
                 if coeff and spec.weighted_degree(expo) <= spec.truncation:
                     yield spec.pack(expo), coeff
 
@@ -295,9 +312,9 @@ class GradedPoly(ClassCarrier):
 
     @classmethod
     def constant(cls, spec: GeneratorSpec, value: int) -> "GradedPoly":
-        if value == 0:
+        if exact_int(value, "constant") == 0:
             return cls.zero(spec)
-        return cls._raw(spec, {0: int(value)})
+        return cls._raw(spec, {0: value})
 
     @classmethod
     def generator(cls, spec: GeneratorSpec, name: str) -> "GradedPoly":
@@ -336,27 +353,8 @@ class GradedPoly(ClassCarrier):
         part = parts.get(d)
         return part if part is not None else GradedPoly.zero(self.spec)
 
-    def truncate_above(self, bound: int) -> "GradedPoly":
-        limit = (bound + 1) << self.spec.key_shift
-        return GradedPoly._raw(
-            self.spec, {k: c for k, c in self.packed.items() if k < limit}
-        )
-
-    def degree_scale(self, m: int) -> "GradedPoly":
-        """Multiply each homogeneous degree-i component by m**i."""
-        shift = self.spec.key_shift
-        out: TermMap = {}
-        for key, coeff in self.packed.items():
-            value = coeff * m ** (key >> shift)
-            if value:
-                out[key] = value
-        return GradedPoly._raw(self.spec, out)
-
     def zero_like(self) -> "GradedPoly":
         return GradedPoly.zero(self.spec)
-
-    def one_like(self) -> "GradedPoly":
-        return GradedPoly.one(self.spec)
 
     def _check_spec(self, other: "GradedPoly") -> None:
         if self.spec is other.spec:
@@ -392,7 +390,8 @@ class GradedPoly(ClassCarrier):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = GradedPoly.constant(self.spec, other)
+            # An int reads as that multiple of the unit, as in ``+``.
+            return self.packed == ({0: other} if other else {})
         if not isinstance(other, GradedPoly):
             return NotImplemented
         return self.spec == other.spec and self.packed == other.packed

@@ -21,7 +21,6 @@ from schubres.limits import (
 )
 from schubres.residual import (
     IntersectionSetup,
-    SegreData,
     divisor_decompose,
     main_term,
     regular_decompose,
@@ -127,8 +126,8 @@ def test_criterion_5_identity_grid() -> None:
 
 def test_criterion_6_blowup_divisor_fixture() -> None:
     ring = blowup_plane_at_point()
-    setup = IntersectionSetup(cN=ring.parse("1 + 2*h") ** 2, d=2, k=2, ring=ring)
-    s_single = SegreData(ring.parse("e + P"))
+    setup = IntersectionSetup(cN=ring.parse("1 + 2*h") ** 2, d=2, ring=ring)
+    s_single = ring.parse("e + P")
 
     one_copy_first = divisor_decompose(setup, s_single, ring.parse("e"), s_single)
     assert one_copy_first.components[0].total == ring.parse("2*P")
@@ -137,17 +136,17 @@ def test_criterion_6_blowup_divisor_fixture() -> None:
 
     whole_first = divisor_decompose(
         setup,
-        SegreData(ring.parse("2*e + 4*P")),
+        ring.parse("2*e + 4*P"),
         ring.parse("2*e"),
-        SegreData(ring.zero()),
+        ring.zero(),
     )
     assert whole_first.components[0].total == ring.parse("4*P")
     assert whole_first.components[1].total.is_zero
     assert whole_first.degrees == ((4, 0, 4), (0, 0, 0))
 
     base = projective_space(2)
-    coarse = IntersectionSetup(cN=base.parse("1 + 4*h + 4*h2"), d=2, k=2, ring=base)
-    main = main_term(coarse, SegreData(base.parse("h2")))
+    coarse = IntersectionSetup(cN=base.parse("1 + 4*h + 4*h2"), d=2, ring=base)
+    main = main_term(coarse, base.parse("h2"))
     assert main == base.parse("h2")
     assert base.parse("4*h2") - main == base.parse("3*h2")
     _report(6, "blow-up fixture: (2p, 2p), (4p, 0), coarse (p, 3p)")
@@ -183,7 +182,7 @@ def test_criterion_7_property_suites() -> None:
     # Swap symmetry of the regular-embedding evaluator.
     ctx = GrassContext(1, 3)
     ambient = sym_ustar(ctx, 3)
-    setup = IntersectionSetup(cN=ambient.total_chern, d=ambient.rank, k=ctx.dim, ring=ctx)
+    setup = IntersectionSetup(cN=ambient.total_chern, d=ambient.rank, ring=ctx)
     b1, b2 = sym_ustar(ctx, 1, 1), sym_ustar(ctx, 1, 2)
     z1, z2 = b1.chern(2), b2.chern(2)
     forward = regular_decompose(setup, b1, b2, z1, z2, z1 * z2)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -35,9 +37,9 @@ def test_bundle_constructor_validation() -> None:
         BundleClass(0, GradedPoly.one(ctx.spec))
     with pytest.raises(ValueError):
         BundleClass(2, c(ctx, "2 + x"))
-    # Honest bundles carry nothing above their rank.
-    line = BundleClass(1, c(ctx, "1 + x + y"))
-    assert line.total_chern == c(ctx, "1 + x")
+    # Honest bundles carry nothing above their rank: refused, not cut off.
+    with pytest.raises(ValueError, match="rank-1 bundle has a Chern class in degree 2"):
+        BundleClass(1, c(ctx, "1 + x + y"))
 
 
 def test_bundle_rank_rejects_non_integers() -> None:
@@ -157,6 +159,8 @@ def test_sym_power_rejects_non_integers() -> None:
     for bad in (True, 2.0):
         with pytest.raises(ValueError, match="not an integer"):
             sym_power(U, bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            adams_twist(U, bad)
     with pytest.raises(IndexError):
         sym_power(U, -1)
 
@@ -186,9 +190,9 @@ def test_adams_twist() -> None:
 
 
 def test_sym_power_commutes_with_twists(monkeypatch) -> None:
-    # A twisted U* is not generated by its own Chern classes, so its power
-    # goes through substitute; U* itself takes the identity route.  The
-    # twist is a ring homomorphism, so both routes must agree exactly.
+    # sym_power evaluates through substitute once per call, whatever the
+    # bundle.  The twist is a ring homomorphism, so twisting before or after
+    # the power must agree exactly.
     substituted = []
     original = bundles.substitute
 
@@ -205,7 +209,7 @@ def test_sym_power_commutes_with_twists(monkeypatch) -> None:
                 twisted_first = sym_power(adams_twist(U, m), d)
                 assert len(substituted) == before + 1
                 powered_first = adams_twist(sym_power(U, d), m)
-                assert len(substituted) == before + 1
+                assert len(substituted) == before + 2
                 assert twisted_first == powered_first
                 assert twisted_first.total_chern.terms == powered_first.total_chern.terms
 
@@ -256,3 +260,40 @@ def test_sym_ustar_caching() -> None:
     assert first is sym_ustar(GrassContext(1, 3), 3)
     twisted = sym_ustar(ctx, 1, 2)
     assert twisted.total_chern == c(ctx, "1 + 2*x + 4*y")
+
+
+def test_sym_power_routes_agree() -> None:
+    # sym_ustar writes the e-basis result straight into the Chern ring;
+    # sym_power evaluates it at the Chern classes of U* through substitute.
+    for (r, n), top in (((1, 4), 5), ((2, 7), 4), ((3, 8), 3)):
+        ctx = GrassContext(r, n)
+        U = ustar(ctx)
+        for d in range(top + 1):
+            assert sym_ustar(ctx, d) == sym_power(U, d), (r, n, d)
+    # A part above the rank is refused on either carrier.
+    ring = blowup_plane_at_point()
+    with pytest.raises(ValueError, match="degree 2"):
+        BundleClass(1, ring.parse("1 + h + P"))
+    with pytest.raises(ValueError, match="degree 3"):
+        BundleClass(2, c(GrassContext(1, 3), "1 + x + x*y"))
+    # So is a scale factor that is not an int.
+    for value in (U.total_chern, ring.parse("1 + h + P")):
+        assert value.degree_scale(1) == value
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="not an integer"):
+                value.degree_scale(bad)
+
+
+def test_sym_ustar_cache_is_bounded() -> None:
+    # An evicted context, with its Schubert memo, is freed.
+    sym_ustar.cache_clear()
+    ctx = GrassContext(1, 3)
+    sym_ustar(ctx, 2)
+    ref = weakref.ref(ctx)
+    del ctx
+    point_ctx = GrassContext(0, 2)
+    for d in range(1, sym_ustar.cache_info().maxsize + 1):
+        sym_ustar(point_ctx, d)
+    gc.collect()
+    assert ref() is None
+    assert sym_ustar.cache_info().currsize == sym_ustar.cache_info().maxsize == 64

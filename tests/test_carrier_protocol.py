@@ -1,0 +1,73 @@
+"""The layers above the rings touch classes only through the carrier protocol.
+
+``bundles``, ``residual``, ``identities`` and ``limits`` must run over any
+``symfunc.ClassCarrier``.  This reads their source: no ``isinstance`` test
+against a concrete carrier, and no access to a carrier's storage.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+LAYERS = ("bundles", "residual", "identities", "limits")
+CARRIERS = {"GradedPoly", "StructElement"}
+STORAGE = {"packed", "coeffs", "_parts", "_raw", "terms"}
+
+
+def protocol_breaches(source: str) -> list[str]:
+    """Each line of ``source`` that tests for a concrete carrier type or
+    touches carrier storage."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in STORAGE:
+            breaches.append(f"line {node.lineno}: .{node.attr}")
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            named = {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node.args[1])
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            }
+            for carrier in sorted(named & CARRIERS):
+                breaches.append(f"line {node.lineno}: isinstance(..., {carrier})")
+    return breaches
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_uses_only_the_carrier_protocol(layer: str) -> None:
+    module = importlib.import_module(f"schubres.{layer}")
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert protocol_breaches(source) == []
+
+
+def test_protocol_check_catches_breaches() -> None:
+    source = """
+if isinstance(total, GradedPoly):
+    pass
+if isinstance(value, (int, chow.StructElement)) or isinstance(value, symfunc.GradedPoly | int):
+    pass
+keys = total.packed
+coeffs = dict(element.coeffs)
+view = poly.terms.items()
+parts = poly._parts
+raw = GradedPoly._raw(spec, {})
+fine = isinstance(ring, GrassContext) and bundle.total_chern.degree_part(1)
+"""
+    assert sorted(protocol_breaches(source)) == sorted([
+        "line 2: isinstance(..., GradedPoly)",
+        "line 4: isinstance(..., StructElement)",
+        "line 4: isinstance(..., GradedPoly)",
+        "line 6: .packed",
+        "line 7: .coeffs",
+        "line 8: .terms",
+        "line 9: ._parts",
+        "line 10: ._raw",
+    ])

@@ -271,6 +271,28 @@ integral: {P: 1.5}
         assert "integer" in capsys.readouterr().err, values
 
 
+def test_decompose_requires_dim_to_be_the_top_degree(tmp_path, capsys) -> None:
+    fixture = """
+name: wrong-dim
+mode: divisor
+ring: blowup_p2
+dim: {dim}
+codim: 2
+normal_chern: "1 + 4*h + 4*P"
+divisor_class: "2*e"
+divisor_segre: "2*e + 4*P"
+residual_segre: "0"
+"""
+    path = tmp_path / "case.yaml"
+    for dim in (1, 3):
+        path.write_text(fixture.format(dim=dim), encoding="utf-8")
+        assert main(["decompose", str(path)]) == 2, dim
+        assert "top degree 2" in capsys.readouterr().err, dim
+    path.write_text(fixture.format(dim=2), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_decompose_rejects_unresolvable_rings(tmp_path, capsys) -> None:
     # A ring is a built-in name or a path; a {file: ...} mapping is neither,
     # even when the file it names is a valid ring.

@@ -22,7 +22,6 @@ from schubres.limits import enumerate_degenerations
 from schubres.residual import (
     Decomposition,
     IntersectionSetup,
-    SegreData,
     disjoint_sum,
     divisor_decompose,
     main_term,
@@ -35,42 +34,34 @@ from schubres.symfunc import parse_poly
 def blowup_setup() -> tuple[StructRing, IntersectionSetup]:
     ring = blowup_plane_at_point()
     cN = ring.parse("1 + 2*h") ** 2
-    return ring, IntersectionSetup(cN=cN, d=2, k=2, ring=ring)
+    return ring, IntersectionSetup(cN=cN, d=2, ring=ring)
 
 
 def test_setup_validation() -> None:
     ring = blowup_plane_at_point()
     with pytest.raises(ValueError):
-        IntersectionSetup(cN=ring.parse("2"), d=2, k=2)
+        IntersectionSetup(cN=ring.parse("2"), d=2)
     with pytest.raises(ValueError):
-        IntersectionSetup(cN=ring.one(), d=0, k=2)
+        IntersectionSetup(cN=ring.one(), d=0)
 
 
 def test_setup_rejects_non_integers() -> None:
     one = blowup_plane_at_point().one()
-    for d, k in ((True, 2), (2.0, 2), (2, True), (2, 2.0)):
+    for d in (True, 2.0):
         with pytest.raises(ValueError, match="not an integer"):
-            IntersectionSetup(cN=one, d=d, k=k)
-
-
-def test_segre_data_indexing() -> None:
-    ring, setup = blowup_setup()
-    data = SegreData(ring.parse("e + P"))
-    assert data.codim_part(1) == ring.parse("e")
-    assert data.dim_part(setup, 0) == ring.parse("P")
-    assert data.dim_part(setup, 1) == ring.parse("e")
+            IntersectionSetup(cN=one, d=d)
 
 
 def test_main_term_alone() -> None:
     ring, setup = blowup_setup()
-    assert main_term(setup, SegreData(ring.parse("e + P"))) == ring.parse("P")
+    assert main_term(setup, ring.parse("e + P")) == ring.parse("P")
 
 
 def test_divisor_decompose_exceptional_first() -> None:
     # Treat one copy of the exceptional curve as the divisor; the residual
     # is the other copy.  Each piece receives two of the four points.
     ring, setup = blowup_setup()
-    s_both = SegreData(ring.parse("e + P"))
+    s_both = ring.parse("e + P")
     dec = divisor_decompose(setup, s_both, ring.parse("e"), s_both)
     d_comp, r_comp = dec.components
     assert d_comp.main == ring.parse("P")
@@ -89,9 +80,9 @@ def test_divisor_decompose_whole_scheme_first() -> None:
     ring, setup = blowup_setup()
     dec = divisor_decompose(
         setup,
-        SegreData(ring.parse("2*e + 4*P")),
+        ring.parse("2*e + 4*P"),
         ring.parse("2*e"),
-        SegreData(ring.zero()),
+        ring.zero(),
     )
     assert dec.degrees == ((4, 0, 4), (0, 0, 0))
     assert dec.components[0].adjunct.is_zero
@@ -100,7 +91,7 @@ def test_divisor_decompose_whole_scheme_first() -> None:
 
 def test_divisor_decompose_rejects_non_divisor() -> None:
     ring, setup = blowup_setup()
-    data = SegreData(ring.parse("e + P"))
+    data = ring.parse("e + P")
     with pytest.raises(ValueError):
         divisor_decompose(setup, data, ring.parse("e + P"), data)
 
@@ -109,8 +100,8 @@ def test_coarser_main_term_comparison() -> None:
     # Working downstairs with the unresolved scheme: the main term sees only
     # one of the four points and the other three are residual.
     base = projective_space(2)
-    setup = IntersectionSetup(cN=base.parse("1 + 4*h + 4*h2"), d=2, k=2, ring=base)
-    main = main_term(setup, SegreData(base.parse("h2")))
+    setup = IntersectionSetup(cN=base.parse("1 + 4*h + 4*h2"), d=2, ring=base)
+    main = main_term(setup, base.parse("h2"))
     assert main == base.parse("h2")
     total = base.parse("4*h2")
     assert (total - main).integrate() == 3
@@ -139,7 +130,7 @@ def test_symmetric_decompose_empty_second_divisor() -> None:
 
 def test_symmetric_decompose_needs_pushforward() -> None:
     base = projective_space(2)
-    setup = IntersectionSetup(cN=base.one(), d=2, k=2, ring=base)
+    setup = IntersectionSetup(cN=base.one(), d=2, ring=base)
     with pytest.raises(UnsupportedOperationError):
         symmetric_decompose(setup, base.parse("h"), base.parse("h"))
 
@@ -163,12 +154,12 @@ def test_symmetric_equals_regular_on_transverse_divisors() -> None:
     ring = identity_pushforward_plane()
     base = ring.pushforward_target
     cN = ring.parse("1 + 2*h") * ring.parse("1 + 3*h")
-    setup = IntersectionSetup(cN=cN, d=2, k=2, ring=ring)
+    setup = IntersectionSetup(cN=cN, d=2, ring=ring)
     h = ring.parse("h")
     sym = symmetric_decompose(setup, h, h)
 
     cN_base = base.parse("1 + 2*h") * base.parse("1 + 3*h")
-    base_setup = IntersectionSetup(cN=cN_base, d=2, k=2, ring=base)
+    base_setup = IntersectionSetup(cN=cN_base, d=2, ring=base)
     line = BundleClass(1, base.parse("1 + h"))
     reg = regular_decompose(
         base_setup, line, line,
@@ -184,9 +175,9 @@ def test_symmetric_equals_regular_on_transverse_divisors() -> None:
 def test_disjoint_sum_matches_decomposition_without_overlap() -> None:
     # A line and a point off the line: no shared geometry, no adjuncts.
     base = projective_space(2)
-    setup = IntersectionSetup(cN=base.parse("1 + 3*h + 3*h2"), d=2, k=2, ring=base)
-    s_line = SegreData(base.parse("h - h2"))
-    s_point = SegreData(base.parse("h2"))
+    setup = IntersectionSetup(cN=base.parse("1 + 3*h + 3*h2"), d=2, ring=base)
+    s_line = base.parse("h - h2")
+    s_point = base.parse("h2")
     dec = divisor_decompose(setup, s_line, base.parse("h"), s_point)
     assert dec.components[0].adjunct.is_zero
     assert dec.components[1].adjunct.is_zero
@@ -198,7 +189,7 @@ def test_regular_decompose_on_cubic_surfaces() -> None:
     # the 27 lines split as 3 on the plane side and 24 on the quadric side.
     ctx = GrassContext(1, 3)
     N = sym_ustar(ctx, 3)
-    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, k=ctx.dim, ring=ctx)
+    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, ring=ctx)
     N1 = sym_ustar(ctx, 1, 1)
     N2 = sym_ustar(ctx, 1, 2)
     z1 = N1.chern(2)
@@ -222,7 +213,7 @@ def test_regular_decompose_on_cubic_surfaces() -> None:
 def test_regular_decompose_swap_symmetry() -> None:
     ctx = GrassContext(1, 3)
     N = sym_ustar(ctx, 3)
-    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, k=ctx.dim, ring=ctx)
+    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, ring=ctx)
     N1 = sym_ustar(ctx, 1, 1)
     N2 = sym_ustar(ctx, 1, 2)
     z1, z2 = N1.chern(2), N2.chern(2)
@@ -238,7 +229,7 @@ def test_regular_decompose_empty_adjunct_ranges() -> None:
     # excess-free and the adjuncts vanish identically.
     ctx = GrassContext(1, 3)
     N = sym_ustar(ctx, 2)
-    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, k=ctx.dim, ring=ctx)
+    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, ring=ctx)
     N1 = sym_ustar(ctx, 1, 1)
     N2 = N1
     z = N1.chern(2)
@@ -292,7 +283,7 @@ def test_regular_decompose_matches_unshared_reference() -> None:
             d = rng.choice(degrees)
             (k1, e1), (k2, e2) = rng.choice(enumerate_degenerations(d))
             N = sym_ustar(ctx, d)
-            setup = IntersectionSetup(cN=N.total_chern, d=N.rank, k=ctx.dim)
+            setup = IntersectionSetup(cN=N.total_chern, d=N.rank)
             N1, N2 = sym_ustar(ctx, k1, e1), sym_ustar(ctx, k2, e2)
             z1, z2 = N1.chern(N1.rank), N2.chern(N2.rank)
             excess_free_seen.add(N.rank - N1.rank - N2.rank < 0)
@@ -309,7 +300,7 @@ def test_regular_decompose_matches_unshared_reference() -> None:
 
 def test_decomposition_conserved_flag() -> None:
     ring, setup = blowup_setup()
-    s_both = SegreData(ring.parse("e + P"))
+    s_both = ring.parse("e + P")
     dec = divisor_decompose(setup, s_both, ring.parse("e"), s_both)
     assert dec.conserved
     broken = Decomposition(dec.components, ring.parse("5*P"))

@@ -66,6 +66,18 @@ def test_spec_rejects_non_integers() -> None:
             GeneratorSpec(("x",), (bad,), 4)
     with pytest.raises(ValueError, match="not an integer"):
         GeneratorSpec(("x",), (1,), True)
+    spec = lines_spec()
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            GradedPoly.constant(spec, bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            GradedPoly(spec, {(bad, 0): 1})
+        with pytest.raises(ValueError, match="not an integer"):
+            GradedPoly(spec, {(1, 0): bad})
+        with pytest.raises(ValueError, match="not an integer"):
+            P("x + y") ** bad
+        with pytest.raises(ValueError, match="not an integer"):
+            P("x + y").degree_scale(bad)
 
 
 def naive_merge(pairs) -> dict:
@@ -166,7 +178,6 @@ def test_degree_part_and_scale() -> None:
     p = P("1 + 3*x + 2*x^2 + 4*y + 4*x*y")
     assert p.degree_part(2) == P("2*x^2 + 4*y")
     assert p.degree_part(7).is_zero
-    assert p.truncate_above(1) == P("1 + 3*x")
     assert p.degree_scale(2) == P("1 + 6*x + 8*x^2 + 16*y + 32*x*y")
     assert p.max_degree() == 3
 

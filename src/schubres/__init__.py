@@ -41,7 +41,6 @@ from .limits import (
 from .residual import (
     Decomposition,
     IntersectionSetup,
-    disjoint_sum,
     divisor_decompose,
     main_term,
     regular_decompose,
@@ -74,7 +73,6 @@ __all__ = [
     "bracket_sum",
     "builtin_ring",
     "decompose_degeneration",
-    "disjoint_sum",
     "divisor_decompose",
     "enumerate_degenerations",
     "fano_class",

@@ -3,8 +3,8 @@
 Two ring models live here.  ``GrassContext`` presents the Chow ring of the
 Grassmannian of projective r-planes in projective n-space as a truncated
 polynomial ring in the Chern classes of the dual tautological subbundle,
-with conversion to the Schubert basis and exact integration of top-degree
-classes.  ``StructRing`` is a finite graded ring given by explicit integer
+with conversion to the Schubert basis and exact integration, optionally
+paired with a Schubert class.  ``StructRing`` is a finite graded ring given by explicit integer
 structure constants, used for ambient spaces such as a blown-up plane where
 a handful of basis classes suffice; it optionally carries a pushforward to
 another such ring.  Its elements, ``StructElement``, are the second
@@ -27,8 +27,8 @@ the monomials of weighted degree up to the dimension.
 A Schubert expansion is a plain dict from a partition's parts (a tuple with
 no trailing zeros, equal to ``Partition.parts``) to its nonzero coefficient.
 ``Partition`` is the validated type where a partition enters from outside
-(``schubert_poly``, ``GrassContext.box``, the pairing of a count); the Pieri
-rule and integration build none.
+(``schubert_poly``, ``GrassContext.box``, the ``pairing`` of ``integrate``);
+the Pieri rule and integration build none.
 """
 
 from __future__ import annotations
@@ -257,9 +257,21 @@ def to_schubert(ctx: GrassContext, p: GradedPoly) -> dict[tuple[int, ...], int]:
     return out
 
 
-def integrate(ctx: GrassContext, p: GradedPoly) -> int:
-    """Degree of the top-dimensional part of ``p`` against the point class."""
-    return to_schubert(ctx, p.degree_part(ctx.dim)).get((ctx.m,) * ctx.k, 0)
+def integrate(ctx: GrassContext, p: GradedPoly, pairing: Partition | None = None) -> int:
+    """Degree of ``p``, paired with the Schubert class of ``pairing`` l if
+    one is given.  Schubert classes pair to one only with their duals, so
+    that is the coefficient of l^v, parts m - l_(k+1-i), in the Schubert
+    expansion of the part of ``p`` in degree dim - |l|; plain integration is
+    l = (), the full box.  A pairing outside the box raises ``ValueError``."""
+    if pairing is None:
+        size, dual = 0, (ctx.m,) * ctx.k
+    else:
+        if not pairing.fits_in_box(ctx.k, ctx.m):
+            raise ValueError(f"{pairing} does not fit the {ctx.k}x{ctx.m} box")
+        size = pairing.size
+        parts = (ctx.m - pairing.part(ctx.k - 1 - i) for i in range(ctx.k))
+        dual = tuple(part for part in parts if part)
+    return to_schubert(ctx, p.degree_part(ctx.dim - size)).get(dual, 0)
 
 
 def integrate_oracle(ctx: GrassContext, p: GradedPoly) -> int:
@@ -417,10 +429,6 @@ class StructRing:
         return max(self.degrees)
 
     @property
-    def has_pushforward(self) -> bool:
-        return self._pushforward is not None
-
-    @property
     def pushforward_target(self) -> "StructRing":
         if self._pushforward is None:
             raise UnsupportedOperationError(f"ring {self.name!r} has no pushforward")
@@ -563,7 +571,7 @@ class StructElement(ClassCarrier):
 
     def __add__(self, other: "StructElement | int") -> "StructElement":
         if isinstance(other, int):
-            other = other * self.ring.one()
+            other = exact_int(other, "operand") * self.ring.one()
         if not isinstance(other, StructElement):
             return NotImplemented
         self._check_ring(other)
@@ -574,6 +582,7 @@ class StructElement(ClassCarrier):
 
     def __mul__(self, other: "StructElement | int") -> "StructElement":
         if isinstance(other, int):
+            exact_int(other, "factor")
             return StructElement(self.ring, {i: c * other for i, c in self.coeffs.items()})
         if not isinstance(other, StructElement):
             return NotImplemented

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bundles import sym_ustar
-from .chow import GrassContext, Partition, integrate, to_schubert
+from .chow import GrassContext, Partition, integrate
 from .residual import IntersectionSetup, regular_decompose
 from .symfunc import GradedPoly, exact_int
 
@@ -120,7 +120,8 @@ def fano_class(ctx: GrassContext, d: int) -> GradedPoly:
 
 def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:
     """``pairing`` as a ``Partition``, refused unless it fits the box and its
-    size is the family dimension ``max(excess, 0)``: none is dropped silently."""
+    size is the family dimension ``max(excess, 0)``: none is dropped silently.
+    Checked here, before any class is built."""
     if pairing is None:
         return None
     if not isinstance(pairing, Partition):
@@ -136,16 +137,11 @@ def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:
 def _paired_degree(
     ctx: GrassContext, value: GradedPoly, excess: int, pairing: Partition | None
 ) -> int | None:
-    """Degree of ``value``, paired with the class of a checked ``pairing`` l
-    if one is given; ``None`` for an unpaired positive-dimensional family.
-    Schubert classes pair to one only with their duals, so the pairing is the
-    coefficient of l^v_i = m - l_(k+1-i) in the Schubert expansion of the
-    part of ``value`` in degree dim - |l|."""
-    if pairing is None:
-        return None if excess > 0 else integrate(ctx, value)
-    dual = tuple(ctx.m - pairing.part(ctx.k - 1 - i) for i in range(ctx.k))
-    expansion = to_schubert(ctx, value.degree_part(ctx.dim - pairing.size))
-    return expansion.get(tuple(p for p in dual if p), 0)
+    """Degree of ``value``, paired with a checked ``pairing`` if one is
+    given; ``None`` for an unpaired positive-dimensional family."""
+    if pairing is None and excess > 0:
+        return None
+    return integrate(ctx, value, pairing)
 
 
 def fano_family(ctx: GrassContext, d: int, pairing=None) -> tuple[GradedPoly, int, int | None]:
@@ -184,7 +180,6 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     ambient_bundle = sym_ustar(ctx, d)
     excess = ctx.dim - ambient_bundle.rank
     pairing = _check_pairing(ctx, pairing, excess)
-    # No integration ring: the degrees are paired below, once per class.
     setup = IntersectionSetup(cN=ambient_bundle.total_chern, d=ambient_bundle.rank)
     (k1, e1), (k2, e2) = spec.pieces
     bundle1 = sym_ustar(ctx, k1, e1)

@@ -10,9 +10,10 @@ needs:
   through its divisor class, R through its Segre class; the adjunct terms
   carry binomial weights and powers of -D.
 
-* ``symmetric_decompose``: W is dominated by two divisors on a blow-up of
-  V; everything is evaluated upstairs and pushed forward, and the two
-  components are treated symmetrically.
+* ``symmetric_decompose``: W is dominated by two divisors E1 and E2 on a
+  blow-up of V.  It is ``divisor_decompose`` applied upstairs, with D = E1
+  and R = E2, each entering through its Segre class s(E) = E * (1 + E)^-1;
+  every class is then pushed forward to V.
 
 * ``regular_decompose``: W = Z1 union Z2 with both pieces regularly
   embedded with known normal bundles, meeting transversally along their
@@ -20,12 +21,14 @@ needs:
   intersection and built from Segre classes of the two normal bundles;
   both adjuncts share one table of products s_x(N1) * s_y(N2).
 
-All classes, Segre classes included, are carriers graded by codimension.
-Each component is reported as a main term (the class the piece would
-contribute if it were alone, weighted by its own Segre class) plus an
-adjunct correction; components always sum to the total intersection class,
-and the symmetric evaluator checks that against an independently computed,
-unregrouped total.
+All classes, Segre classes included, are carriers graded by codimension,
+and the evaluators return classes only: a caller that wants degrees
+integrates them itself (``chow.integrate`` on a Grassmannian,
+``StructElement.integrate`` on a tabulated ring).  Each component is
+reported as a main term (the class the piece would contribute if it were
+alone, weighted by its own Segre class) plus an adjunct correction;
+components always sum to the total intersection class, and the symmetric
+evaluator checks that against an independently computed, unregrouped total.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .bundles import BundleClass
-from .chow import GrassContext, StructRing
-from .chow import integrate as grass_integrate
-from .errors import UnsupportedOperationError
 from .symfunc import exact_int
 
 
@@ -45,14 +45,12 @@ class IntersectionSetup:
     """Fixed data of one residual intersection problem.
 
     ``cN`` is the total Chern class of the pulled-back normal bundle (unit
-    constant term required: the formulas feed it into truncated series),
-    ``d`` its codimension, and ``ring`` an optional integration context (a
-    ``GrassContext`` or a ``StructRing``) used to attach degrees.
+    constant term required: the formulas feed it into truncated series) and
+    ``d`` its codimension.
     """
 
     cN: object
     d: int
-    ring: object = None
 
     def __post_init__(self) -> None:
         if exact_int(self.d, "codimension d") < 1:
@@ -75,15 +73,11 @@ class DecompositionComponent:
 class Decomposition:
     """Per-component split of the intersection class.
 
-    ``degrees`` aligns with ``components`` as (main, adjunct, total)
-    triples and is present when the setup carried an integration ring.
     ``ambient_total`` is the full intersection class the components sum to.
     """
 
     components: tuple[DecompositionComponent, ...]
     ambient_total: object
-    degrees: tuple[tuple[int, int, int], ...] | None = None
-    ambient_degree: int | None = None
 
     @property
     def conserved(self) -> bool:
@@ -93,46 +87,9 @@ class Decomposition:
         return total == self.ambient_total
 
 
-def _integrate(ring, value) -> int:
-    if isinstance(ring, GrassContext):
-        return grass_integrate(ring, value)
-    if isinstance(ring, StructRing):
-        return value.integrate()
-    raise UnsupportedOperationError(f"cannot integrate over {ring!r}")
-
-
-def _attach_degrees(setup: IntersectionSetup, components, ambient_total) -> Decomposition:
-    components = tuple(components)
-    degrees = None
-    ambient_degree = None
-    if setup.ring is not None:
-        degrees = tuple(
-            (
-                _integrate(setup.ring, c.main),
-                _integrate(setup.ring, c.adjunct),
-                _integrate(setup.ring, c.total),
-            )
-            for c in components
-        )
-        ambient_degree = _integrate(setup.ring, ambient_total)
-    return Decomposition(components, ambient_total, degrees, ambient_degree)
-
-
 def main_term(setup: IntersectionSetup, sZ):
     """The codimension-d part of c(N) * s(Z,V): the one-piece answer."""
     return (setup.cN * sZ).degree_part(setup.d)
-
-
-def disjoint_sum(setup: IntersectionSetup, segre_list) -> object:
-    """Total class when the pieces of W are pairwise disjoint.
-
-    ``segre_list`` holds the Segre class of each piece.  With no points in
-    common there are no adjunct corrections; the contributions just add up.
-    """
-    total = setup.cN.zero_like()
-    for sZ in segre_list:
-        total = total + main_term(setup, sZ)
-    return total
 
 
 def divisor_decompose(
@@ -148,7 +105,7 @@ def divisor_decompose(
     classes of the two pieces.  The adjunct terms weight Chern classes of N
     against powers of -D and codimension components of s(R,V); every term
     of either adjunct vanishes when D and R share no geometry (sR has no
-    low-codimension part), recovering the disjoint sum.
+    low-codimension part), leaving the sum of the two main terms.
     """
     d = setup.d
     if Dclass.degree_part(1) != Dclass:
@@ -173,8 +130,12 @@ def divisor_decompose(
         DecompositionComponent(labels[0], main_d, adj_d, main_d + adj_d),
         DecompositionComponent(labels[1], main_r, adj_r, main_r + adj_r),
     )
-    ambient = components[0].total + components[1].total
-    return _attach_degrees(setup, components, ambient)
+    return Decomposition(components, components[0].total + components[1].total)
+
+
+def _divisor_segre(e):
+    """Segre class e * (1 + e)^-1 of an effective divisor with class ``e``."""
+    return e * (1 + e).series_inverse()
 
 
 def symmetric_decompose(
@@ -185,48 +146,25 @@ def symmetric_decompose(
 ) -> Decomposition:
     """Split the class between two divisors dominating W on a blow-up.
 
-    ``setup.ring`` must be the blow-up ring, carrying a pushforward to the
-    base; ``e1`` and ``e2`` are the divisor classes upstairs.  Main and
-    adjunct terms are computed upstairs and pushed forward; the reported
-    ambient total is the unregrouped alternating sum, so components summing
-    to it is a genuine check of the binomial regrouping, not a tautology.
+    ``setup`` and the divisor classes ``e1`` and ``e2`` live upstairs, in a
+    ring whose classes have a ``pushforward()`` to the base.  The split is
+    ``divisor_decompose`` with D = E1 and R = E2, every class pushed
+    forward.  The reported ambient total is the one-piece term of the whole
+    divisor E1 + E2, pushed forward, so components summing to it is a
+    genuine check of the binomial regrouping, not a tautology.
     """
-    ring = setup.ring
-    if not isinstance(ring, StructRing) or not ring.has_pushforward:
-        raise UnsupportedOperationError(
-            "symmetric_decompose needs a structure ring with a pushforward"
-        )
-    d = setup.d
-    for e in (e1, e2):
-        if e.degree_part(1) != e:
-            raise ValueError("divisor classes must be homogeneous of codimension 1")
-
-    def component(own, other, label: str) -> DecompositionComponent:
-        main = ring.zero()
-        adjunct = ring.zero()
-        for i in range(0, d):
-            ci = setup.cN.degree_part(i)
-            if ci.is_zero:
-                continue
-            main = main + ci * (-own) ** (d - 1 - i) * own
-            for j in range(1, d - i):
-                weight = comb(d - 1 - i, j)
-                adjunct = adjunct + weight * (
-                    ci * (-other) ** j * (-own) ** (d - 1 - i - j) * own
-                )
-        main = main.pushforward()
-        adjunct = adjunct.pushforward()
-        return DecompositionComponent(label, main, adjunct, main + adjunct)
-
-    components = (component(e1, e2, labels[0]), component(e2, e1, labels[1]))
-    total_divisor = e1 + e2
-    ambient = ring.zero()
-    for i in range(0, d):
-        ci = setup.cN.degree_part(i)
-        if ci.is_zero:
-            continue
-        ambient = ambient + ci * (-total_divisor) ** (d - 1 - i) * total_divisor
-    return _attach_degrees(setup, components, ambient.pushforward())
+    # ``divisor_decompose`` checks e1, which it receives as the divisor class.
+    if e2.degree_part(1) != e2:
+        raise ValueError("divisor classes must be homogeneous of codimension 1")
+    upstairs = divisor_decompose(
+        setup, _divisor_segre(e1), e1, _divisor_segre(e2), labels=labels
+    )
+    components = []
+    for c in upstairs.components:
+        main, adjunct = c.main.pushforward(), c.adjunct.pushforward()
+        components.append(DecompositionComponent(c.label, main, adjunct, main + adjunct))
+    ambient = main_term(setup, _divisor_segre(e1 + e2)).pushforward()
+    return Decomposition(tuple(components), ambient)
 
 
 def regular_decompose(
@@ -294,5 +232,4 @@ def regular_decompose(
         DecompositionComponent(labels[0], main1, adj1, main1 + adj1),
         DecompositionComponent(labels[1], main2, adj2, main2 + adj2),
     )
-    ambient = components[0].total + components[1].total
-    return _attach_degrees(setup, components, ambient)
+    return Decomposition(components, components[0].total + components[1].total)

@@ -44,6 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import kernel
 from .errors import ContextMismatchError, NonUnitError, NotSymmetricError
+from .errors import UnsupportedOperationError
 
 Exponent = tuple[int, ...]
 TermMap = dict[int, int]
@@ -181,7 +182,9 @@ class ClassCarrier:
     * ``constant_term``, the unit coefficient as an int; ``is_zero``;
       ``truncation``, the top degree the ring keeps;
     * ``series_inverse()``, the inverse of an element with constant term 1;
-    * ``to_string()``, also ``str(a)``.
+    * ``to_string()``, also ``str(a)``;
+    * ``pushforward()``, the image in a base ring; this base raises
+      ``UnsupportedOperationError``, and a ring with a pushforward overrides it.
 
     A carrier supplies its storage and only these members: ``+``, unary
     ``-`` and ``*`` (each also accepting an ``int``), ``==`` with hashing,
@@ -189,8 +192,9 @@ class ClassCarrier:
     ``truncation`` and ``to_string``.  This base derives the rest once:
     binary ``-``, the reflected operators, ``**``, truth, ``str``,
     ``one_like``, ``degree_scale`` (from ``degree_part``) and
-    ``series_inverse``.  An exponent or a scale factor that is a float or a
-    bool raises ``ValueError``; it is never rounded.
+    ``series_inverse``.  An exponent, a scale factor or an ``int`` operand
+    that is a float or a bool raises ``ValueError``; it is never rounded,
+    and a bool is never read as 0 or 1.
     """
 
     __slots__ = ()
@@ -204,10 +208,16 @@ class ClassCarrier:
     def __radd__(self, other: int) -> "ClassCarrier":
         return self.__add__(other)
 
+    # Both ``-`` operators check an int operand themselves: ``a - True``
+    # negates it into a plain int before the carrier's ``__add__`` sees it.
     def __sub__(self, other: "ClassCarrier | int") -> "ClassCarrier":
+        if isinstance(other, int):
+            exact_int(other, "operand")
         return self.__add__(-other)
 
     def __rsub__(self, other: int) -> "ClassCarrier":
+        if isinstance(other, int):
+            exact_int(other, "operand")
         return (-self).__add__(other)
 
     def __rmul__(self, other: int) -> "ClassCarrier":
@@ -248,6 +258,9 @@ class ClassCarrier:
         # Looked up in this module at call time, so the one module-level
         # binding serves every carrier.
         return series_inverse(self)
+
+    def pushforward(self) -> "ClassCarrier":
+        raise UnsupportedOperationError(f"{type(self).__name__} has no pushforward")
 
 
 class GradedPoly(ClassCarrier):
@@ -377,7 +390,7 @@ class GradedPoly(ClassCarrier):
 
     def __mul__(self, other: "GradedPoly | int") -> "GradedPoly":
         if isinstance(other, int):
-            if other == 0:
+            if exact_int(other, "factor") == 0:
                 return GradedPoly.zero(self.spec)
             return GradedPoly._raw(
                 self.spec, {k: c * other for k, c in self.packed.items()}

@@ -2,7 +2,9 @@
 
 ``bundles``, ``residual``, ``identities`` and ``limits`` must run over any
 ``symfunc.ClassCarrier``.  This reads their source: no ``isinstance`` test
-against a concrete carrier, and no access to a carrier's storage.
+against a concrete carrier, and no access to a carrier's storage.  Nor does
+``residual`` import from ``chow``: it returns classes, and its callers
+integrate them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 LAYERS = ("bundles", "residual", "identities", "limits")
 CARRIERS = {"GradedPoly", "StructElement"}
 STORAGE = {"packed", "coeffs", "_parts", "_raw", "terms"}
+# Layer -> the schubres modules it may not import from.
+BANNED_IMPORTS = {"residual": {"chow"}}
 
 
 def protocol_breaches(source: str) -> list[str]:
@@ -39,6 +43,40 @@ def protocol_breaches(source: str) -> list[str]:
             for carrier in sorted(named & CARRIERS):
                 breaches.append(f"line {node.lineno}: isinstance(..., {carrier})")
     return breaches
+
+
+def schubres_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) for each schubres module ``source`` imports from, the
+    module named within the package; relative imports are read as made from
+    a module of the package itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"schubres.{module}" if module else "schubres"
+            if module == "schubres":
+                targets = [f"schubres.{alias.name}" for alias in node.names]
+            else:
+                targets = [module]
+        else:
+            continue
+        found.extend(
+            (node.lineno, target.split(".")[1])
+            for target in targets
+            if target.startswith("schubres.")
+        )
+    return found
+
+
+def import_breaches(source: str, banned: set[str]) -> list[str]:
+    return [
+        f"line {line}: imports {module}"
+        for line, module in schubres_imports(source)
+        if module in banned
+    ]
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -71,3 +109,31 @@ fine = isinstance(ring, GrassContext) and bundle.total_chern.degree_part(1)
         "line 9: ._parts",
         "line 10: ._raw",
     ])
+
+
+@pytest.mark.parametrize("layer", sorted(BANNED_IMPORTS))
+def test_layer_keeps_off_banned_modules(layer: str) -> None:
+    module = importlib.import_module(f"schubres.{layer}")
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert import_breaches(source, BANNED_IMPORTS[layer]) == []
+
+
+def test_import_check_catches_breaches() -> None:
+    source = """
+from .chow import integrate
+from schubres.chow import StructRing
+from . import chow
+from schubres import bundles, chow
+import schubres.chow as grass
+from .bundles import BundleClass
+from .symfunc import exact_int
+from math import comb
+import schubres.symfunc
+"""
+    assert import_breaches(source, {"chow"}) == [
+        "line 2: imports chow",
+        "line 3: imports chow",
+        "line 4: imports chow",
+        "line 5: imports chow",
+        "line 6: imports chow",
+    ]

@@ -16,13 +16,18 @@ from math import comb
 import pytest
 
 from schubres.bundles import BundleClass, sym_ustar, ustar
-from schubres.chow import GrassContext, StructRing, blowup_plane_at_point, projective_space
+from schubres.chow import (
+    GrassContext,
+    StructRing,
+    blowup_plane_at_point,
+    integrate,
+    projective_space,
+)
 from schubres.errors import UnsupportedOperationError
 from schubres.limits import enumerate_degenerations
 from schubres.residual import (
     Decomposition,
     IntersectionSetup,
-    disjoint_sum,
     divisor_decompose,
     main_term,
     regular_decompose,
@@ -34,7 +39,16 @@ from schubres.symfunc import parse_poly
 def blowup_setup() -> tuple[StructRing, IntersectionSetup]:
     ring = blowup_plane_at_point()
     cN = ring.parse("1 + 2*h") ** 2
-    return ring, IntersectionSetup(cN=cN, d=2, ring=ring)
+    return ring, IntersectionSetup(cN=cN, d=2)
+
+
+def degrees(dec: Decomposition, integrate_class=lambda value: value.integrate()):
+    """(main, adjunct, total) degree of each component: the evaluators return
+    classes only, so the caller integrates them."""
+    return tuple(
+        (integrate_class(c.main), integrate_class(c.adjunct), integrate_class(c.total))
+        for c in dec.components
+    )
 
 
 def test_setup_validation() -> None:
@@ -69,8 +83,8 @@ def test_divisor_decompose_exceptional_first() -> None:
     assert d_comp.total == ring.parse("2*P")
     assert r_comp.total == ring.parse("2*P")
     assert dec.ambient_total == ring.parse("4*P")
-    assert dec.degrees == ((1, 1, 2), (1, 1, 2))
-    assert dec.ambient_degree == 4
+    assert degrees(dec) == ((1, 1, 2), (1, 1, 2))
+    assert dec.ambient_total.integrate() == 4
     assert dec.conserved
 
 
@@ -84,9 +98,9 @@ def test_divisor_decompose_whole_scheme_first() -> None:
         ring.parse("2*e"),
         ring.zero(),
     )
-    assert dec.degrees == ((4, 0, 4), (0, 0, 0))
+    assert degrees(dec) == ((4, 0, 4), (0, 0, 0))
     assert dec.components[0].adjunct.is_zero
-    assert dec.ambient_degree == 4
+    assert dec.ambient_total.integrate() == 4
 
 
 def test_divisor_decompose_rejects_non_divisor() -> None:
@@ -100,7 +114,7 @@ def test_coarser_main_term_comparison() -> None:
     # Working downstairs with the unresolved scheme: the main term sees only
     # one of the four points and the other three are residual.
     base = projective_space(2)
-    setup = IntersectionSetup(cN=base.parse("1 + 4*h + 4*h2"), d=2, ring=base)
+    setup = IntersectionSetup(cN=base.parse("1 + 4*h + 4*h2"), d=2)
     main = main_term(setup, base.parse("h2"))
     assert main == base.parse("h2")
     total = base.parse("4*h2")
@@ -117,49 +131,124 @@ def test_symmetric_decompose_matches_divisor_route() -> None:
         assert component.adjunct == target.parse("h2")
         assert component.total == target.parse("2*h2")
     assert dec.ambient_total == target.parse("4*h2")
-    assert dec.degrees == ((1, 1, 2), (1, 1, 2))
+    assert degrees(dec) == ((1, 1, 2), (1, 1, 2))
     assert dec.conserved
 
 
 def test_symmetric_decompose_empty_second_divisor() -> None:
     ring, setup = blowup_setup()
     dec = symmetric_decompose(setup, ring.parse("2*e"), ring.zero())
-    assert dec.degrees == ((4, 0, 4), (0, 0, 0))
+    assert degrees(dec) == ((4, 0, 4), (0, 0, 0))
     assert dec.conserved
 
 
 def test_symmetric_decompose_needs_pushforward() -> None:
     base = projective_space(2)
-    setup = IntersectionSetup(cN=base.one(), d=2, ring=base)
+    setup = IntersectionSetup(cN=base.one(), d=2)
     with pytest.raises(UnsupportedOperationError):
         symmetric_decompose(setup, base.parse("h"), base.parse("h"))
+    ctx = GrassContext(1, 3)
+    x = parse_poly(ctx.spec, "x")
+    with pytest.raises(UnsupportedOperationError):
+        symmetric_decompose(IntersectionSetup(cN=1 + x, d=2), x, x)
 
 
-def identity_pushforward_plane() -> StructRing:
-    base = projective_space(2)
+def identity_pushforward_space(m: int) -> StructRing:
+    """Projective m-space with the identity pushforward to itself."""
+    base = projective_space(m)
+    products = {
+        (a, b): {base.labels[i + j]: 1}
+        for i, a in enumerate(base.labels[1:], 1)
+        for j, b in enumerate(base.labels[i:], i)
+        if i + j <= m
+    }
     return StructRing(
-        name="p2_id",
+        name=f"p{m}_id",
         labels=base.labels,
         degrees=base.degrees,
-        products={("h", "h"): {"h2": 1}},
-        integral={"h2": 1},
-        pushforward=(base, {"1": {"1": 1}, "h": {"h": 1}, "h2": {"h2": 1}}),
+        products=products,
+        integral={base.labels[m]: 1},
+        pushforward=(base, {label: {label: 1} for label in base.labels}),
     )
+
+
+def explicit_symmetric_components(setup, e1, e2):
+    """(main, adjunct) of each divisor, pushed forward, and the pushed-forward
+    ambient total, each written out from its own formula.
+
+    The reference for ``symmetric_decompose``: the main term of E_l is the
+    sum of c_i(N) * (-E_l)^(d-1-i) * E_l, its adjunct the sum of
+    comb(d-1-i, j) * c_i(N) * (-E_o)^j * (-E_l)^(d-1-i-j) * E_l over j >= 1,
+    and the ambient total is the main term of E1 + E2.
+    """
+    d = setup.d
+
+    def component(own, other):
+        main = own.zero_like()
+        adjunct = own.zero_like()
+        for i in range(0, d):
+            ci = setup.cN.degree_part(i)
+            main = main + ci * (-own) ** (d - 1 - i) * own
+            for j in range(1, d - i):
+                weight = comb(d - 1 - i, j)
+                adjunct = adjunct + weight * (
+                    ci * (-other) ** j * (-own) ** (d - 1 - i - j) * own
+                )
+        return main.pushforward(), adjunct.pushforward()
+
+    whole = e1 + e2
+    ambient = whole.zero_like()
+    for i in range(0, d):
+        ambient = ambient + setup.cN.degree_part(i) * (-whole) ** (d - 1 - i) * whole
+    return (component(e1, e2), component(e2, e1)), ambient.pushforward()
+
+
+def test_symmetric_decompose_matches_explicit_reference() -> None:
+    rng = random.Random(20261019)
+
+    def coefficient() -> int:
+        return rng.randint(-4, 4)
+
+    rings = [blowup_plane_at_point()] + [identity_pushforward_space(m) for m in (3, 4, 5)]
+    checked = 0
+    for ring in rings:
+        divisors = [label for label, degree in zip(ring.labels, ring.degrees) if degree == 1]
+        for d in range(1, ring.top_degree + 1):
+            for _ in range(6):
+                cN = ring.one()
+                for i, label in enumerate(ring.labels):
+                    if ring.degrees[i] > 0:
+                        cN = cN + coefficient() * ring.element(label)
+                e1, e2 = (
+                    sum((coefficient() * ring.element(label) for label in divisors), ring.zero())
+                    for _ in range(2)
+                )
+                setup = IntersectionSetup(cN=cN, d=d)
+                dec = symmetric_decompose(setup, e1, e2)
+                expected, ambient = explicit_symmetric_components(setup, e1, e2)
+                for component, (main, adjunct) in zip(dec.components, expected):
+                    assert component.main == main
+                    assert component.adjunct == adjunct
+                    assert component.total == main + adjunct
+                assert dec.ambient_total == ambient
+                assert dec.conserved
+                checked += 1
+    assert checked == 6 * (2 + 3 + 4 + 5)
 
 
 def test_symmetric_equals_regular_on_transverse_divisors() -> None:
     # Two transverse lines in the plane: blowing up along a divisor changes
     # nothing, so the symmetric evaluator with the identity pushforward must
     # agree with the regular-embedding evaluator fed the line bundles.
-    ring = identity_pushforward_plane()
+    ring = identity_pushforward_space(2)
     base = ring.pushforward_target
     cN = ring.parse("1 + 2*h") * ring.parse("1 + 3*h")
-    setup = IntersectionSetup(cN=cN, d=2, ring=ring)
+    setup = IntersectionSetup(cN=cN, d=2)
     h = ring.parse("h")
     sym = symmetric_decompose(setup, h, h)
 
     cN_base = base.parse("1 + 2*h") * base.parse("1 + 3*h")
-    base_setup = IntersectionSetup(cN=cN_base, d=2, ring=base)
+    base_setup = IntersectionSetup(cN=cN_base, d=2)
     line = BundleClass(1, base.parse("1 + h"))
     reg = regular_decompose(
         base_setup, line, line,
@@ -169,19 +258,19 @@ def test_symmetric_equals_regular_on_transverse_divisors() -> None:
         assert sym_comp.main == reg_comp.main
         assert sym_comp.adjunct == reg_comp.adjunct
     assert sym.ambient_total == reg.ambient_total
-    assert sym.degrees == reg.degrees == ((4, -1, 3), (4, -1, 3))
+    assert degrees(sym) == degrees(reg) == ((4, -1, 3), (4, -1, 3))
 
 
 def test_disjoint_sum_matches_decomposition_without_overlap() -> None:
     # A line and a point off the line: no shared geometry, no adjuncts.
     base = projective_space(2)
-    setup = IntersectionSetup(cN=base.parse("1 + 3*h + 3*h2"), d=2, ring=base)
+    setup = IntersectionSetup(cN=base.parse("1 + 3*h + 3*h2"), d=2)
     s_line = base.parse("h - h2")
     s_point = base.parse("h2")
     dec = divisor_decompose(setup, s_line, base.parse("h"), s_point)
     assert dec.components[0].adjunct.is_zero
     assert dec.components[1].adjunct.is_zero
-    assert dec.ambient_total == disjoint_sum(setup, [s_line, s_point])
+    assert dec.ambient_total == main_term(setup, s_line) + main_term(setup, s_point)
 
 
 def test_regular_decompose_on_cubic_surfaces() -> None:
@@ -189,7 +278,7 @@ def test_regular_decompose_on_cubic_surfaces() -> None:
     # the 27 lines split as 3 on the plane side and 24 on the quadric side.
     ctx = GrassContext(1, 3)
     N = sym_ustar(ctx, 3)
-    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, ring=ctx)
+    setup = IntersectionSetup(cN=N.total_chern, d=N.rank)
     N1 = sym_ustar(ctx, 1, 1)
     N2 = sym_ustar(ctx, 1, 2)
     z1 = N1.chern(2)
@@ -204,16 +293,16 @@ def test_regular_decompose_on_cubic_surfaces() -> None:
     assert first.adjunct == poly("-12*y^2")
     assert first.total == poly("6*x^2*y - 3*y^2")
     assert second.total == poly("12*x^2*y + 12*y^2")
-    assert dec.degrees == ((15, -12, 3), (36, -12, 24))
+    assert degrees(dec, lambda value: integrate(ctx, value)) == ((15, -12, 3), (36, -12, 24))
     assert dec.ambient_total == poly("18*x^2*y + 9*y^2")
-    assert dec.ambient_degree == 27
+    assert integrate(ctx, dec.ambient_total) == 27
     assert dec.conserved
 
 
 def test_regular_decompose_swap_symmetry() -> None:
     ctx = GrassContext(1, 3)
     N = sym_ustar(ctx, 3)
-    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, ring=ctx)
+    setup = IntersectionSetup(cN=N.total_chern, d=N.rank)
     N1 = sym_ustar(ctx, 1, 1)
     N2 = sym_ustar(ctx, 1, 2)
     z1, z2 = N1.chern(2), N2.chern(2)
@@ -229,7 +318,7 @@ def test_regular_decompose_empty_adjunct_ranges() -> None:
     # excess-free and the adjuncts vanish identically.
     ctx = GrassContext(1, 3)
     N = sym_ustar(ctx, 2)
-    setup = IntersectionSetup(cN=N.total_chern, d=N.rank, ring=ctx)
+    setup = IntersectionSetup(cN=N.total_chern, d=N.rank)
     N1 = sym_ustar(ctx, 1, 1)
     N2 = N1
     z = N1.chern(2)

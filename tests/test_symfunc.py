@@ -10,6 +10,7 @@ from schubres.errors import ContextMismatchError, NonUnitError, NotSymmetricErro
 from schubres.chow import (
     GrassContext,
     StructElement,
+    blowup_plane_at_point,
     dual_pieri_multiply,
     projective_space,
 )
@@ -78,6 +79,19 @@ def test_spec_rejects_non_integers() -> None:
             P("x + y") ** bad
         with pytest.raises(ValueError, match="not an integer"):
             P("x + y").degree_scale(bad)
+
+
+@pytest.mark.parametrize(
+    "expression", ["x - True", "e - True", "e + True", "e * True", "True - e", "x * True"]
+)
+def test_bool_operands_are_refused(expression: str) -> None:
+    # x lives on G(1,3), e on the blown-up plane; a bool is never read as 1.
+    operands = {
+        "x": parse_poly(GrassContext(1, 3).spec, "x"),
+        "e": blowup_plane_at_point().element("e"),
+    }
+    with pytest.raises(ValueError, match="not an integer"):
+        eval(expression, {}, operands)
 
 
 def naive_merge(pairs) -> dict:

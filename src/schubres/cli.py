@@ -8,8 +8,19 @@ Subcommands:
 * ``decompose`` -- run a divisor or symmetric decomposition from a ring
   fixture file.
 
-``schubres --selftest`` replays the package's frozen reference values and
-exits nonzero if any disagree.
+``degenerate`` and ``decompose`` print one shape: per component its
+``label`` (and, for a degeneration piece, its degree ``k`` and multiplicity
+``e``), then ``main_class``, ``adjunct_class``, ``total_class``,
+``main_degree``, ``adjunct_degree`` and ``total_degree``, and then the
+``ambient`` class and degree the components must sum to.  A degree is null
+where the class has none.  CSV has the columns ``case``, ``label``, ``k``,
+``e``, the three degrees and the three classes, one row per component and
+an ``ambient`` row per case; ``decompose`` leaves ``k`` and ``e`` blank.
+
+Exit status is 0 when every result conserves (or every identity holds), 1
+when one does not, and 2 for bad input or usage, reported on one
+``error:`` line, never as a traceback.  ``schubres --selftest`` replays the
+package's frozen reference values and exits 1 if any disagree.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from .limits import (
     fano_family,
 )
 from .residual import (
-    Decomposition,
     IntersectionSetup,
     divisor_decompose,
     main_term,
@@ -128,30 +138,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _fmt_degree(value: int | None) -> str:
-    return "-" if value is None else f"{value:,}"
-
-
-def _degree_or_class(degree: int | None, cls) -> str:
-    return cls.to_string() if degree is None else f"{degree:,}"
-
-
-def _render_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    rows = [list(map(str, row)) for row in rows]
-    widths = [
-        max(len(str(header[i])), *(len(row[i]) for row in rows)) if rows else len(str(header[i]))
-        for i in range(len(header))
-    ]
-    lines = []
-    for row in [list(map(str, header))] + rows:
-        cells = [
-            row[i].ljust(widths[i]) if i == 0 else row[i].rjust(widths[i])
-            for i in range(len(row))
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
-
-
 def _emit(text: str, args: argparse.Namespace) -> None:
     output = getattr(args, "output", None)
     if output:
@@ -167,51 +153,42 @@ def _context_payload(ctx: GrassContext, degree: int | None = None) -> dict:
     return payload
 
 
-def _limit_payload(report: LimitReport) -> dict:
+_KINDS = ("main", "adjunct", "total")
+
+
+def _component(label: str, classes, degrees, **extra) -> dict:
+    """One component of a decomposition, as every report prints it: the
+    label, any ``extra`` keys, then the (main, adjunct, total) classes and
+    degrees.  A degree is ``None`` where the class has none."""
     return {
-        "context": _context_payload(report.spec.context, report.spec.degree),
-        "pieces": [
-            {
-                "label": piece.label,
-                "k": piece.degree,
-                "e": piece.multiplicity,
-                "main_class": piece.main_class.to_string(),
-                "adjunct_class": piece.adjunct_class.to_string(),
-                "total_class": piece.total_class.to_string(),
-                "main_degree": piece.main_degree,
-                "adjunct_degree": piece.adjunct_degree,
-                "total_degree": piece.total_degree,
-            }
-            for piece in report.pieces
-        ],
-        "ambient": {
-            "class": report.ambient_class.to_string(),
-            "degree": report.ambient_degree,
-        },
-        "conserved": report.conserved,
+        "label": label,
+        **extra,
+        **{f"{kind}_class": cls.to_string() for kind, cls in zip(_KINDS, classes)},
+        **{f"{kind}_degree": degree for kind, degree in zip(_KINDS, degrees)},
     }
 
 
-def _limit_table(report: LimitReport) -> str:
-    ctx = report.spec.context
-    lines = [
-        f"degeneration: {report.spec}  "
-        f"(degree {report.spec.degree} on G({ctx.r}, {ctx.n}))"
+def _ambient(cls, degree: int | None) -> dict:
+    return {"class": cls.to_string(), "degree": degree}
+
+
+def _cell(degree: int | None, cls: str) -> str:
+    """A table cell: the degree, or the class where there is no degree."""
+    return cls if degree is None else f"{degree:,}"
+
+
+def _component_table(first: str, components: list[dict]) -> str:
+    """One row per component under a header: the label left-aligned, then
+    the main, adjunct and total cells right-aligned."""
+    rows = [(first, *_KINDS)] + [
+        (c["label"], *(_cell(c[f"{kind}_degree"], c[f"{kind}_class"]) for kind in _KINDS))
+        for c in components
     ]
-    rows = [
-        [
-            piece.label,
-            _degree_or_class(piece.main_degree, piece.main_class),
-            _degree_or_class(piece.adjunct_degree, piece.adjunct_class),
-            _degree_or_class(piece.total_degree, piece.total_class),
-        ]
-        for piece in report.pieces
-    ]
-    lines.append(_render_table(("piece", "main", "adjunct", "total"), rows))
-    ambient = _degree_or_class(report.ambient_degree, report.ambient_class)
-    lines.append(f"ambient total: {ambient}")
-    lines.append(f"conserved: {'yes' if report.conserved else 'NO'}")
-    return "\n".join(lines)
+    label_width, *widths = (max(map(len, column)) for column in zip(*rows))
+    return "\n".join(
+        "  ".join([label.ljust(label_width), *map(str.rjust, cells, widths)]).rstrip()
+        for label, *cells in rows
+    )
 
 
 _CSV_FIELDS = (
@@ -221,41 +198,48 @@ _CSV_FIELDS = (
 )
 
 
-def _csv_rows(case: str, components, ambient_degree, ambient_class) -> list[dict]:
-    """One CSV row per component, then the ambient row.
-
-    Each component is ``(label, k, e, degrees, classes)`` with the
-    (main, adjunct, total) degrees and classes as triples.
-    """
-    rows = [
-        dict(zip(_CSV_FIELDS, (case, label, k, e, *degrees, *map(str, classes))))
-        for label, k, e, degrees, classes in components
-    ]
-    ambient = (case, "ambient", "", "", "", "", ambient_degree, "", "", str(ambient_class))
-    rows.append(dict(zip(_CSV_FIELDS, ambient)))
-    return rows
-
-
-def _limit_csv_rows(report: LimitReport) -> list[dict]:
-    components = [
-        (
-            piece.label,
-            piece.degree,
-            piece.multiplicity,
-            (piece.main_degree, piece.adjunct_degree, piece.total_degree),
-            (piece.main_class, piece.adjunct_class, piece.total_class),
-        )
-        for piece in report.pieces
-    ]
-    return _csv_rows(str(report.spec), components, report.ambient_degree, report.ambient_class)
-
-
-def _write_csv(rows: list[dict]) -> str:
+def _write_csv(cases: Iterable[tuple[str, list[dict], dict]]) -> str:
+    """One row per component, then the ambient row, for each
+    ``(case, components, ambient)``; columns a row lacks stay blank."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, restval="", lineterminator="\n")
     writer.writeheader()
-    writer.writerows(rows)
+    for case, components, ambient in cases:
+        writer.writerows({"case": case, **component} for component in components)
+        writer.writerow({
+            "case": case, "label": "ambient",
+            "total_degree": ambient["degree"], "total_class": ambient["class"],
+        })
     return buffer.getvalue().rstrip("\n")
+
+
+def _limit_payload(report: LimitReport) -> dict:
+    return {
+        "context": _context_payload(report.spec.context, report.spec.degree),
+        "pieces": [
+            _component(
+                piece.label,
+                (piece.main_class, piece.adjunct_class, piece.total_class),
+                (piece.main_degree, piece.adjunct_degree, piece.total_degree),
+                k=piece.degree,
+                e=piece.multiplicity,
+            )
+            for piece in report.pieces
+        ],
+        "ambient": _ambient(report.ambient_class, report.ambient_degree),
+        "conserved": report.conserved,
+    }
+
+
+def _limit_table(spec: DegenerationSpec, payload: dict) -> str:
+    ambient = payload["ambient"]
+    return "\n".join([
+        f"degeneration: {spec}  "
+        f"(degree {spec.degree} on G({spec.context.r}, {spec.context.n}))",
+        _component_table("piece", payload["pieces"]),
+        f"ambient total: {_cell(ambient['degree'], ambient['class'])}",
+        f"conserved: {'yes' if payload['conserved'] else 'NO'}",
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +294,20 @@ def cmd_degenerate(args: argparse.Namespace) -> int:
                 f"pieces have total degree {got}, which contradicts --degree {args.degree}"
             )
     specs = [DegenerationSpec(ctx, pieces) for pieces in piece_pairs]
-    reports = [decompose_degeneration(spec, args.pair) for spec in specs]
+    payloads = [_limit_payload(decompose_degeneration(spec, args.pair)) for spec in specs]
 
     if args.format == "json":
         if args.all:
-            payload = {
-                "context": _context_payload(ctx, args.degree),
-                "cases": [_limit_payload(report) for report in reports],
-            }
+            payload = {"context": _context_payload(ctx, args.degree), "cases": payloads}
         else:
-            payload = _limit_payload(reports[0])
+            payload = payloads[0]
         _emit(json.dumps(payload, indent=2), args)
     elif args.format == "csv":
-        rows = [row for report in reports for row in _limit_csv_rows(report)]
-        _emit(_write_csv(rows), args)
+        cases = [(str(spec), p["pieces"], p["ambient"]) for spec, p in zip(specs, payloads)]
+        _emit(_write_csv(cases), args)
     else:
-        _emit("\n\n".join(_limit_table(report) for report in reports), args)
-    return 0 if all(report.conserved for report in reports) else 1
+        _emit("\n\n".join(_limit_table(spec, p) for spec, p in zip(specs, payloads)), args)
+    return 0 if all(p["conserved"] for p in payloads) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -387,156 +368,129 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
     raise ValueError(f"cannot resolve ring from {value!r}")
 
 
-def _run_fixture(data: dict, base_dir: Path) -> tuple[Decomposition, IntersectionSetup, StructRing]:
-    ring = _resolve_ring(data["ring"], base_dir)
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a mapping of keys, got {type(value).__name__}")
+    return value
+
+
+def _fixture_payload(source: str, coarse: bool) -> dict:
+    """Run a decomposition fixture and return the ``decompose`` JSON payload.
+
+    Each class is integrated in its own ring.  ``undecomposed_ok`` compares
+    the summed decomposition with the one-piece main term of the whole
+    scheme when the fixture records its total Segre class, and is ``None``
+    otherwise.  With ``coarse`` the fixture's ``coarse`` section, the same
+    codimension-d intersection on a coarser ring where the pieces are not
+    told apart, is evaluated too; a fixture without one raises
+    ``ValueError``.
+    """
+    path = _fixture_path(source)
+    data = _mapping(yaml.safe_load(path.read_text(encoding="utf-8")), f"fixture {path.name!r}")
+    ring = _resolve_ring(data["ring"], path.parent)
     dim = exact_int(data["dim"], "fixture key 'dim'")
     if dim != ring.top_degree:
         raise ValueError(
             f"fixture key 'dim' is {dim}, but ring {ring.name!r} has top degree "
             f"{ring.top_degree}"
         )
+
+    def element(key: str):
+        return ring.parse(str(data[key]))
+
     setup = IntersectionSetup(
-        cN=ring.parse(str(data["normal_chern"])),
-        d=exact_int(data["codim"], "fixture key 'codim'"),
+        cN=element("normal_chern"), d=exact_int(data["codim"], "fixture key 'codim'")
     )
     mode = data.get("mode", "divisor")
-    labels = tuple(data.get("labels", ("D", "R")))
+    labels = data.get("labels", ["D", "R"])
+    if not (isinstance(labels, list) and list(map(type, labels)) == [str, str]):
+        raise ValueError(f"fixture key 'labels' must be a list of two strings, got {labels!r}")
     if mode == "divisor":
-        decomposition = divisor_decompose(
-            setup,
-            ring.parse(str(data["divisor_segre"])),
-            ring.parse(str(data["divisor_class"])),
-            ring.parse(str(data["residual_segre"])),
-            labels=labels,
-        )
+        keys = ("divisor_segre", "divisor_class", "residual_segre")
+        decomposition = divisor_decompose(setup, *map(element, keys), labels=tuple(labels))
     elif mode == "symmetric":
         decomposition = symmetric_decompose(
-            setup,
-            ring.parse(str(data["first"])),
-            ring.parse(str(data["second"])),
-            labels=labels,
+            setup, element("first"), element("second"), labels=tuple(labels)
         )
     else:
         raise ValueError(f"unknown decomposition mode {mode!r}")
-    return decomposition, setup, ring
 
+    undecomposed = None
+    if "total_segre" in data:
+        whole = main_term(setup, element("total_segre"))
+        if mode == "symmetric":
+            whole = whole.pushforward()
+        undecomposed = whole == decomposition.ambient_total
 
-def _undecomposed_check(
-    data: dict, decomposition: Decomposition, setup: IntersectionSetup, ring: StructRing
-) -> bool | None:
-    """Compare the summed decomposition against the one-piece main term of
-    the whole scheme, when the fixture records its total Segre class."""
-    if "total_segre" not in data:
-        return None
-    whole = main_term(setup, ring.parse(str(data["total_segre"])))
-    if data.get("mode") == "symmetric":
-        whole = whole.pushforward()
-    return whole == decomposition.ambient_total
+    coarse_payload = None
+    if coarse:
+        if "coarse" not in data:
+            raise ValueError(f"fixture {data.get('name', path.name)!r} has no coarse section")
+        section = _mapping(data["coarse"], "fixture key 'coarse'")
+        coarse_ring = _resolve_ring(section["ring"], path.parent)
+        coarse_setup = IntersectionSetup(
+            cN=coarse_ring.parse(str(section["normal_chern"])), d=setup.d
+        )
+        main = main_term(coarse_setup, coarse_ring.parse(str(section["segre"])))
+        coarse_payload = {
+            "main_class": main.to_string(),
+            "main_degree": main.integrate(),
+            "residual_degree": (coarse_ring.parse(str(section["total"])) - main).integrate(),
+        }
 
-
-def _coarse_section(data: dict, d: int, base_dir: Path) -> dict:
-    """Main class and degree, and residual degree, of a fixture's ``coarse``
-    section: the same codimension-d intersection on a coarser ring, where
-    the pieces are not told apart."""
-    coarse = data["coarse"]
-    ring = _resolve_ring(coarse["ring"], base_dir)
-    setup = IntersectionSetup(cN=ring.parse(str(coarse["normal_chern"])), d=d)
-    main = main_term(setup, ring.parse(str(coarse["segre"])))
+    ambient = decomposition.ambient_total
     return {
-        "main_class": main.to_string(),
-        "main_degree": main.integrate(),
-        "residual_degree": (ring.parse(str(coarse["total"])) - main).integrate(),
+        "fixture": data.get("name", path.stem),
+        "mode": mode,
+        "ring": ring.name,
+        "components": [
+            _component(
+                c.label,
+                (c.main, c.adjunct, c.total),
+                (c.main.integrate(), c.adjunct.integrate(), c.total.integrate()),
+            )
+            for c in decomposition.components
+        ],
+        "ambient": _ambient(ambient, ambient.integrate()),
+        "conserved": decomposition.conserved,
+        "undecomposed_ok": undecomposed,
+        "coarse": coarse_payload,
     }
 
 
-def _fixture_degrees(decomposition: Decomposition) -> tuple[tuple, int]:
-    """(main, adjunct, total) degree of each component, and the ambient
-    degree, each class integrated in its own ring."""
-    triples = tuple(
-        (c.main.integrate(), c.adjunct.integrate(), c.total.integrate())
-        for c in decomposition.components
-    )
-    return triples, decomposition.ambient_total.integrate()
+def _fixture_table(payload: dict) -> str:
+    components, ambient = payload["components"], payload["ambient"]
+    lines = [
+        f"fixture: {payload['fixture']} ({payload['mode']} mode, ring {payload['ring']})",
+        _component_table("component", components),
+        f"ambient: {_cell(ambient['degree'], ambient['class'])}",
+        "classes:",
+        *(
+            f"  {c['label']}: main {c['main_class']}, "
+            f"adjunct {c['adjunct_class']}, total {c['total_class']}"
+            for c in components
+        ),
+        f"  ambient {ambient['class']}",
+        f"conserved: {'yes' if payload['conserved'] else 'NO'}",
+    ]
+    if payload["undecomposed_ok"] is not None:
+        lines.append(f"undecomposed check: {'ok' if payload['undecomposed_ok'] else 'FAIL'}")
+    coarse = payload["coarse"]
+    if coarse is not None:
+        lines.append(f"coarse main term: {coarse['main_class']} (degree {coarse['main_degree']})")
+        lines.append(f"coarse residual degree: {coarse['residual_degree']}")
+    return "\n".join(lines)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    path = _fixture_path(args.fixture)
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    decomposition, setup, ring = _run_fixture(data, path.parent)
-    undecomposed = _undecomposed_check(data, decomposition, setup, ring)
-
-    coarse_payload = None
-    if args.coarse:
-        if "coarse" not in data:
-            return _usage_error(f"fixture {data.get('name', path.name)!r} has no coarse section")
-        coarse_payload = _coarse_section(data, setup.d, path.parent)
-
-    name = data.get("name", path.stem)
-    degrees, ambient_degree = _fixture_degrees(decomposition)
-    ok = decomposition.conserved and undecomposed is not False
-
+    payload = _fixture_payload(args.fixture, args.coarse)
     if args.format == "json":
-        payload = {
-            "fixture": name,
-            "mode": data.get("mode", "divisor"),
-            "ring": ring.name,
-            "components": [
-                {
-                    "label": component.label,
-                    "main_class": component.main.to_string(),
-                    "adjunct_class": component.adjunct.to_string(),
-                    "total_class": component.total.to_string(),
-                    "main_degree": triple[0],
-                    "adjunct_degree": triple[1],
-                    "total_degree": triple[2],
-                }
-                for component, triple in zip(decomposition.components, degrees)
-            ],
-            "ambient": {
-                "class": decomposition.ambient_total.to_string(),
-                "degree": ambient_degree,
-            },
-            "conserved": decomposition.conserved,
-            "undecomposed_ok": undecomposed,
-            "coarse": coarse_payload,
-        }
         _emit(json.dumps(payload, indent=2), args)
-        return 0 if ok else 1
-
-    if args.format == "csv":
-        components = [
-            (c.label, "", "", triple, (c.main, c.adjunct, c.total))
-            for c, triple in zip(decomposition.components, degrees)
-        ]
-        rows = _csv_rows(name, components, ambient_degree, decomposition.ambient_total)
-        _emit(_write_csv(rows), args)
-        return 0 if ok else 1
-
-    lines = [f"fixture: {name} ({data.get('mode', 'divisor')} mode, ring {ring.name})"]
-    rows = [
-        [component.label, _fmt_degree(triple[0]), _fmt_degree(triple[1]), _fmt_degree(triple[2])]
-        for component, triple in zip(decomposition.components, degrees)
-    ]
-    lines.append(_render_table(("component", "main", "adjunct", "total"), rows))
-    lines.append(f"ambient: {_fmt_degree(ambient_degree)}")
-    lines.append("classes:")
-    for component in decomposition.components:
-        lines.append(
-            f"  {component.label}: main {component.main.to_string()}, "
-            f"adjunct {component.adjunct.to_string()}, total {component.total.to_string()}"
-        )
-    lines.append(f"  ambient {decomposition.ambient_total.to_string()}")
-    lines.append(f"conserved: {'yes' if decomposition.conserved else 'NO'}")
-    if undecomposed is not None:
-        lines.append(f"undecomposed check: {'ok' if undecomposed else 'FAIL'}")
-    if coarse_payload is not None:
-        lines.append(
-            f"coarse main term: {coarse_payload['main_class']} "
-            f"(degree {coarse_payload['main_degree']})"
-        )
-        lines.append(f"coarse residual degree: {coarse_payload['residual_degree']}")
-    _emit("\n".join(lines), args)
-    return 0 if ok else 1
+    elif args.format == "csv":
+        _emit(_write_csv([(payload["fixture"], payload["components"], payload["ambient"])]), args)
+    else:
+        _emit(_fixture_table(payload), args)
+    return 0 if payload["conserved"] and payload["undecomposed_ok"] is not False else 1
 
 
 # ---------------------------------------------------------------------------
@@ -601,15 +555,16 @@ def _check_fixtures() -> None:
         "double_line_symmetric": ((1, 1, 2), (1, 1, 2)),
     }
     for stem, degrees in expected.items():
-        path = _fixture_path(stem)
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-        decomposition, setup, ring = _run_fixture(data, path.parent)
-        got = _fixture_degrees(decomposition)
+        payload = _fixture_payload(stem, coarse=stem == "double_line_split_single")
+        got = (
+            tuple(tuple(c[f"{kind}_degree"] for kind in _KINDS) for c in payload["components"]),
+            payload["ambient"]["degree"],
+        )
         assert got == (degrees, 4), (stem, got)
-        assert decomposition.conserved
-        assert _undecomposed_check(data, decomposition, setup, ring) is not False
-        if stem == "double_line_split_single":
-            coarse = _coarse_section(data, setup.d, path.parent)
+        assert payload["conserved"]
+        assert payload["undecomposed_ok"] is not False
+        coarse = payload["coarse"]
+        if coarse is not None:
             assert (coarse["main_degree"], coarse["residual_degree"]) == (1, 3)
 
 
@@ -731,8 +686,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except (EngineError, ValueError, KeyError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

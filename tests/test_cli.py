@@ -326,6 +326,113 @@ residual_segre: "0"
         assert "cannot resolve ring" in capsys.readouterr().err, ring
 
 
+_DIVISOR_FIXTURE = """
+mode: divisor
+ring: blowup_p2
+dim: 2
+codim: 2
+normal_chern: "1 + 4*h + 4*P"
+divisor_class: "e"
+divisor_segre: "e + P"
+residual_segre: "e + P"
+"""
+
+
+_LABELS = "fixture key 'labels'"
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        pytest.param(_DIVISOR_FIXTURE + "labels: [A]\n", [], _LABELS, id="one-label"),
+        pytest.param(_DIVISOR_FIXTURE + "labels: 5\n", [], _LABELS, id="int-labels"),
+        pytest.param(_DIVISOR_FIXTURE + "labels: AB\n", [], _LABELS, id="str-labels"),
+        pytest.param(_DIVISOR_FIXTURE + "labels: [A, B, C]\n", [], _LABELS, id="three-labels"),
+        pytest.param(_DIVISOR_FIXTURE + "labels: [1, 2]\n", [], _LABELS, id="int-label-items"),
+        pytest.param(
+            _DIVISOR_FIXTURE + "coarse: 5\n", ["--coarse"], "fixture key 'coarse'", id="int-coarse"
+        ),
+        pytest.param("- ring\n- blowup_p2\n", [], "must be a mapping", id="list-file"),
+        pytest.param("7\n", [], "must be a mapping", id="scalar-file"),
+        pytest.param("", [], "must be a mapping", id="empty-file"),
+    ],
+)
+def test_decompose_rejects_malformed_fixtures(tmp_path, capsys, text, argv, message) -> None:
+    # Bad input exits 2 with a message, never 1 ("not conserved") and never
+    # with a traceback; labels are never split or truncated silently.
+    path = tmp_path / "case.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["decompose", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+# Rendered output frozen as literal text, so that a change to any table
+# or CSV layout shows here.
+FROZEN_OUTPUT = [
+    (
+        ["degenerate", "-r", "1", "-n", "4", "1x4+1x1"],
+        "degeneration: X1^4 + X1  (degree 5 on G(1, 4))\n"
+        "piece   main  adjunct  total\n"
+        "X1^4   2,400      320  2,720\n"
+        "X1     1,275   -1,120    155\n"
+        "ambient total: 2,875\n"
+        "conserved: yes\n",
+    ),
+    (
+        ["degenerate", "-r", "1", "-n", "4", "1x4+1x1", "--format", "csv"],
+        "case,label,k,e,main_degree,adjunct_degree,total_degree,"
+        "main_class,adjunct_class,total_class\n"
+        "X1^4 + X1,X1^4,1,4,2400,320,2720,480*x^4*y + 2160*x^2*y^2 - 720*y^3,"
+        "-640*x^2*y^2 + 960*y^3,480*x^4*y + 1520*x^2*y^2 + 240*y^3\n"
+        "X1^4 + X1,X1,1,1,1275,-1120,155,120*x^4*y + 810*x^2*y^2 + 225*y^3,"
+        "-880*x^2*y^2 - 240*y^3,120*x^4*y - 70*x^2*y^2 - 15*y^3\n"
+        "X1^4 + X1,ambient,,,,,2875,,,600*x^4*y + 1450*x^2*y^2 + 225*y^3\n",
+    ),
+    (
+        # A positive-dimensional family: the cells hold classes, not degrees.
+        ["degenerate", "-r", "1", "-n", "3", "1+1x1"],
+        "degeneration: X1 + X1  (degree 2 on G(1, 3))\n"
+        "piece   main  adjunct  total\n"
+        "X1     2*x*y        0  2*x*y\n"
+        "X1     2*x*y        0  2*x*y\n"
+        "ambient total: 4*x*y\n"
+        "conserved: yes\n",
+    ),
+    (
+        ["decompose", "double-line-split-single", "--coarse"],
+        "fixture: double-line-split-single (divisor mode, ring blowup_p2)\n"
+        "component  main  adjunct  total\n"
+        "E1            1        1      2\n"
+        "E2            1        1      2\n"
+        "ambient: 4\n"
+        "classes:\n"
+        "  E1: main P, adjunct P, total 2*P\n"
+        "  E2: main P, adjunct P, total 2*P\n"
+        "  ambient 4*P\n"
+        "conserved: yes\n"
+        "undecomposed check: ok\n"
+        "coarse main term: h2 (degree 1)\n"
+        "coarse residual degree: 3\n",
+    ),
+    (
+        ["decompose", "double_line_symmetric", "--format", "csv"],
+        "case,label,k,e,main_degree,adjunct_degree,total_degree,"
+        "main_class,adjunct_class,total_class\n"
+        "double-line-symmetric,E1,,,1,1,2,h2,h2,2*h2\n"
+        "double-line-symmetric,E2,,,1,1,2,h2,h2,2*h2\n"
+        "double-line-symmetric,ambient,,,,,4,,,4*h2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", FROZEN_OUTPUT, ids=lambda v: " ".join(v)[:48])
+def test_rendered_output_is_frozen(capsys, argv, text) -> None:
+    assert run(capsys, argv) == (0, text)
+
+
 def test_output_file(tmp_path, capsys) -> None:
     target = tmp_path / "result.json"
     code, _ = run(

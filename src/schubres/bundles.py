@@ -13,13 +13,16 @@ spelling of these operations.
 
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
-roots, and the resulting symmetric polynomial is rewritten in elementary
-symmetric functions.  ``sym_power`` evaluates that at the Chern classes of
-any bundle.  ``sym_ustar`` needs no evaluation: the Chern classes of the
-dual tautological subbundle are the generators of the Grassmannian's Chow
-ring, so it writes the elementary symmetric functions straight into that
-ring.  Twisting by a line bundle rescales Chern and Segre classes alike, so
-a twisted bundle inherits its Segre class instead of inverting its Chern
+roots.  Permuting the roots permutes the multisets in orbits, one per
+partition of d, so Sym^d is computed one orbit at a time: the product of an
+orbit's linear factors is symmetric, is rewritten in elementary symmetric
+functions on its own, and the orbit classes are multiplied in that basis.
+``sym_power`` evaluates the result at the Chern classes of any bundle.
+``sym_ustar`` needs no evaluation: the Chern classes of the dual
+tautological subbundle are the generators of the Grassmannian's Chow ring,
+so it writes the elementary symmetric functions straight into that ring.
+Twisting by a line bundle rescales Chern and Segre classes alike, so a
+twisted bundle inherits its Segre class instead of inverting its Chern
 class again.
 """
 
@@ -31,7 +34,7 @@ from math import comb
 
 from .chow import GrassContext
 from .errors import CancellationRequiredError
-from .symfunc import GradedPoly, exact_int, root_spec, roots_to_e, substitute
+from .symfunc import GradedPoly, e_spec, exact_int, root_spec, roots_to_e, substitute
 
 
 class BundleClass:
@@ -115,29 +118,44 @@ def rank_sym(r: int, m: int) -> int:
     return comb(m + r, r)
 
 
+def _orbit_exponents(k: int, d: int) -> list[list[tuple[int, ...]]]:
+    """The d-element multisets of k roots, as multiplicity vectors, grouped
+    into S_k-orbits: one orbit per partition of d into at most k parts."""
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for multiset in itertools.combinations_with_replacement(range(k), d):
+        counts = tuple(multiset.count(i) for i in range(k))
+        orbits.setdefault(tuple(sorted(counts, reverse=True)), []).append(counts)
+    return [orbits[shape] for shape in sorted(orbits, reverse=True)]
+
+
 def _sym_chern_in_e(k: int, d: int, truncation: int, out_spec=None) -> GradedPoly:
     """Total Chern class of the d-th symmetric power of a rank-k bundle,
     written in the elementary symmetric functions of the k Chern roots.
 
-    Enumerates the d-element multisets of roots in colexicographic order,
-    multiplies the linear factors in a root ring truncated at ``truncation``
-    and rewrites the symmetric result with ``roots_to_e`` over ``out_spec``.
+    The Chern roots are the sums over d-element multisets of roots, and
+    permuting the roots permutes the multisets in S_k-orbits.  Each orbit's
+    product of linear factors is therefore symmetric on its own: it is formed
+    in a root ring truncated at ``truncation``, rewritten with ``roots_to_e``
+    over ``out_spec`` (an e1..ek spec when None), and the orbit classes are
+    multiplied there.  An orbit's product has far fewer root monomials than
+    the product over every multiset.
     """
     if exact_int(d, "symmetric power exponent") < 0:
         raise IndexError(f"symmetric power exponent must be non-negative, got {d}")
+    if out_spec is None:
+        out_spec = e_spec(k, truncation)
     rspec = root_spec(k, truncation)
-    gens = [GradedPoly.generator(rspec, name) for name in rspec.names]
-    total = GradedPoly.one(rspec)
-    multisets = sorted(
-        itertools.combinations_with_replacement(range(k), d),
-        key=lambda multiset: multiset[::-1],
-    )
-    for multiset in multisets:
-        factor = GradedPoly.one(rspec)
-        for index in multiset:
-            factor = factor + gens[index]
-        total = total * factor
-    return roots_to_e(total, out_spec)
+    roots = [GradedPoly.generator(rspec, name) for name in rspec.names]
+    total = GradedPoly.one(out_spec)
+    for orbit in _orbit_exponents(k, d):
+        product = GradedPoly.one(rspec)
+        for counts in orbit:
+            # product * (1 + sum of m_i t_i), as product + sum of m_i product t_i.
+            product = product.add_products(
+                [(m, product, roots[i]) for i, m in enumerate(counts) if m]
+            )
+        total = total * roots_to_e(product, out_spec)
+    return total
 
 
 def sym_power(E: BundleClass, d: int) -> BundleClass:

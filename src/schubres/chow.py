@@ -37,8 +37,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-import yaml
-
 from .errors import ContextMismatchError, RingFormatError, UnsupportedOperationError
 from .symfunc import (
     ClassCarrier,
@@ -566,6 +564,8 @@ class StructElement(ClassCarrier):
         )
 
     def _check_ring(self, other: "StructElement") -> None:
+        if not isinstance(other, StructElement):
+            raise ContextMismatchError(f"{other!r} is not an element of {self.ring.name!r}")
         if self.ring is not other.ring and self.ring != other.ring:
             raise ContextMismatchError("elements of different structure rings")
 
@@ -577,23 +577,24 @@ class StructElement(ClassCarrier):
         self._check_ring(other)
         return StructElement(self.ring, add_terms(dict(self.coeffs), other.coeffs.items()))
 
-    def __neg__(self) -> "StructElement":
-        return StructElement(self.ring, {i: -c for i, c in self.coeffs.items()})
+    def scaled(self, m: int) -> "StructElement":
+        exact_int(m, "factor")
+        return StructElement(self.ring, {i: c * m for i, c in self.coeffs.items()})
 
-    def __mul__(self, other: "StructElement | int") -> "StructElement":
-        if isinstance(other, int):
-            exact_int(other, "factor")
-            return StructElement(self.ring, {i: c * other for i, c in self.coeffs.items()})
-        if not isinstance(other, StructElement):
-            return NotImplemented
-        self._check_ring(other)
-        products = (
-            (i, ca * cb * c)
-            for ia, ca in self.coeffs.items()
-            for ib, cb in other.coeffs.items()
-            for i, c in self.ring._mul_basis(ia, ib).items()
-        )
-        return StructElement(self.ring, add_terms({}, products))
+    def add_products(self, triples) -> "StructElement":
+        out = dict(self.coeffs)
+        get = out.get
+        mul_basis = self.ring._mul_basis
+        for c, a, b in triples:
+            exact_int(c, "product coefficient")
+            self._check_ring(a)
+            self._check_ring(b)
+            for ia, ca in a.coeffs.items():
+                for ib, cb in b.coeffs.items():
+                    scale = c * ca * cb
+                    for i, value in mul_basis(ia, ib).items():
+                        out[i] = get(i, 0) + scale * value
+        return StructElement(self.ring, out)
 
     def integrate(self) -> int:
         return sum(
@@ -709,11 +710,24 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
     )
 
 
+def read_yaml(path):
+    """The document in a YAML file; malformed YAML raises ``ValueError``.
+
+    ``yaml`` is imported here, where a file is read, so that a command that
+    reads none never loads it.
+    """
+    import yaml
+
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {exc}") from None
+
+
 def load_ring(path) -> StructRing:
     """Load a ring description from a YAML file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = yaml.safe_load(handle)
-    return ring_from_dict(data, name_hint=str(path))
+    return ring_from_dict(read_yaml(path), name_hint=str(path))
 
 
 def projective_space(m: int) -> StructRing:

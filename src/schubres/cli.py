@@ -35,10 +35,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import yaml
-
 from . import __version__
-from .chow import GrassContext, Partition, StructRing, builtin_ring, load_ring
+from .chow import GrassContext, Partition, StructRing, builtin_ring, load_ring, read_yaml
 from .errors import EngineError
 from .identities import verify_identity
 from .limits import (
@@ -374,6 +372,14 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
+def _field(data: dict, key: str, what: str):
+    """``data[key]``; a missing key raises ``ValueError`` naming it."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{what} lacks key {key!r}") from None
+
+
 def _fixture_payload(source: str, coarse: bool) -> dict:
     """Run a decomposition fixture and return the ``decompose`` JSON payload.
 
@@ -386,9 +392,10 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     ``ValueError``.
     """
     path = _fixture_path(source)
-    data = _mapping(yaml.safe_load(path.read_text(encoding="utf-8")), f"fixture {path.name!r}")
-    ring = _resolve_ring(data["ring"], path.parent)
-    dim = exact_int(data["dim"], "fixture key 'dim'")
+    where = f"fixture {path.name!r}"
+    data = _mapping(read_yaml(path), where)
+    ring = _resolve_ring(_field(data, "ring", where), path.parent)
+    dim = exact_int(_field(data, "dim", where), "fixture key 'dim'")
     if dim != ring.top_degree:
         raise ValueError(
             f"fixture key 'dim' is {dim}, but ring {ring.name!r} has top degree "
@@ -396,10 +403,11 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
         )
 
     def element(key: str):
-        return ring.parse(str(data[key]))
+        return ring.parse(str(_field(data, key, where)))
 
     setup = IntersectionSetup(
-        cN=element("normal_chern"), d=exact_int(data["codim"], "fixture key 'codim'")
+        cN=element("normal_chern"),
+        d=exact_int(_field(data, "codim", where), "fixture key 'codim'"),
     )
     mode = data.get("mode", "divisor")
     labels = data.get("labels", ["D", "R"])
@@ -426,16 +434,19 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     if coarse:
         if "coarse" not in data:
             raise ValueError(f"fixture {data.get('name', path.name)!r} has no coarse section")
-        section = _mapping(data["coarse"], "fixture key 'coarse'")
-        coarse_ring = _resolve_ring(section["ring"], path.parent)
-        coarse_setup = IntersectionSetup(
-            cN=coarse_ring.parse(str(section["normal_chern"])), d=setup.d
-        )
-        main = main_term(coarse_setup, coarse_ring.parse(str(section["segre"])))
+        what = "fixture key 'coarse'"
+        section = _mapping(data["coarse"], what)
+        coarse_ring = _resolve_ring(_field(section, "ring", what), path.parent)
+
+        def coarse_element(key: str):
+            return coarse_ring.parse(str(_field(section, key, what)))
+
+        coarse_setup = IntersectionSetup(cN=coarse_element("normal_chern"), d=setup.d)
+        main = main_term(coarse_setup, coarse_element("segre"))
         coarse_payload = {
             "main_class": main.to_string(),
             "main_degree": main.integrate(),
-            "residual_degree": (coarse_ring.parse(str(section["total"])) - main).integrate(),
+            "residual_degree": (coarse_element("total") - main).integrate(),
         }
 
     ambient = decomposition.ambient_total
@@ -686,8 +697,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (EngineError, ValueError, KeyError, OSError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EngineError, ValueError, KeyError, OSError) as exc:
+        # A KeyError prints its message as a repr; print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

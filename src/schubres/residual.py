@@ -112,20 +112,29 @@ def divisor_decompose(
         raise ValueError("the divisor class must be homogeneous of codimension 1")
     main_d = main_term(setup, sD)
     main_r = main_term(setup, sR)
-    adj_d = setup.cN.zero_like()
-    adj_r = setup.cN.zero_like()
+    zero = setup.cN.zero_like()
+    # Powers (-D)^0 .. (-D)^(d-1), each formed once.
+    powers = [setup.cN.one_like(), -Dclass]
+    while len(powers) < d:
+        powers.append(powers[-1] * powers[1])
+    outer_d, outer_r = [], []
     for i in range(0, d - 1):
         ci = setup.cN.degree_part(i)
         if ci.is_zero:
             continue
+        inner_d, inner_r = [], []
         for j in range(1, d - i):
             weight = comb(d - 1 - i, j)
             s_j = sR.degree_part(j)
             if not s_j.is_zero:
-                adj_d = adj_d + weight * (ci * s_j * (-Dclass) ** (d - i - j))
+                inner_d.append((weight, s_j, powers[d - i - j]))
             s_far = sR.degree_part(d - i - j)
             if not s_far.is_zero:
-                adj_r = adj_r + weight * (ci * (-Dclass) ** j * s_far)
+                inner_r.append((weight, powers[j], s_far))
+        outer_d.append((1, ci, zero.add_products(inner_d)))
+        outer_r.append((1, ci, zero.add_products(inner_r)))
+    adj_d = zero.add_products(outer_d)
+    adj_r = zero.add_products(outer_r)
     components = (
         DecompositionComponent(labels[0], main_d, adj_d, main_d + adj_d),
         DecompositionComponent(labels[1], main_r, adj_r, main_r + adj_r),
@@ -186,43 +195,52 @@ def regular_decompose(
 
     The products s_x(N1) * s_y(N2) with x + y <= d - r1 - r2 are formed
     once and shared by both adjuncts.  Each adjunct sums its weighted
-    products per Chern degree i, multiplies that sum by c_i(N), and
-    multiplies the total by ``zint`` once.
+    products per Chern degree i, accumulates the products of those sums
+    with c_i(N) in one ``add_products`` call, and multiplies the total by
+    ``zint`` once.
     """
     d = setup.d
     r1, r2 = N1.rank, N2.rank
+    zero = setup.cN.zero_like()
 
     def main_for(N_l: BundleClass, z_l):
         # Only the codimension-e part of c(N) * s(N_l) is needed, so form
         # it directly as the sum of c_i(N) * s_{e-i}(N_l).
         excess_codim = d - N_l.rank
-        excess = setup.cN.zero_like()
+        triples = []
         for i in range(0, excess_codim + 1):
             ci = setup.cN.degree_part(i)
             if not ci.is_zero:
-                excess = excess + ci * N_l.segre(excess_codim - i)
-        return excess * z_l
+                triples.append((1, ci, N_l.segre(excess_codim - i)))
+        return zero.add_products(triples) * z_l
 
     # The adjunct of Z_l sums comb(d-1-i, a + r_other) * c_i(N) *
     # s_a(N_other) * s_b(N_l) over i + a + b = d - r1 - r2.
+    # Each s_x(N1) multiplies the sum of s_y(N2) over y <= span - x once,
+    # and the product splits by degree into the pairs with that x.
     span = d - r1 - r2
-    pairs = {
-        (x, y): N1.segre(x) * N2.segre(y)
-        for x in range(span + 1)
-        for y in range(span + 1 - x)
-    }
+    partials = []
+    partial = zero
+    for y in range(span + 1):
+        partial = partial + N2.segre(y)
+        partials.append(partial)
+    pairs = {}
+    for x in range(span + 1):
+        row = N1.segre(x) * partials[span - x]
+        for y in range(span + 1 - x):
+            pairs[x, y] = row.degree_part(x + y)
 
     def adjunct_for(r_o: int, pair_of):
-        acc = setup.cN.zero_like()
+        outer = []
         for i in range(0, span + 1):
             ci = setup.cN.degree_part(i)
             if ci.is_zero:
                 continue
-            inner = setup.cN.zero_like()
+            inner = zero
             for a in range(span - i + 1):
-                inner = inner + comb(d - 1 - i, a + r_o) * pair_of(a, span - i - a)
-            acc = acc + ci * inner
-        return -(acc * zint)
+                inner = inner + pair_of(a, span - i - a).scaled(comb(d - 1 - i, a + r_o))
+            outer.append((1, ci, inner))
+        return zero.add_products(((-1, zero.add_products(outer), zint),))
 
     main1, main2 = main_for(N1, z1), main_for(N2, z2)
     # Z1's adjunct pairs s_a(N2) with s_b(N1); Z2's pairs s_a(N1) with s_b(N2).

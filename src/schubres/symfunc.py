@@ -46,6 +46,10 @@ from . import kernel
 from .errors import ContextMismatchError, NonUnitError, NotSymmetricError
 from .errors import UnsupportedOperationError
 
+# Trusted constructors bypass the refusing ``__setattr__`` of the carriers.
+_new = object.__new__
+_set = object.__setattr__
+
 Exponent = tuple[int, ...]
 TermMap = dict[int, int]
 
@@ -176,6 +180,9 @@ class ClassCarrier:
       an ``int`` (read as that multiple of the unit) and two carriers must
       live in the same ring (else ``ContextMismatchError``); ``a ** n`` for
       ``n >= 0``; ``a == b``, hashing and truth (nonzero);
+    * ``add_products(triples)``, ``self + sum(c * a * b)`` over (int c,
+      carrier a, carrier b) triples, zeros dropped once for the whole sum;
+    * ``scaled(m)``, the carrier times an ``int``;
     * ``degree_part(d)``, the homogeneous part of degree d (zero outside
       0..truncation); ``degree_scale(m)``, each degree-i part times m**i;
     * ``zero_like()`` and ``one_like()``, the zero and unit of the ring;
@@ -186,15 +193,18 @@ class ClassCarrier:
     * ``pushforward()``, the image in a base ring; this base raises
       ``UnsupportedOperationError``, and a ring with a pushforward overrides it.
 
-    A carrier supplies its storage and only these members: ``+``, unary
-    ``-`` and ``*`` (each also accepting an ``int``), ``==`` with hashing,
-    ``degree_part``, ``zero_like``, ``constant_term``, ``is_zero``,
-    ``truncation`` and ``to_string``.  This base derives the rest once:
-    binary ``-``, the reflected operators, ``**``, truth, ``str``,
-    ``one_like``, ``degree_scale`` (from ``degree_part``) and
-    ``series_inverse``.  An exponent, a scale factor or an ``int`` operand
-    that is a float or a bool raises ``ValueError``; it is never rounded,
-    and a bool is never read as 0 or 1.
+    A carrier supplies its storage and only these members: ``+`` (also
+    accepting an ``int``), ``scaled``, ``add_products``, ``==`` with
+    hashing, ``degree_part``, ``zero_like``, ``constant_term``, ``is_zero``,
+    ``truncation`` and ``to_string``.  ``add_products`` is the one product
+    a carrier writes: this base derives ``a * b`` of two carriers as its
+    one-triple case, and ``*`` by an ``int`` and unary ``-`` from
+    ``scaled``.  It also derives binary ``-``, the reflected operators,
+    ``**``, truth, ``str``, ``one_like``, ``degree_scale`` (from
+    ``degree_part``) and ``series_inverse``.  An exponent, a scale factor, a
+    product coefficient or an ``int`` operand that is a float or a bool
+    raises ``ValueError``; it is never rounded, and a bool is never read as
+    0 or 1.
     """
 
     __slots__ = ()
@@ -219,6 +229,16 @@ class ClassCarrier:
         if isinstance(other, int):
             exact_int(other, "operand")
         return (-self).__add__(other)
+
+    def __neg__(self) -> "ClassCarrier":
+        return self.scaled(-1)
+
+    def __mul__(self, other: "ClassCarrier | int") -> "ClassCarrier":
+        if isinstance(other, int):
+            return self.scaled(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.zero_like().add_products(((1, self, other),))
 
     def __rmul__(self, other: int) -> "ClassCarrier":
         return self.__mul__(other)
@@ -303,10 +323,10 @@ class GradedPoly(ClassCarrier):
     @classmethod
     def _raw(cls, spec: GeneratorSpec, packed: TermMap) -> "GradedPoly":
         # Trusted constructor: packed must already be canonical.
-        self = object.__new__(cls)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "_parts", None)
+        self = _new(cls)
+        _set(self, "spec", spec)
+        _set(self, "packed", packed)
+        _set(self, "_parts", None)
         return self
 
     @property
@@ -369,7 +389,17 @@ class GradedPoly(ClassCarrier):
     def zero_like(self) -> "GradedPoly":
         return GradedPoly.zero(self.spec)
 
+    def degree_scale(self, m: int) -> "GradedPoly":
+        # One pass over the terms instead of the base's sum over degrees.
+        exact_int(m, "degree scale")
+        shift = self.spec.key_shift
+        powers = [m**i for i in range(self.spec.truncation + 1)]
+        scaled = {k: c * powers[k >> shift] for k, c in self.packed.items()}
+        return GradedPoly._raw(self.spec, {k: c for k, c in scaled.items() if c})
+
     def _check_spec(self, other: "GradedPoly") -> None:
+        if not isinstance(other, GradedPoly):
+            raise ContextMismatchError(f"{other!r} is not a polynomial over {self.spec}")
         if self.spec is other.spec:
             return
         if self.spec != other.spec:
@@ -385,21 +415,27 @@ class GradedPoly(ClassCarrier):
         self._check_spec(other)
         return GradedPoly._raw(self.spec, add_terms(dict(self.packed), other.packed.items()))
 
-    def __neg__(self) -> "GradedPoly":
-        return GradedPoly._raw(self.spec, {k: -c for k, c in self.packed.items()})
+    def scaled(self, m: int) -> "GradedPoly":
+        if exact_int(m, "factor") == 0:
+            return GradedPoly.zero(self.spec)
+        return GradedPoly._raw(self.spec, {k: c * m for k, c in self.packed.items()})
 
-    def __mul__(self, other: "GradedPoly | int") -> "GradedPoly":
-        if isinstance(other, int):
-            if exact_int(other, "factor") == 0:
-                return GradedPoly.zero(self.spec)
-            return GradedPoly._raw(
-                self.spec, {k: c * other for k, c in self.packed.items()}
-            )
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._check_spec(other)
-        out = kernel.mul_terms(self.packed, other.packed, self.spec.key_limit)
-        return GradedPoly._raw(self.spec, out)
+    def add_products(
+        self, triples: Iterable[tuple[int, "GradedPoly", "GradedPoly"]]
+    ) -> "GradedPoly":
+        # Every product is one kernel call accumulating into the same dict;
+        # the checks take a fast path for operands over this very spec.
+        spec = self.spec
+        out = dict(self.packed)
+        for c, a, b in triples:
+            if type(c) is not int:
+                exact_int(c, "product coefficient")
+            if type(a) is not GradedPoly or a.spec is not spec:
+                self._check_spec(a)
+            if type(b) is not GradedPoly or b.spec is not spec:
+                self._check_spec(b)
+            kernel.mul_terms(a.packed, b.packed, spec.key_limit, out, c)
+        return GradedPoly._raw(spec, {k: v for k, v in out.items() if v})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -437,8 +473,9 @@ def series_inverse(a: ClassCarrier) -> ClassCarrier:
     """Multiplicative inverse of a class with constant term one.
 
     Computed degree by degree: if a = 1 + a_1 + a_2 + ... then the inverse
-    b = 1 + b_1 + b_2 + ... satisfies b_n = -(a_1 b_{n-1} + ... + a_n b_0).
-    Uses only the carrier protocol, so it serves every ``ClassCarrier``.
+    b = 1 + b_1 + b_2 + ... satisfies b_n = -(a_1 b_{n-1} + ... + a_n b_0),
+    one ``add_products`` call per degree.  Uses only the carrier protocol,
+    so it serves every ``ClassCarrier``.
     """
     if a.constant_term != 1:
         raise NonUnitError(
@@ -447,26 +484,31 @@ def series_inverse(a: ClassCarrier) -> ClassCarrier:
     top = a.truncation
     parts_a = [(j, a.degree_part(j)) for j in range(1, top + 1)]
     parts_a = [(j, part) for j, part in parts_a if not part.is_zero]
+    zero = a.zero_like()
     result = a.one_like()
     parts_b = {0: result}
     for n in range(1, top + 1):
-        acc = None
-        for j, a_j in parts_a:
-            if j > n:
-                break
-            b_prev = parts_b.get(n - j)
-            if b_prev is not None:
-                term = a_j * b_prev
-                acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero:
-            parts_b[n] = -acc
-            result = result + parts_b[n]
+        triples = [
+            (-1, a_j, parts_b[n - j]) for j, a_j in parts_a if n - j in parts_b
+        ]
+        if triples:
+            b_n = zero.add_products(triples)
+            if not b_n.is_zero:
+                parts_b[n] = b_n
+                result = result + b_n
     return result
 
 
 def root_spec(k: int, truncation: int) -> GeneratorSpec:
     """Spec of k degree-one root variables t1..tk, for splitting-principle work."""
     return GeneratorSpec(tuple(f"t{i}" for i in range(1, k + 1)), (1,) * k, truncation)
+
+
+def e_spec(k: int, truncation: int) -> GeneratorSpec:
+    """Spec of the elementary symmetric functions e1..ek of k roots, e_i in
+    degree i."""
+    names = tuple(f"e{i}" for i in range(1, k + 1))
+    return GeneratorSpec(names, tuple(range(1, k + 1)), truncation)
 
 
 def elementary_symmetric(spec: GeneratorSpec, i: int) -> GradedPoly:
@@ -523,11 +565,7 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
     if any(d != 1 for d in spec.degrees):
         raise ValueError("roots_to_e input must live over degree-one root variables")
     if out_spec is None:
-        out_spec = GeneratorSpec(
-            tuple(f"e{i}" for i in range(1, k + 1)),
-            tuple(range(1, k + 1)),
-            spec.truncation,
-        )
+        out_spec = e_spec(k, spec.truncation)
     if out_spec.degrees != tuple(range(1, k + 1)):
         raise ValueError("output spec must have generator degrees 1..k")
     if out_spec.truncation != spec.truncation:

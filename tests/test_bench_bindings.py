@@ -3,8 +3,8 @@
 ``perfbench/layertrace.py`` wraps library functions from outside ``src/`` by
 name.  A span whose every binding is gone silently drops its metrics from a
 traced benchmark run, so deleting or renaming a traced function is caught
-here, before the benchmark runs.  The tracer module is imported and read
-only; nothing is installed.
+here, before the benchmark runs.  The tracer module is imported and read;
+only the last test installs it, around a few products, and uninstalls it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from schubres import bundles
+from schubres import bundles, kernel
+from schubres.symfunc import GeneratorSpec, parse_poly
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -51,3 +52,50 @@ def test_sym_ustar_keeps_its_cache_counters() -> None:
     # The benchmark reports sym_ustar hits and misses from these two.
     assert callable(getattr(bundles.sym_ustar, "cache_info", None))
     assert callable(getattr(bundles.sym_ustar, "cache_clear", None))
+
+
+def test_the_spans_the_tables_report_stay_traced() -> None:
+    # A traced degeneration_tables run reports these; a missing one makes
+    # its result line malformed.
+    layertrace = _load_layertrace()
+    for span in (
+        "kernel.mul_terms",
+        "symfunc.roots_to_e",
+        "symfunc.series_inverse",
+        "residual.regular_decompose",
+        "bundles.sym_power",
+        "symfunc.substitute",
+    ):
+        bindings = layertrace.SPANS[span]
+        assert any(_live(layertrace, owner, attr) for owner, attr in bindings), span
+
+
+def test_mul_terms_called_positionally_returns_a_dict() -> None:
+    # The tracer's wrapper passes (a, b, limit) through and reads len(a),
+    # len(b) and len(result).
+    spec = GeneratorSpec(("x",), (1,), 3)
+    x, one = spec.pack((1,)), spec.pack((0,))
+    out = kernel.mul_terms({x: 2, one: 1}, {x: 3}, spec.key_limit)
+    assert isinstance(out, dict)
+    assert out == {spec.pack((2,)): 6, x: 3}
+
+
+def test_tracer_counts_accumulated_products() -> None:
+    layertrace = _load_layertrace()
+    tracer = layertrace.Tracer()
+    spec = GeneratorSpec(("x", "y"), (1, 2), 4)
+    a, b = parse_poly(spec, "1 + x + y"), parse_poly(spec, "x - y")
+    tracer.install()
+    try:
+        product = a * b
+        total = a.add_products([(2, a, b), (-1, b, b)])
+    finally:
+        tracer.uninstall()
+    assert product == parse_poly(spec, "x - y + x^2 - y^2")
+    assert total == a + 2 * product - b * b
+    assert tracer.stats["kernel.mul_terms"][0] == 3
+    assert tracer.mul["pairs"] == 3 * 2 + 3 * 2 + 2 * 2
+    # Every carrier product adds into a dict and reports that dict's size,
+    # cancelled keys included: x, y, x^2, x*y and y^2 for a * b, then 1, x, y,
+    # x^2, x*y and y^2 after each product of add_products.
+    assert tracer.mul["terms_out"] == 5 + 6 + 6

@@ -20,7 +20,15 @@ from schubres.bundles import (
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
 from schubres.errors import CancellationRequiredError
-from schubres.symfunc import GeneratorSpec, GradedPoly, parse_poly, series_inverse
+from schubres.symfunc import (
+    GeneratorSpec,
+    GradedPoly,
+    parse_poly,
+    root_spec,
+    roots_to_e,
+    series_inverse,
+    substitute,
+)
 
 
 def lines_ctx() -> GrassContext:
@@ -297,3 +305,42 @@ def test_sym_ustar_cache_is_bounded() -> None:
     gc.collect()
     assert ref() is None
     assert sym_ustar.cache_info().currsize == sym_ustar.cache_info().maxsize == 64
+
+
+def full_multiset_product(k: int, d: int, truncation: int) -> GradedPoly:
+    """Reference Sym^d route: the linear factor of every d-multiset of k
+    roots multiplied in one root ring, rewritten in e1..ek once at the end."""
+    rspec = root_spec(k, truncation)
+    gens = [GradedPoly.generator(rspec, name) for name in rspec.names]
+    total = GradedPoly.one(rspec)
+    for multiset in itertools.combinations_with_replacement(range(k), d):
+        factor = GradedPoly.one(rspec)
+        for index in multiset:
+            factor = factor + gens[index]
+        total = total * factor
+    return roots_to_e(total)
+
+
+def test_orbit_route_matches_the_full_multiset_product() -> None:
+    # One S_k-orbit of multisets at a time gives exactly the Chern classes
+    # of the product over all multisets, written into a default e-basis
+    # spec or straight into the Chern ring of the Grassmannian.
+    for (r, n), top in (((1, 4), 5), ((2, 7), 4), ((3, 8), 3)):
+        ctx = GrassContext(r, n)
+        for d in range(top + 1):
+            expected = full_multiset_product(ctx.k, d, ctx.dim)
+            assert bundles._sym_chern_in_e(ctx.k, d, ctx.dim) == expected, (r, n, d)
+            in_ring = bundles._sym_chern_in_e(ctx.k, d, ctx.dim, ctx.spec)
+            assert in_ring.spec == ctx.spec
+            assert in_ring.terms == expected.terms, (r, n, d)
+
+
+def test_orbit_route_matches_the_full_product_over_a_structure_ring() -> None:
+    ring = blowup_plane_at_point()
+    for total in (ring.parse("1 + 2*h") ** 2, ring.parse("1 + h - e"), ring.parse("1 + 3*e")):
+        E = BundleClass(2, total)
+        images = [E.chern(1), E.chern(2)]
+        for d in range(5):
+            in_e_basis = full_multiset_product(2, d, ring.top_degree)
+            expected = substitute(in_e_basis, images, total.one_like())
+            assert sym_power(E, d).total_chern == expected, (total, d)

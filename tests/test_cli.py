@@ -6,8 +6,12 @@ import csv
 import importlib
 import io
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -367,6 +371,79 @@ def test_decompose_rejects_malformed_fixtures(tmp_path, capsys, text, argv, mess
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+_SYMMETRIC_FIXTURE = """
+mode: symmetric
+ring: blowup_p2
+dim: 2
+codim: 2
+normal_chern: "1 + 4*h + 4*P"
+first: "e"
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            _SYMMETRIC_FIXTURE, "error: fixture 'case.yaml' lacks key 'second'\n", id="no-second"
+        ),
+        pytest.param(
+            _SYMMETRIC_FIXTURE + 'second: "q"\n',
+            "error: no basis label 'q' in ring 'blowup_p2'\n",
+            id="unknown-label",
+        ),
+        pytest.param(
+            _DIVISOR_FIXTURE.replace("codim: 2\n", ""),
+            "error: fixture 'case.yaml' lacks key 'codim'\n",
+            id="no-codim",
+        ),
+        pytest.param(
+            _DIVISOR_FIXTURE + "coarse: {ring: blowup_p2}\n",
+            "error: fixture key 'coarse' lacks key 'normal_chern'\n",
+            id="coarse-without-normal-chern",
+        ),
+        pytest.param("ring: [\n", "is not valid YAML", id="bad-yaml"),
+    ],
+)
+def test_fixture_errors_name_what_is_wrong(tmp_path, capsys, text, message) -> None:
+    # A missing key is named, and a message is printed as itself, not as
+    # the repr of a KeyError.
+    path = tmp_path / "case.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["decompose", str(path), "--coarse"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_commands_without_yaml_files_never_import_yaml() -> None:
+    # ``yaml`` is imported only where a YAML file is read.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [entry for entry in [os.environ.get("PYTHONPATH")] if entry]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = (
+        "import sys\n"
+        "from schubres.cli import main\n"
+        "assert main(['fano', '-r', '1', '-n', '3', '-d', '3']) == 0\n"
+        "print('yaml' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    # A command that reads a fixture does import it.
+    script = script.replace(
+        "['fano', '-r', '1', '-n', '3', '-d', '3']", "['decompose', 'double-line-symmetric']"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "True"
 
 
 # Rendered output frozen as literal text, so that a change to any table

@@ -2,12 +2,15 @@
 
 Every product goes through ``GradedPoly`` and is read back through its
 tuple-keyed ``terms`` view, so these tests do not depend on the key layout.
+The accumulate mode of ``kernel.mul_terms`` is driven on packed keys made by
+``GeneratorSpec.pack`` and read back through ``unpack``.
 """
 
 from __future__ import annotations
 
 import random
 
+from schubres import kernel
 from schubres.symfunc import GeneratorSpec, GradedPoly
 
 
@@ -114,3 +117,72 @@ def test_truncation_drops_uncomputable_terms() -> None:
     result = mul(a, b, degrees, 4)
     assert result == naive_mul(a, b, degrees, 4)
     assert (3, 3) not in result
+
+
+def naive_sum_of_products(start, products, degrees, truncation):
+    """``start`` plus each scale * a * b, summed naively on exponent tuples."""
+    out = dict(start)
+    for scale, a, b in products:
+        for expo, coeff in naive_mul(a, b, degrees, truncation).items():
+            out[expo] = out.get(expo, 0) + scale * coeff
+    return {k: v for k, v in out.items() if v}
+
+
+def accumulate(start, products, degrees, truncation):
+    """The same sum through the kernel's accumulate mode: every product adds
+    into one dict, and the zeros are dropped once at the end."""
+    spec = GeneratorSpec(tuple(f"g{i}" for i in range(len(degrees))), degrees, truncation)
+    def packed(terms):
+        return {spec.pack(expo): coeff for expo, coeff in terms.items()}
+
+    out = packed(start)
+    for scale, a, b in products:
+        assert kernel.mul_terms(packed(a), packed(b), spec.key_limit, out, scale) is out
+    return {spec.unpack(key): coeff for key, coeff in out.items() if coeff}
+
+
+def test_accumulate_mode_matches_the_sum_of_separate_products() -> None:
+    rng = random.Random(43)
+    for _ in range(200):
+        ngens = rng.randint(1, 3)
+        degrees = tuple(rng.randint(1, 2) for _ in range(ngens))
+        truncation = rng.randint(2, 7)
+        bound = rng.choice((1, 50, 10**40))
+        start = random_terms(rng, ngens, degrees, truncation, rng.randint(0, 5), bound)
+        products = [
+            (
+                rng.choice((0, -1, 1, 3, -(10**30))),
+                random_terms(rng, ngens, degrees, truncation, rng.randint(0, 6), bound),
+                random_terms(rng, ngens, degrees, truncation, rng.randint(0, 6), bound),
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        expected = naive_sum_of_products(start, products, degrees, truncation)
+        assert accumulate(start, products, degrees, truncation) == expected
+
+
+def test_accumulate_mode_cancels_across_products() -> None:
+    degrees = (1, 1)
+    a = {(1, 0): 2**70, (0, 1): 3}
+    b = {(1, 0): 1, (0, 0): -(10**30)}
+    start = {(0, 0): 7, (1, 0): 1}
+    # a*b - a*b cancels every term the two products touch; so does adding
+    # a*(-b) to a*b, and a scale of 0 touches nothing.
+    cancelled = accumulate(start, [(1, a, b), (-1, a, b), (0, a, b)], degrees, 2)
+    assert cancelled == start
+    negated_b = {expo: -coeff for expo, coeff in b.items()}
+    assert accumulate({}, [(5, a, b), (5, a, negated_b)], degrees, 2) == {}
+    # The start term at x cancels against the product's x term.
+    assert accumulate({(1, 0): -3}, [(1, {(1, 0): 1}, {(0, 0): 3})], degrees, 2) == {}
+    # Products above the truncation are dropped in accumulate mode too.
+    assert accumulate({}, [(1, {(2, 0): 1}, {(0, 1): 1})], degrees, 2) == {}
+
+
+def test_positional_call_returns_a_fresh_canonical_dict() -> None:
+    spec = GeneratorSpec(("x", "y"), (1, 1), 2)
+    x, y = spec.pack((1, 0)), spec.pack((0, 1))
+    a = {x: 1, y: 1}
+    b = {x: 1, y: -1}
+    out = kernel.mul_terms(a, b, spec.key_limit)
+    assert out == {spec.pack((2, 0)): 1, spec.pack((0, 2)): -1}
+    assert a == {x: 1, y: 1} and b == {x: 1, y: -1}

@@ -118,6 +118,37 @@ def test_quartic_fivefold_sample_case() -> None:
     assert report.conserved
 
 
+# The cubic table for 3-planes in P^11, (main, adjunct, total) per piece.
+# Ellingsrud-Stromme's localization (Bott's formula, alg-geom/9411005),
+# run as an independent prototype, gave exactly these values.
+G411_CUBIC_TABLE = {
+    ((1, 2), (1, 1)): (
+        (-91_593_000_049_408, 91_594_740_621_472, 1_740_572_064),
+        (844_658_100, -772_583_328, 72_074_772),
+    ),
+    ((2, 1), (1, 1)): (
+        (-3_763_927_200, 3_763_927_200, 0),
+        (844_658_100, 967_988_736, 1_812_646_836),
+    ),
+}
+
+
+def test_g411_cubic_table() -> None:
+    ctx = GrassContext(4, 11)
+    assert fano_degree(ctx, 3) == 1_812_646_836
+    cases = enumerate_degenerations(3)
+    assert sorted(cases) == sorted(G411_CUBIC_TABLE)
+    for pieces in cases:
+        report = decompose_degeneration(DegenerationSpec(ctx, pieces))
+        got = tuple(
+            (piece.main_degree, piece.adjunct_degree, piece.total_degree)
+            for piece in report.pieces
+        )
+        assert got == G411_CUBIC_TABLE[pieces], pieces
+        assert report.ambient_degree == 1_812_646_836
+        assert report.conserved
+
+
 def test_adjuncts_vanish_for_reduced_line_degenerations() -> None:
     # For lines and two reduced pieces the shared locus imposes no excess,
     # so both adjunct corrections vanish identically.
@@ -286,22 +317,26 @@ def test_quartic_table_pieri_work_is_bounded(monkeypatch) -> None:
 
 
 def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
-    # Exact products behind both paper tables from cold caches: the root
-    # ring of each untwisted Sym^k U* lands directly in the Chern ring (no
-    # substitute), twisted pieces inherit their Segre class (one inversion
-    # per distinct untwisted piece: 4 on G(1,4), 3 on G(2,7)), and the
-    # adjunct Segre products are formed once per decomposition.  Series
-    # inversion sums each degree and negates it once, so nothing on this
-    # path subtracts (a subtraction copies its operand twice).  Counted,
-    # not timed; the engine needs 1,086 products, 7 inversions, no
-    # substitute and no subtraction.
-    counts = {"mul_terms": 0, "series_inverse": 0, "substitute": 0, "__sub__": 0}
+    # Exact products behind both paper tables from cold caches: Sym^k U* is
+    # multiplied out one S_k-orbit of multisets at a time and lands directly
+    # in the Chern ring (no substitute), twisted pieces inherit their Segre
+    # class (one inversion per distinct untwisted piece: 4 on G(1,4), 3 on
+    # G(2,7)), and the adjunct Segre products are formed once per
+    # decomposition, one product per Segre class of the first piece.  Every
+    # product is one kernel call, also inside ``add_products``, and sums of
+    # products accumulate without subtracting (a subtraction copies its
+    # operand twice).  Counted, not timed; the engine needs 854 products
+    # over 11,980 term pairs, 7 inversions, no substitute and no
+    # subtraction.
+    counts = {"mul_terms": 0, "pairs": 0, "series_inverse": 0, "substitute": 0, "__sub__": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name == "mul_terms":
+                counts["pairs"] += len(args[0]) * len(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -315,7 +350,8 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
         ctx = GrassContext(*context)
         for pieces in enumerate_degenerations(degree):
             assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
-    assert 0 < counts["mul_terms"] <= 1100
+    assert 0 < counts["mul_terms"] <= 854
+    assert 0 < counts["pairs"] <= 11_980
     assert 0 < counts["series_inverse"] <= 7
     assert counts["substitute"] == 0
     assert counts["__sub__"] == 0

@@ -15,6 +15,7 @@ from schubres.chow import (
     projective_space,
 )
 from schubres.symfunc import (
+    ClassCarrier,
     GeneratorSpec,
     GradedPoly,
     add_terms,
@@ -194,6 +195,15 @@ def test_degree_part_and_scale() -> None:
     assert p.degree_part(7).is_zero
     assert p.degree_scale(2) == P("1 + 6*x + 8*x^2 + 16*y + 32*x*y")
     assert p.max_degree() == 3
+    # GradedPoly scales in one pass; the base's sum over degrees is the
+    # reference, scales 0 and -1 included.
+    rng = random.Random(53)
+    spec = GeneratorSpec(("a", "b", "c"), (1, 2, 3), 7)
+    for _ in range(50):
+        q = random_poly(rng, spec)
+        for m in (0, 1, -1, 3, -(10**20)):
+            assert q.degree_scale(m) == ClassCarrier.degree_scale(q, m)
+            assert 0 not in q.degree_scale(m).packed.values()
 
 
 def test_zero_generator_spec_is_integers() -> None:
@@ -462,3 +472,64 @@ def test_key_order_is_graded_lex() -> None:
                 assert (spec.pack(a) < spec.pack(b)) == (
                     (spec.weighted_degree(a), a) < (spec.weighted_degree(b), b)
                 )
+
+
+def test_add_products_agrees_across_carriers() -> None:
+    # Projective 4-space as a tabulated ring and as Z[h] / (h^5): on both
+    # carriers add_products is self plus the sum of c * a * b, with no zero
+    # coefficient left, whatever cancels across the products.
+    rng = random.Random(47)
+    ring = projective_space(4)
+    spec = GeneratorSpec(("h",), (1,), 4)
+
+    def both(coeffs: dict) -> tuple[StructElement, GradedPoly]:
+        return (
+            StructElement(ring, coeffs),
+            GradedPoly(spec, {(i,): c for i, c in coeffs.items()}),
+        )
+
+    def random_class() -> tuple[StructElement, GradedPoly]:
+        bound = rng.choice((1, 9, 10**30))
+        terms = rng.randrange(4)
+        return both({rng.randrange(5): rng.randint(-bound, bound) for _ in range(terms)})
+
+    for _ in range(150):
+        start = random_class()
+        triples = [
+            (rng.choice((0, -1, 1, 6, -(10**25))), random_class(), random_class())
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:
+            c, a, b = triples[0]
+            triples.append((-c, a, b))
+        tabulated = start[0].add_products([(c, a[0], b[0]) for c, a, b in triples])
+        graded = start[1].add_products([(c, a[1], b[1]) for c, a, b in triples])
+        expected = start[1]
+        for c, a, b in triples:
+            expected = expected + (a[1] * b[1]) * c
+        assert graded == expected
+        assert {(i,): c for i, c in tabulated.coeffs.items()} == dict(graded.terms)
+        assert 0 not in tabulated.coeffs.values()
+        assert 0 not in graded.packed.values()
+    # Carrier times carrier is the one-triple case.
+    a, b = both({1: 2, 0: 1}), both({3: -1, 1: 4})
+    assert a[0] * b[0] == a[0].zero_like().add_products([(1, a[0], b[0])])
+    assert a[1] * b[1] == a[1].zero_like().add_products([(1, a[1], b[1])])
+
+
+def test_add_products_refuses_non_integer_coefficients_and_foreign_operands() -> None:
+    tabulated = projective_space(4).element("h")
+    graded = parse_poly(GeneratorSpec(("h",), (1,), 4), "h")
+    for x in (tabulated, graded):
+        for bad in (1.0, 2.5, True, False):
+            with pytest.raises(ValueError, match="not an integer"):
+                x.add_products([(bad, x, x)])
+        assert x.add_products([]) == x
+    with pytest.raises(ContextMismatchError):
+        tabulated.add_products([(1, tabulated, projective_space(3).element("h"))])
+    with pytest.raises(ContextMismatchError):
+        graded.add_products([(1, parse_poly(GeneratorSpec(("h",), (1,), 5), "h"), graded)])
+    with pytest.raises(ContextMismatchError):
+        graded.add_products([(1, graded, tabulated)])
+    with pytest.raises(TypeError):
+        graded * tabulated

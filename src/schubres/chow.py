@@ -659,16 +659,12 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
     the target basis).  Products not listed are zero; the unit's products
     are implied.
     """
-    if not isinstance(data, Mapping):
-        raise RingFormatError("ring description must be a mapping")
-    unknown = set(data) - {"name", "basis", "degrees", "products", "integral", "pushforward"}
-    if unknown:
-        raise RingFormatError(f"unknown ring keys: {sorted(unknown)}")
-    try:
-        labels = tuple(str(label) for label in data["basis"])
-        degrees = tuple(exact_int(d, "degree", RingFormatError) for d in data["degrees"])
-    except KeyError as missing:
-        raise RingFormatError(f"ring description lacks key {missing}") from None
+    check_keys(
+        data, f"ring {name_hint!r}", ("basis", "degrees"),
+        ("name", "products", "integral", "pushforward"),
+    )
+    labels = tuple(str(label) for label in data["basis"])
+    degrees = tuple(exact_int(d, "degree", RingFormatError) for d in data["degrees"])
     units = [label for label, d in zip(labels, degrees) if d == 0]
     if len(units) != 1:
         raise RingFormatError("need exactly one degree-zero basis element")
@@ -684,11 +680,10 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
     integral = {str(k): v for k, v in (data.get("integral") or {}).items()}
 
     pushforward = None
-    if "pushforward" in data and data["pushforward"] is not None:
-        block = data["pushforward"]
-        if not isinstance(block, Mapping) or set(block) - {"target", "map"}:
-            raise RingFormatError("pushforward needs exactly 'target' and 'map'")
-        target_data = block.get("target")
+    if data.get("pushforward") is not None:
+        what = f"pushforward of ring {name_hint!r}"
+        block = check_keys(data["pushforward"], what, ("target", "map"))
+        target_data = block["target"]
         if isinstance(target_data, str):
             target = builtin_ring(target_data)
         else:
@@ -696,7 +691,7 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
         target_unit = target.labels[target._unit]
         mapping = {
             str(label): _parse_linear_expression(value, target_unit)
-            for label, value in (block.get("map") or {}).items()
+            for label, value in (block["map"] or {}).items()
         }
         pushforward = (target, mapping)
 
@@ -708,6 +703,23 @@ def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
         integral=integral,
         pushforward=pushforward,
     )
+
+
+def check_keys(value, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """``value``, once it is a mapping that has every ``required`` key and
+    no key outside ``required`` and ``optional``.  Otherwise
+    ``RingFormatError`` names ``what`` and the first key at fault, so that
+    no key of a description goes unread."""
+    if not isinstance(value, Mapping):
+        raise RingFormatError(f"{what} must be a mapping of keys, got {type(value).__name__}")
+    allowed = {*required, *optional}
+    for key in required:
+        if key not in value:
+            raise RingFormatError(f"{what} lacks key {key!r}")
+    for key in value:
+        if key not in allowed:
+            raise RingFormatError(f"{what} has unknown key {key!r}")
+    return value
 
 
 def read_yaml(path):

@@ -19,8 +19,10 @@ an ``ambient`` row per case; ``decompose`` leaves ``k`` and ``e`` blank.
 
 Exit status is 0 when every result conserves (or every identity holds), 1
 when one does not, and 2 for bad input or usage, reported on one
-``error:`` line, never as a traceback.  ``schubres --selftest`` replays the
-package's frozen reference values and exits 1 if any disagree.
+``error:`` line, never as a traceback.  A reader that closes standard
+output early is not bad input: the status is then 141 (128 + SIGPIPE),
+and nothing is printed.  ``schubres --selftest`` replays the package's
+frozen reference values and exits 1 if any disagree.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from importlib import resources
@@ -36,7 +39,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .chow import GrassContext, Partition, StructRing, builtin_ring, load_ring, read_yaml
+from .chow import (
+    GrassContext,
+    Partition,
+    StructRing,
+    builtin_ring,
+    check_keys,
+    load_ring,
+    read_yaml,
+)
 from .errors import EngineError
 from .identities import verify_identity
 from .limits import (
@@ -366,18 +377,12 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
     raise ValueError(f"cannot resolve ring from {value!r}")
 
 
-def _mapping(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a mapping of keys, got {type(value).__name__}")
-    return value
-
-
-def _field(data: dict, key: str, what: str):
-    """``data[key]``; a missing key raises ``ValueError`` naming it."""
-    try:
-        return data[key]
-    except KeyError:
-        raise ValueError(f"{what} lacks key {key!r}") from None
+# Each decomposition mode: its function and the class keys it reads, in the
+# order the function takes them.
+_MODES = {
+    "divisor": (divisor_decompose, ("divisor_segre", "divisor_class", "residual_segre")),
+    "symmetric": (symmetric_decompose, ("first", "second")),
+}
 
 
 def _fixture_payload(source: str, coarse: bool) -> dict:
@@ -392,10 +397,20 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     ``ValueError``.
     """
     path = _fixture_path(source)
-    where = f"fixture {path.name!r}"
-    data = _mapping(read_yaml(path), where)
-    ring = _resolve_ring(_field(data, "ring", where), path.parent)
-    dim = exact_int(_field(data, "dim", where), "fixture key 'dim'")
+    data = read_yaml(path)
+    mode = data.get("mode", "divisor") if isinstance(data, dict) else "divisor"
+    if not isinstance(mode, str) or mode not in _MODES:
+        raise ValueError(f"unknown decomposition mode {mode!r}")
+    decompose, class_keys = _MODES[mode]
+    check_keys(
+        data, f"fixture {path.name!r}", ("ring", "dim", "codim", "normal_chern", *class_keys),
+        ("name", "mode", "labels", "total_segre", "coarse"),
+    )
+    if "coarse" in data:
+        what = "fixture key 'coarse'"
+        check_keys(data["coarse"], what, ("ring", "normal_chern", "segre", "total"))
+    ring = _resolve_ring(data["ring"], path.parent)
+    dim = exact_int(data["dim"], "fixture key 'dim'")
     if dim != ring.top_degree:
         raise ValueError(
             f"fixture key 'dim' is {dim}, but ring {ring.name!r} has top degree "
@@ -403,25 +418,15 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
         )
 
     def element(key: str):
-        return ring.parse(str(_field(data, key, where)))
+        return ring.parse(str(data[key]))
 
     setup = IntersectionSetup(
-        cN=element("normal_chern"),
-        d=exact_int(_field(data, "codim", where), "fixture key 'codim'"),
+        cN=element("normal_chern"), d=exact_int(data["codim"], "fixture key 'codim'")
     )
-    mode = data.get("mode", "divisor")
     labels = data.get("labels", ["D", "R"])
     if not (isinstance(labels, list) and list(map(type, labels)) == [str, str]):
         raise ValueError(f"fixture key 'labels' must be a list of two strings, got {labels!r}")
-    if mode == "divisor":
-        keys = ("divisor_segre", "divisor_class", "residual_segre")
-        decomposition = divisor_decompose(setup, *map(element, keys), labels=tuple(labels))
-    elif mode == "symmetric":
-        decomposition = symmetric_decompose(
-            setup, element("first"), element("second"), labels=tuple(labels)
-        )
-    else:
-        raise ValueError(f"unknown decomposition mode {mode!r}")
+    decomposition = decompose(setup, *map(element, class_keys), labels=tuple(labels))
 
     undecomposed = None
     if "total_segre" in data:
@@ -434,12 +439,11 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     if coarse:
         if "coarse" not in data:
             raise ValueError(f"fixture {data.get('name', path.name)!r} has no coarse section")
-        what = "fixture key 'coarse'"
-        section = _mapping(data["coarse"], what)
-        coarse_ring = _resolve_ring(_field(section, "ring", what), path.parent)
+        section = data["coarse"]
+        coarse_ring = _resolve_ring(section["ring"], path.parent)
 
         def coarse_element(key: str):
-            return coarse_ring.parse(str(_field(section, key, what)))
+            return coarse_ring.parse(str(section[key]))
 
         coarse_setup = IntersectionSetup(cN=coarse_element("normal_chern"), d=setup.d)
         main = main_term(coarse_setup, coarse_element("segre"))
@@ -449,19 +453,18 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
             "residual_degree": (coarse_element("total") - main).integrate(),
         }
 
+    components = []
+    for c in decomposition.components:
+        degrees = (c.main.integrate(), c.adjunct.integrate())
+        components.append(
+            _component(c.label, (c.main, c.adjunct, c.total), (*degrees, sum(degrees)))
+        )
     ambient = decomposition.ambient_total
     return {
         "fixture": data.get("name", path.stem),
         "mode": mode,
         "ring": ring.name,
-        "components": [
-            _component(
-                c.label,
-                (c.main, c.adjunct, c.total),
-                (c.main.integrate(), c.adjunct.integrate(), c.total.integrate()),
-            )
-            for c in decomposition.components
-        ],
+        "components": components,
         "ambient": _ambient(ambient, ambient.integrate()),
         "conserved": decomposition.conserved,
         "undecomposed_ok": undecomposed,
@@ -690,18 +693,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.selftest:
-        return run_selftest()
-    if not getattr(args, "command", None):
+    if not (args.selftest or getattr(args, "command", None)):
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        status = run_selftest() if args.selftest else args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, which is not bad input.  Point stdout at
+        # devnull so that the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (EngineError, ValueError, KeyError, OSError) as exc:
         # A KeyError prints its message as a repr; print the message itself.
         message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

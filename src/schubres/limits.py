@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bundles import sym_ustar
+from .bundles import rank_sym, sym_ustar
 from .chow import GrassContext, Partition, integrate
-from .residual import IntersectionSetup, regular_decompose
+from .residual import Decomposition, DecompositionComponent, IntersectionSetup, regular_decompose
 from .symfunc import GradedPoly, exact_int
 
 __all__ = [
@@ -147,12 +147,15 @@ def _paired_degree(
 def fano_family(ctx: GrassContext, d: int, pairing=None) -> tuple[GradedPoly, int, int | None]:
     """Class, dimension (zero when finite or empty) and count, as in
     ``fano_degree``, of the scheme of ``r``-planes on a general degree-``d``
-    hypersurface, all from one lookup of ``Sym^d U*``."""
+    hypersurface, all from one lookup of ``Sym^d U*``.  An empty family,
+    where the rank exceeds the dimension, is answered without one."""
+    excess = ctx.dim - rank_sym(ctx.r, d)
+    pairing = _check_pairing(ctx, pairing, excess)
+    if excess < 0:
+        return GradedPoly.zero(ctx.spec), 0, 0
     bundle = sym_ustar(ctx, d)
     cls = bundle.chern(bundle.rank)
-    excess = ctx.dim - bundle.rank
-    count = _paired_degree(ctx, cls, excess, _check_pairing(ctx, pairing, excess))
-    return cls, max(excess, 0), count
+    return cls, excess, _paired_degree(ctx, cls, excess, pairing)
 
 
 def fano_degree(ctx: GrassContext, d: int, pairing=None) -> int | None:
@@ -173,44 +176,53 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
 
     When the expected family of planes is positive-dimensional the degree
     columns are ``None`` unless ``pairing`` names a Schubert condition of
-    complementary size to cut the family down to points.
+    complementary size to cut the family down to points.  When it is empty
+    (the rank of ``Sym^d U*`` exceeds the dimension), every class lives
+    above the top degree, and the zero classes are returned without
+    building any bundle.  A piece's total degree is the sum of its main
+    and adjunct degrees, as its class is the sum of theirs.
     """
     ctx = spec.context
-    d = spec.degree
-    ambient_bundle = sym_ustar(ctx, d)
-    excess = ctx.dim - ambient_bundle.rank
+    excess = ctx.dim - rank_sym(ctx.r, spec.degree)
     pairing = _check_pairing(ctx, pairing, excess)
-    setup = IntersectionSetup(cN=ambient_bundle.total_chern, d=ambient_bundle.rank)
-    (k1, e1), (k2, e2) = spec.pieces
-    bundle1 = sym_ustar(ctx, k1, e1)
-    bundle2 = sym_ustar(ctx, k2, e2)
-    top1 = bundle1.chern(bundle1.rank)
-    top2 = bundle2.chern(bundle2.rank)
-    decomposition = regular_decompose(
-        setup, bundle1, bundle2, top1, top2, top1 * top2, labels=spec.labels
-    )
-
+    if excess < 0:
+        ambient = zero = GradedPoly.zero(ctx.spec)
+        decomposition = Decomposition(
+            tuple(DecompositionComponent(label, zero, zero, zero) for label in spec.labels), zero
+        )
+    else:
+        ambient_bundle = sym_ustar(ctx, spec.degree)
+        setup = IntersectionSetup(cN=ambient_bundle.total_chern, d=ambient_bundle.rank)
+        (k1, e1), (k2, e2) = spec.pieces
+        bundle1 = sym_ustar(ctx, k1, e1)
+        bundle2 = sym_ustar(ctx, k2, e2)
+        top1 = bundle1.chern(bundle1.rank)
+        top2 = bundle2.chern(bundle2.rank)
+        decomposition = regular_decompose(
+            setup, bundle1, bundle2, top1, top2, top1 * top2, labels=spec.labels
+        )
+        ambient = ambient_bundle.chern(ambient_bundle.rank)
     # The pieces sum to ``ambient_total``; they must give c_top(Sym^d U*).
-    ambient = ambient_bundle.chern(ambient_bundle.rank)
     conserved = decomposition.ambient_total == ambient
 
-    reports = tuple(
-        PieceReport(
+    reports = []
+    for component, (k, e) in zip(decomposition.components, spec.pieces):
+        main = _paired_degree(ctx, component.main, excess, pairing)
+        adjunct = _paired_degree(ctx, component.adjunct, excess, pairing)
+        reports.append(PieceReport(
             label=component.label,
             degree=k,
             multiplicity=e,
             main_class=component.main,
             adjunct_class=component.adjunct,
             total_class=component.total,
-            main_degree=_paired_degree(ctx, component.main, excess, pairing),
-            adjunct_degree=_paired_degree(ctx, component.adjunct, excess, pairing),
-            total_degree=_paired_degree(ctx, component.total, excess, pairing),
-        )
-        for component, (k, e) in zip(decomposition.components, spec.pieces)
-    )
+            main_degree=main,
+            adjunct_degree=adjunct,
+            total_degree=None if main is None else main + adjunct,
+        ))
     return LimitReport(
         spec=spec,
-        pieces=reports,
+        pieces=tuple(reports),
         ambient_class=ambient,
         ambient_degree=_paired_degree(ctx, ambient, excess, pairing),
         conserved=conserved,

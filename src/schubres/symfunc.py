@@ -635,90 +635,39 @@ def substitute(p: GradedPoly, images, one):
     return acc
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[\^*+-]))"
-)
+_FACTOR_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?)\s*")
 
 
-def tokenize_expression(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        for kind in ("int", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
-
-
-def parse_linear_terms(text: str) -> Iterator[tuple[int, list[tuple[str, int]]]]:
+def parse_linear_terms(text: str) -> list[tuple[int, list[tuple[str, int]]]]:
     """Parse ``18*x^2*y + 9*y^2`` style text into (coefficient, factors) terms.
 
-    Each factor is a (name, exponent) pair; repeated names are not merged
-    here.  Shared by the polynomial parser and the structure-ring element
-    parser.
+    The text splits into terms at each sign and a term into factors at each
+    ``*``; every factor is an integer or a name with an optional integer
+    exponent, and whitespace around any of them is ignored.  Only a blank
+    first term before a sign may be empty.  Each factor is a (name,
+    exponent) pair; repeated names are not merged here.  Shared by the
+    polynomial parser and the structure-ring element parser.
     """
-    tokens = tokenize_expression(text)
-    if not tokens:
-        raise ValueError("empty expression")
-    pos = 0
-
-    def parse_term() -> tuple[int, list[tuple[str, int]]]:
-        nonlocal pos
-        coeff = 1
-        factors: list[tuple[str, int]] = []
-        expect_factor = True
-        while pos < len(tokens):
-            kind, value = tokens[pos]
-            if not expect_factor:
-                if kind == "op" and value == "*":
-                    pos += 1
-                    expect_factor = True
-                    continue
-                break
-            if kind == "int":
-                coeff *= int(value)
-                pos += 1
-            elif kind == "name":
-                name = value
-                exponent = 1
-                pos += 1
-                if (
-                    pos + 1 < len(tokens)
-                    and tokens[pos] == ("op", "^")
-                    and tokens[pos + 1][0] == "int"
-                ):
-                    exponent = int(tokens[pos + 1][1])
-                    pos += 2
-                factors.append((name, exponent))
+    pieces = re.split(r"([+-])", text)
+    signed = list(zip(["+", *pieces[1::2]], pieces[0::2]))
+    if len(signed) > 1 and not signed[0][1].strip():
+        signed = signed[1:]
+    terms = []
+    for sign, term in signed:
+        coeff, factors = -1 if sign == "-" else 1, []
+        for factor in term.split("*"):
+            match = _FACTOR_RE.fullmatch(factor)
+            if match is None:
+                raise ValueError(
+                    f"expected an integer or name[^integer], got {factor!r} in {text!r}"
+                )
+            number, name, exponent = match.groups()
+            if name is None:
+                coeff *= int(number)
             else:
-                raise ValueError(f"expected a factor, found {value!r}")
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("dangling operator at end of term")
-        return coeff, factors
-
-    sign = 1
-    kind, value = tokens[0]
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        pos = 1
-    while True:
-        coeff, factors = parse_term()
-        yield sign * coeff, factors
-        if pos == len(tokens):
-            return
-        kind, value = tokens[pos]
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            pos += 1
-        else:
-            raise ValueError(f"expected '+' or '-', found {value!r}")
+                factors.append((name, int(exponent or 1)))
+        terms.append((coeff, factors))
+    return terms
 
 
 def parse_poly(spec: GeneratorSpec, text: str) -> GradedPoly:

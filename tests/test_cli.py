@@ -373,6 +373,14 @@ def test_decompose_rejects_malformed_fixtures(tmp_path, capsys, text, argv, mess
     assert message in captured.err
 
 
+_COARSE = """coarse:
+  ring: p2
+  normal_chern: "1 + 4*h + 4*h2"
+  segre: "h2"
+  total: "4*h2"
+"""
+
+
 _SYMMETRIC_FIXTURE = """
 mode: symmetric
 ring: blowup_p2
@@ -405,6 +413,26 @@ first: "e"
             id="coarse-without-normal-chern",
         ),
         pytest.param("ring: [\n", "is not valid YAML", id="bad-yaml"),
+        pytest.param(
+            _DIVISOR_FIXTURE + 'total_segr: "2*e + 4*P"\n',
+            "error: fixture 'case.yaml' has unknown key 'total_segr'\n",
+            id="misspelt-total-segre",
+        ),
+        pytest.param(
+            _DIVISOR_FIXTURE + "label: [A, B]\n",
+            "error: fixture 'case.yaml' has unknown key 'label'\n",
+            id="misspelt-labels",
+        ),
+        pytest.param(
+            _SYMMETRIC_FIXTURE + 'second: "e"\ndivisor_class: "e"\n',
+            "error: fixture 'case.yaml' has unknown key 'divisor_class'\n",
+            id="divisor-key-in-symmetric",
+        ),
+        pytest.param(
+            _DIVISOR_FIXTURE + _COARSE + "  sgre: h2\n",
+            "error: fixture key 'coarse' has unknown key 'sgre'\n",
+            id="unknown-coarse-key",
+        ),
     ],
 )
 def test_fixture_errors_name_what_is_wrong(tmp_path, capsys, text, message) -> None:
@@ -417,6 +445,88 @@ def test_fixture_errors_name_what_is_wrong(tmp_path, capsys, text, message) -> N
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+def test_unread_keys_are_refused_without_coarse(tmp_path, capsys) -> None:
+    # A coarse section is checked even when --coarse is not given, and a
+    # ring file's pushforward block is checked like the ring itself.
+    path = tmp_path / "case.yaml"
+    path.write_text(_DIVISOR_FIXTURE + _COARSE + "  sgre: h2\n", encoding="utf-8")
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr().err == "error: fixture key 'coarse' has unknown key 'sgre'\n"
+    ring = """
+basis: ["1", h, e, P]
+degrees: [0, 1, 1, 2]
+products: {h*h: P, e*e: -P}
+integral: {P: 1}
+pushforward:
+  target: p2
+  map: {"1": "1", h: h, e: "0", P: h2}
+"""
+    path.write_text(_SYMMETRIC_FIXTURE.replace("blowup_p2", "ring.yaml") + 'second: "e"\n')
+    (tmp_path / "ring.yaml").write_text(ring + "  maps: {}\n", encoding="utf-8")
+    assert main(["decompose", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pushforward of ring ") and "has unknown key 'maps'" in err
+    (tmp_path / "ring.yaml").write_text(ring, encoding="utf-8")
+    assert main(["decompose", str(path)]) == 0
+
+
+def test_readme_fixture_example_runs(tmp_path, capsys) -> None:
+    # The fixture example in README.md is the shipped double_line_split_single.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("**Decomposition fixtures**", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.yaml"
+    path.write_text(example, encoding="utf-8")
+    code, out = run(capsys, ["decompose", str(path), "--coarse", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    degrees = [[c[f"{kind}_degree"] for kind in ("main", "adjunct", "total")]
+               for c in payload["components"]]
+    assert degrees == [[1, 1, 2], [1, 1, 2]]
+    assert payload["ambient"]["degree"] == 4
+    assert payload["undecomposed_ok"] is True
+    assert (payload["coarse"]["main_degree"], payload["coarse"]["residual_degree"]) == (1, 3)
+    shipped = ["decompose", "double_line_split_single", "--coarse", "--format", "json"]
+    assert run(capsys, shipped) == (0, out)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        pytest.param(["fano", "-r", "1", "-n", "4", "-d", "5"], 141, id="small-output"),
+        pytest.param(
+            ["degenerate", "-r", "2", "-n", "7", "--all", "-d", "4", "--format", "json"],
+            141,
+            id="large-output",
+        ),
+        pytest.param(["--selftest"], 141, id="selftest"),
+        pytest.param(["decompose", "no-such-fixture"], 2, id="missing-fixture"),
+        pytest.param(["fano", "-r", "1", "-n", "3", "-d", "3", "--output", "."], 2, id="output"),
+    ],
+)
+def test_closed_stdout_is_not_bad_input(tmp_path, argv, status) -> None:
+    # The reader of stdout is gone before anything is written: a small
+    # output fails at the final flush, a large one inside print.  That exits
+    # 141 (128 + SIGPIPE) in silence; bad input still exits 2 with a message.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [entry for entry in [os.environ.get("PYTHONPATH")] if entry]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "schubres", *argv], cwd=tmp_path, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == status, done.stderr
+    if status == 141:
+        assert done.stderr == ""
+    else:
+        assert done.stderr.startswith("error: ")
 
 
 def test_commands_without_yaml_files_never_import_yaml() -> None:

@@ -327,8 +327,12 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     # products accumulate without subtracting (a subtraction copies its
     # operand twice).  Counted, not timed; the engine needs 854 products
     # over 11,980 term pairs, 7 inversions, no substitute and no
-    # subtraction.
-    counts = {"mul_terms": 0, "pairs": 0, "series_inverse": 0, "substitute": 0, "__sub__": 0}
+    # subtraction.  A piece's total degree is the sum of its main and adjunct
+    # degrees, so a decomposition integrates five classes: 60 in all.
+    counts = {
+        "mul_terms": 0, "pairs": 0, "series_inverse": 0, "substitute": 0, "__sub__": 0,
+        "integrate": 0,
+    }
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -345,12 +349,14 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     counting(symfunc, "series_inverse")
     counting(bundles, "substitute")
     counting(symfunc.ClassCarrier, "__sub__")
+    counting(limits, "integrate")
     bundles.sym_ustar.cache_clear()
     for context, degree in (((1, 4), 5), ((2, 7), 4)):
         ctx = GrassContext(*context)
         for pieces in enumerate_degenerations(degree):
             assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
     assert 0 < counts["mul_terms"] <= 854
+    assert 0 < counts["integrate"] <= 60
     assert 0 < counts["pairs"] <= 11_980
     assert 0 < counts["series_inverse"] <= 7
     assert counts["substitute"] == 0
@@ -376,3 +382,25 @@ def test_integration_builds_no_partition(monkeypatch) -> None:
             assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
     assert fano_degree(GrassContext(3, 8), 3) == 321489
     assert built == []
+
+
+def test_empty_families_build_no_bundle(monkeypatch) -> None:
+    # On G(5,13), rank Sym^3 U* = 56 exceeds the dimension 48: every class
+    # of the family lies above the top degree, so the count is 0 and no
+    # symmetric power is built.  A pairing is still checked first.
+    def refuse(*args):
+        raise AssertionError(f"sym_ustar{args} called")
+
+    monkeypatch.setattr(limits, "sym_ustar", refuse)
+    ctx = GrassContext(5, 13)
+    cls, family_dim, count = limits.fano_family(ctx, 3)
+    assert (cls.is_zero, family_dim, count) == (True, 0, 0)
+    assert fano_degree(ctx, 3, pairing=()) == 0
+    with pytest.raises(ValueError, match="size 0"):
+        fano_degree(ctx, 3, pairing=(1,))
+    for pieces in enumerate_degenerations(3):
+        report = decompose_degeneration(DegenerationSpec(ctx, pieces))
+        assert report.conserved and report.ambient_class.is_zero and report.ambient_degree == 0
+        for piece in report.pieces:
+            assert (piece.main_degree, piece.adjunct_degree, piece.total_degree) == (0, 0, 0)
+            assert piece.total_class.is_zero and piece.main_class.is_zero

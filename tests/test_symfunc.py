@@ -20,6 +20,7 @@ from schubres.symfunc import (
     GradedPoly,
     add_terms,
     elementary_symmetric,
+    parse_linear_terms,
     parse_poly,
     root_spec,
     roots_to_e,
@@ -328,17 +329,33 @@ def test_parse_round_trip_random() -> None:
         assert parse_poly(spec, p.to_string()) == p
 
 
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("x", [(1, [("x", 1)])]),
+        ("18*x^2*y + 9*y^2", [(18, [("x", 2), ("y", 1)]), (9, [("y", 2)])]),
+        (" - x ^ 2 * 3*y2", [(-3, [("x", 2), ("y2", 1)])]),
+        ("+x-2", [(1, [("x", 1)]), (-2, [])]),
+        ("2*3*_a*x^0", [(6, [("_a", 1), ("x", 0)])]),
+        ("x*x^ 007", [(1, [("x", 1), ("x", 7)])]),
+        ("0 - 0*x", [(0, []), (0, [("x", 1)])]),
+        ("x + 1 ", [(1, [("x", 1)]), (1, [])]),
+        ("\tx\n", [(1, [("x", 1)])]),
+    ],
+)
+def test_parse_linear_terms_accepts(text, terms) -> None:
+    # A term is split off at each sign and a factor at each '*'; whitespace
+    # around any part is ignored, trailing whitespace included.
+    assert parse_linear_terms(text) == terms
+
+
 def test_parse_rejects_garbage() -> None:
-    with pytest.raises(ValueError):
-        parse_poly(lines_spec(), "x +")
-    with pytest.raises(ValueError):
-        parse_poly(lines_spec(), "x ** 2")
-    with pytest.raises(ValueError):
-        parse_poly(lines_spec(), "")
+    # One string for each way the grammar can fail.
+    for text in ("", "  ", "x +", "x ** 2", "x @ y", "2x", "x^y", "--x", "x*", "*x", "x y", "2^3"):
+        with pytest.raises(ValueError, match="expected an integer or name"):
+            parse_poly(lines_spec(), text)
     with pytest.raises(KeyError):
         parse_poly(lines_spec(), "q + 1")
-    with pytest.raises(ValueError):
-        parse_poly(lines_spec(), "x @ y")
 
 
 def test_immutability() -> None:

@@ -21,7 +21,7 @@ Exit status is 0 when every result conserves (or every identity holds), 1
 when one does not, and 2 for bad input or usage, reported on one
 ``error:`` line, never as a traceback.  A reader that closes standard
 output early is not bad input: the status is then 141 (128 + SIGPIPE),
-and nothing is printed.  ``schubres --selftest`` replays the package's
+and nothing is printed on standard error.  ``schubres --selftest`` replays the package's
 frozen reference values and exits 1 if any disagree.
 """
 
@@ -377,11 +377,12 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
     raise ValueError(f"cannot resolve ring from {value!r}")
 
 
-# Each decomposition mode: its function and the class keys it reads, in the
-# order the function takes them.
-_MODES = {
-    "divisor": (divisor_decompose, ("divisor_segre", "divisor_class", "residual_segre")),
-    "symmetric": (symmetric_decompose, ("first", "second")),
+# The class keys each decomposition mode reads, in the order its function
+# takes them.  The function itself is looked up when the fixture runs, so a
+# caller that rebinds the module global is the one called.
+_MODE_KEYS = {
+    "divisor": ("divisor_segre", "divisor_class", "residual_segre"),
+    "symmetric": ("first", "second"),
 }
 
 
@@ -399,9 +400,9 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     path = _fixture_path(source)
     data = read_yaml(path)
     mode = data.get("mode", "divisor") if isinstance(data, dict) else "divisor"
-    if not isinstance(mode, str) or mode not in _MODES:
+    if not isinstance(mode, str) or mode not in _MODE_KEYS:
         raise ValueError(f"unknown decomposition mode {mode!r}")
-    decompose, class_keys = _MODES[mode]
+    class_keys = _MODE_KEYS[mode]
     check_keys(
         data, f"fixture {path.name!r}", ("ring", "dim", "codim", "normal_chern", *class_keys),
         ("name", "mode", "labels", "total_segre", "coarse"),
@@ -426,6 +427,7 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     labels = data.get("labels", ["D", "R"])
     if not (isinstance(labels, list) and list(map(type, labels)) == [str, str]):
         raise ValueError(f"fixture key 'labels' must be a list of two strings, got {labels!r}")
+    decompose = divisor_decompose if mode == "divisor" else symmetric_decompose
     decomposition = decompose(setup, *map(element, class_keys), labels=tuple(labels))
 
     undecomposed = None

@@ -3,8 +3,10 @@
 ``perfbench/layertrace.py`` wraps library functions from outside ``src/`` by
 name.  A span whose every binding is gone silently drops its metrics from a
 traced benchmark run, so deleting or renaming a traced function is caught
-here, before the benchmark runs.  The tracer module is imported and read;
-only the last test installs it, around a few products, and uninstalls it.
+here, before the benchmark runs.  So is a caller that holds a function
+object the tracer cannot rebind, which leaves the span present but at zero
+calls.  The tracer module is imported and read; the last two tests install
+it, around a few products and around ``decompose`` commands, and uninstall it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from schubres import bundles, kernel
+import pytest
+
+from schubres import bundles, cli, kernel
 from schubres.symfunc import GeneratorSpec, parse_poly
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -99,3 +103,26 @@ def test_tracer_counts_accumulated_products() -> None:
     # cancelled keys included: x, y, x^2, x*y and y^2 for a * b, then 1, x, y,
     # x^2, x*y and y^2 after each product of add_products.
     assert tracer.mul["terms_out"] == 5 + 6 + 6
+
+
+@pytest.mark.parametrize(
+    "fixture, span",
+    [
+        ("double_line_split_single", "residual.divisor_decompose"),
+        ("double_line_symmetric", "residual.symmetric_decompose"),
+    ],
+)
+def test_decompose_command_runs_through_its_traced_span(fixture, span, capsys) -> None:
+    # A traced cli_small round reads these spans' inclusive time; the command
+    # must reach the decomposition through the binding the tracer replaces.
+    layertrace = _load_layertrace()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        status = cli.main(["decompose", fixture, "--format", "json"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert status == 0
+    assert tracer.stats[span][0] == 1
+    assert tracer.stats["cli.main"][0] == 1

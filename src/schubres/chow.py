@@ -4,10 +4,13 @@ Two ring models live here.  ``GrassContext`` presents the Chow ring of the
 Grassmannian of projective r-planes in projective n-space as a truncated
 polynomial ring in the Chern classes of the dual tautological subbundle,
 with conversion to the Schubert basis and exact integration, optionally
-paired with a Schubert class.  ``StructRing`` is a finite graded ring given by explicit integer
-structure constants, used for ambient spaces such as a blown-up plane where
-a handful of basis classes suffice; it optionally carries a pushforward to
-another such ring.  Its elements, ``StructElement``, are the second
+paired with a Schubert class.  ``StructRing`` is a finite graded ring given
+by explicit integer structure constants, used for ambient spaces such as a
+blown-up plane where a handful of basis classes suffice; it optionally
+carries a pushforward to another such ring.  It is built from one
+description, the mapping a ring file holds, and the builtin rings
+(``projective_space``, ``blowup_plane_at_point``) are written in that form
+too.  Its elements, ``StructElement``, are the second
 ``symfunc.ClassCarrier`` next to ``GradedPoly``: the arithmetic the protocol
 derives, series inversion and printing come from that base class.  Ring
 descriptions must give integers; a float or bool is refused, not rounded.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .errors import ContextMismatchError, RingFormatError, UnsupportedOperationError
 from .symfunc import (
@@ -260,7 +263,8 @@ def integrate(ctx: GrassContext, p: GradedPoly, pairing: Partition | None = None
     one is given.  Schubert classes pair to one only with their duals, so
     that is the coefficient of l^v, parts m - l_(k+1-i), in the Schubert
     expansion of the part of ``p`` in degree dim - |l|; plain integration is
-    l = (), the full box.  A pairing outside the box raises ``ValueError``."""
+    l = (), the full box.  A pairing outside the box raises ``ValueError``.
+    Only that coefficient is read, from each term's memoized expansion."""
     if pairing is None:
         size, dual = 0, (ctx.m,) * ctx.k
     else:
@@ -269,7 +273,12 @@ def integrate(ctx: GrassContext, p: GradedPoly, pairing: Partition | None = None
         size = pairing.size
         parts = (ctx.m - pairing.part(ctx.k - 1 - i) for i in range(ctx.k))
         dual = tuple(part for part in parts if part)
-    return to_schubert(ctx, p.degree_part(ctx.dim - size)).get(dual, 0)
+    if p.spec != ctx.spec:
+        raise ContextMismatchError("polynomial does not live on this Grassmannian")
+    return sum(
+        coeff * _monomial_schubert(ctx, key).get(dual, 0)
+        for key, coeff in p.degree_part(ctx.dim - size).packed.items()
+    )
 
 
 def integrate_oracle(ctx: GrassContext, p: GradedPoly) -> int:
@@ -338,29 +347,39 @@ def schubert_poly(ctx: GrassContext, partition: Partition) -> GradedPoly:
 class StructRing:
     """Finite graded ring described by integer structure constants.
 
+    The one constructor takes the mapping a ring file holds: ``basis``
+    (labels), ``degrees``, optional ``name`` (else ``name_hint``),
+    ``products`` (``"a*b": expression``), ``integral`` (label to integer)
+    and ``pushforward`` (a ``target`` that is a builtin ring name or a
+    nested description, plus a ``map`` from each label to an expression in
+    the target's basis).  The builtin rings are written in the same form.
+    A bare integer in an expression is that multiple of the unit.  A block
+    of the wrong shape, an unknown label or a non-integer raises
+    ``RingFormatError``.
+
     The basis must contain exactly one degree-zero element, which acts as
     the unit.  Products may list either ordering of a basis pair; missing
-    pairs default to zero, which covers all products landing above the top
-    degree.  Validation checks grading, commutativity, associativity on all
-    basis triples, that the integral is supported in the top degree, and
-    that a pushforward (if present) shifts codimension consistently with
-    the dimensions of the two rings.
+    pairs are zero, which covers all products landing above the top degree,
+    and a product listed as zero is the same ring as one left out.
+    Validation checks grading, commutativity, associativity on all basis
+    triples, that the integral is supported in the top degree, and that a
+    pushforward shifts codimension consistently with the dimensions of the
+    two rings.
     """
 
     __slots__ = ("name", "labels", "degrees", "_index", "_unit", "_table",
                  "_integral", "_pushforward")
 
-    def __init__(
-        self,
-        name: str,
-        labels: Iterable[str],
-        degrees: Iterable[int],
-        products: Mapping[tuple[str, str], Mapping[str, int]],
-        integral: Mapping[str, int] = (),
-        pushforward: "tuple[StructRing, Mapping[str, Mapping[str, int]]] | None" = None,
-    ) -> None:
-        labels = tuple(labels)
-        degrees = tuple(exact_int(d, "degree", RingFormatError) for d in degrees)
+    def __init__(self, description: Mapping, name_hint: str = "ring") -> None:
+        what = f"ring {name_hint!r}"
+        data = check_keys(
+            description, what, ("basis", "degrees"),
+            ("name", "products", "integral", "pushforward"),
+        )
+        labels = tuple(str(label) for label in _block(data, "basis", what, "list"))
+        degrees = tuple(
+            exact_int(d, "degree", RingFormatError) for d in _block(data, "degrees", what, "list")
+        )
         if len(labels) != len(degrees):
             raise RingFormatError("basis and degrees must have equal length")
         if len(set(labels)) != len(labels):
@@ -370,54 +389,49 @@ class StructRing:
         units = [i for i, d in enumerate(degrees) if d == 0]
         if len(units) != 1:
             raise RingFormatError("need exactly one degree-zero basis element")
-        index = {label: i for i, label in enumerate(labels)}
-        object.__setattr__(self, "name", str(name))
+        object.__setattr__(self, "name", str(data.get("name", name_hint)))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
         object.__setattr__(self, "_unit", units[0])
 
         table: dict[tuple[int, int], dict[int, int]] = {}
-        for (la, lb), value in products.items():
-            for label in (la, lb):
-                if label not in index:
-                    raise RingFormatError(f"product references unknown label {label!r}")
-            ia, ib = sorted((index[la], index[lb]))
-            entry: dict[int, int] = {}
-            for label, coeff in value.items():
-                if label not in index:
-                    raise RingFormatError(f"product value references unknown label {label!r}")
-                if exact_int(coeff, "structure constant", RingFormatError):
-                    entry[index[label]] = entry.get(index[label], 0) + coeff
-            entry = {i: c for i, c in entry.items() if c}
-            if (ia, ib) in table and table[(ia, ib)] != entry:
-                raise RingFormatError(
-                    f"conflicting products for {labels[ia]}*{labels[ib]}"
-                )
-            table[(ia, ib)] = entry
+        for key, value in _block(data, "products", what).items():
+            where = f"product {key!r}"
+            pieces = [piece.strip() for piece in str(key).split("*")]
+            if len(pieces) != 2 or not all(pieces):
+                raise RingFormatError(f"product key must look like 'a*b', got {key!r}")
+            ia, ib = sorted(self._position(piece, where) for piece in pieces)
+            entry = self._read(value, where)
+            if table.setdefault((ia, ib), entry) != entry:
+                raise RingFormatError(f"conflicting products for {labels[ia]}*{labels[ib]}")
         object.__setattr__(self, "_table", table)
 
-        integral_map: dict[int, int] = {}
-        items = integral.items() if isinstance(integral, Mapping) else integral
-        for label, coeff in items:
-            if label not in index:
-                raise RingFormatError(f"integral references unknown label {label!r}")
+        integral: dict[int, int] = {}
+        for label, coeff in _block(data, "integral", what).items():
+            i = self._position(str(label), "integral")
             if exact_int(coeff, "integral", RingFormatError):
-                integral_map[index[label]] = coeff
-        object.__setattr__(self, "_integral", integral_map)
+                integral[i] = coeff
+        object.__setattr__(self, "_integral", integral)
 
-        if pushforward is not None:
-            target, mapping = pushforward
-            image: dict[int, "StructElement"] = {}
-            for label, value in mapping.items():
-                if label not in index:
-                    raise RingFormatError(f"pushforward maps unknown label {label!r}")
-                image[index[label]] = StructElement(
-                    target, {target._index[t]: c for t, c in value.items() if c}
+        pushforward = None
+        if data.get("pushforward") is not None:
+            what = f"pushforward of ring {name_hint!r}"
+            block = check_keys(data["pushforward"], what, ("target", "map"))
+            target = block["target"]
+            target = (builtin_ring(target) if isinstance(target, str)
+                      else StructRing(target, f"{name_hint}.target"))
+            image = {}
+            for label, value in _block(block, "map", what).items():
+                image[self._position(str(label), "pushforward map")] = StructElement(
+                    target, target._read(value, f"pushforward of {label!r}")
                 )
             pushforward = (target, image)
         object.__setattr__(self, "_pushforward", pushforward)
         self._validate()
+        # Zero products were kept for the unit and conflict checks; dropped
+        # now, a product listed as zero and one left out are the same ring.
+        object.__setattr__(self, "_table", {pair: e for pair, e in table.items() if e})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StructRing is immutable")
@@ -477,9 +491,7 @@ class StructRing:
         return StructElement(self, {i: 1})
 
     def element(self, label: str) -> "StructElement":
-        if label not in self._index:
-            raise KeyError(f"no basis label {label!r} in ring {self.name!r}")
-        return self.basis_element(self._index[label])
+        return self.basis_element(self._position(label))
 
     def zero(self) -> "StructElement":
         return StructElement(self, {})
@@ -493,8 +505,30 @@ class StructRing:
         A bare integer is that multiple of the unit.  A power or product of
         labels raises ``ValueError``, an unknown label ``KeyError``.
         """
-        terms = _parse_linear_expression(text, self.labels[self._unit]).items()
-        return sum((coeff * self.element(label) for label, coeff in terms), self.zero())
+        return StructElement(self, self._read(text))
+
+    def _position(self, label: str, where: str | None = None) -> int:
+        """Index of the basis label ``label``.  An unknown label raises
+        ``KeyError``, or ``RingFormatError`` naming ``where`` if given."""
+        i = self._index.get(label)
+        if i is None:
+            if where is None:
+                raise KeyError(f"no basis label {label!r} in ring {self.name!r}")
+            raise RingFormatError(f"{where} names label {label!r}, which ring {self.name!r} lacks")
+        return i
+
+    def _read(self, text, where: str | None = None) -> dict[int, int]:
+        """Index-to-coefficient map of the linear expression ``text``, a
+        string or an integer; a power or product of labels, or a value of
+        another type, raises ``RingFormatError``."""
+        if isinstance(text, bool) or not isinstance(text, (str, int)):
+            raise RingFormatError(f"expected a linear expression, got {text!r}")
+        pairs = []
+        for coeff, factors in parse_linear_terms(str(text)):
+            if len(factors) > 1 or (factors and factors[0][1] != 1):
+                raise RingFormatError(f"expected a linear expression, got {text!r}")
+            pairs.append((self._position(factors[0][0], where) if factors else self._unit, coeff))
+        return add_terms({}, pairs)
 
     def _mul_basis(self, ia: int, ib: int) -> dict[int, int]:
         if ia == self._unit:
@@ -512,14 +546,8 @@ class StructRing:
             and self.degrees == other.degrees
             and self._table == other._table
             and self._integral == other._integral
-            and self._pushforward_signature() == other._pushforward_signature()
+            and self._pushforward == other._pushforward
         )
-
-    def _pushforward_signature(self):
-        if self._pushforward is None:
-            return None
-        target, image = self._pushforward
-        return (target.name, target.labels, {i: tuple(sorted(v.coeffs.items())) for i, v in image.items()})
 
     def __hash__(self) -> int:
         return hash((self.name, self.labels, self.degrees))
@@ -536,9 +564,10 @@ class StructElement(ClassCarrier):
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: StructRing, coeffs: Mapping[int, int] = ()) -> None:
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        canonical = {i: c for i, c in items if exact_int(c, "coefficient", RingFormatError)}
+    def __init__(self, ring: StructRing, coeffs: Mapping[int, int]) -> None:
+        canonical = {
+            i: c for i, c in coeffs.items() if exact_int(c, "coefficient", RingFormatError)
+        }
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", canonical)
 
@@ -602,15 +631,8 @@ class StructElement(ClassCarrier):
         )
 
     def pushforward(self) -> "StructElement":
-        if self.ring._pushforward is None:
-            raise UnsupportedOperationError(
-                f"ring {self.ring.name!r} has no pushforward"
-            )
-        target, image = self.ring._pushforward
-        out = target.zero()
-        for i, c in self.coeffs.items():
-            out = out + c * image[i]
-        return out
+        target, image = self.ring.pushforward_target, self.ring._pushforward[1]
+        return sum((c * image[i] for i, c in self.coeffs.items()), target.zero())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -633,78 +655,6 @@ class StructElement(ClassCarrier):
         return f"StructElement({self.to_string()!r} in {self.ring.name})"
 
 
-def _parse_linear_expression(text, unit_label: str) -> dict[str, int]:
-    """Parse an element expression into a label-to-coefficient map.
-
-    A bare integer counts as a multiple of ``unit_label``.  Labels are not
-    checked here, so ring descriptions can be parsed before their ring
-    exists.  A power or product of labels raises ``RingFormatError``.
-    """
-
-    def terms() -> Iterator[tuple[str, int]]:
-        for coeff, factors in parse_linear_terms(str(text)):
-            if len(factors) > 1 or (factors and factors[0][1] != 1):
-                raise RingFormatError(f"expected a linear expression, got {text!r}")
-            yield (factors[0][0] if factors else unit_label), coeff
-
-    return add_terms({}, terms())
-
-
-def ring_from_dict(data: Mapping, name_hint: str = "ring") -> StructRing:
-    """Build a ``StructRing`` from the declarative mapping form.
-
-    Expected keys: ``basis`` (labels), ``degrees``, optional ``name``,
-    ``products`` (``"a*b": expression``), ``integral`` (label to integer)
-    and ``pushforward`` (``target`` mapping plus ``map`` of expressions in
-    the target basis).  Products not listed are zero; the unit's products
-    are implied.
-    """
-    check_keys(
-        data, f"ring {name_hint!r}", ("basis", "degrees"),
-        ("name", "products", "integral", "pushforward"),
-    )
-    labels = tuple(str(label) for label in data["basis"])
-    degrees = tuple(exact_int(d, "degree", RingFormatError) for d in data["degrees"])
-    units = [label for label, d in zip(labels, degrees) if d == 0]
-    if len(units) != 1:
-        raise RingFormatError("need exactly one degree-zero basis element")
-    unit_label = units[0]
-
-    products: dict[tuple[str, str], dict[str, int]] = {}
-    for key, value in (data.get("products") or {}).items():
-        pieces = [piece.strip() for piece in str(key).split("*")]
-        if len(pieces) != 2 or not all(pieces):
-            raise RingFormatError(f"product key must look like 'a*b', got {key!r}")
-        products[(pieces[0], pieces[1])] = _parse_linear_expression(value, unit_label)
-
-    integral = {str(k): v for k, v in (data.get("integral") or {}).items()}
-
-    pushforward = None
-    if data.get("pushforward") is not None:
-        what = f"pushforward of ring {name_hint!r}"
-        block = check_keys(data["pushforward"], what, ("target", "map"))
-        target_data = block["target"]
-        if isinstance(target_data, str):
-            target = builtin_ring(target_data)
-        else:
-            target = ring_from_dict(target_data, name_hint=f"{name_hint}.target")
-        target_unit = target.labels[target._unit]
-        mapping = {
-            str(label): _parse_linear_expression(value, target_unit)
-            for label, value in (block["map"] or {}).items()
-        }
-        pushforward = (target, mapping)
-
-    return StructRing(
-        name=str(data.get("name", name_hint)),
-        labels=labels,
-        degrees=degrees,
-        products=products,
-        integral=integral,
-        pushforward=pushforward,
-    )
-
-
 def check_keys(value, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     """``value``, once it is a mapping that has every ``required`` key and
     no key outside ``required`` and ``optional``.  Otherwise
@@ -719,6 +669,18 @@ def check_keys(value, what: str, required: tuple[str, ...], optional: tuple[str,
     for key in value:
         if key not in allowed:
             raise RingFormatError(f"{what} has unknown key {key!r}")
+    return value
+
+
+def _block(data: Mapping, key: str, what: str, shape: str = "mapping"):
+    """``data[key]`` once it has ``shape``, a list or a mapping; otherwise
+    ``RingFormatError`` names ``what`` and ``key``.  An absent or empty
+    mapping block reads as ``{}``."""
+    value = data.get(key)
+    if value is None and shape == "mapping":
+        return {}
+    if not isinstance(value, Mapping if shape == "mapping" else (list, tuple)):
+        raise RingFormatError(f"{what} key {key!r} must be a {shape}, got {type(value).__name__}")
     return value
 
 
@@ -739,7 +701,7 @@ def read_yaml(path):
 
 def load_ring(path) -> StructRing:
     """Load a ring description from a YAML file."""
-    return ring_from_dict(read_yaml(path), name_hint=str(path))
+    return StructRing(read_yaml(path), str(path))
 
 
 def projective_space(m: int) -> StructRing:
@@ -747,18 +709,16 @@ def projective_space(m: int) -> StructRing:
     if m < 1:
         raise ValueError("projective space dimension must be positive")
     labels = ["1", "h"] + [f"h{i}" for i in range(2, m + 1)]
-    products = {}
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            if i + j <= m:
-                products[(labels[i], labels[j])] = {labels[i + j]: 1}
-    return StructRing(
-        name=f"p{m}",
-        labels=labels,
-        degrees=tuple(range(m + 1)),
-        products=products,
-        integral={labels[m]: 1},
-    )
+    products = {
+        f"{labels[i]}*{labels[j]}": labels[i + j] for i in range(1, m) for j in range(i, m + 1 - i)
+    }
+    return StructRing({
+        "name": f"p{m}",
+        "basis": labels,
+        "degrees": list(range(m + 1)),
+        "products": products,
+        "integral": {labels[m]: 1},
+    })
 
 
 def blowup_plane_at_point() -> StructRing:
@@ -769,19 +729,14 @@ def blowup_plane_at_point() -> StructRing:
     e*e = -P; h misses the exceptional curve, so h*e = 0.  The pushforward
     collapses e and carries the point class to the point class.
     """
-    target = projective_space(2)
-    return StructRing(
-        name="blowup_p2",
-        labels=("1", "h", "e", "P"),
-        degrees=(0, 1, 1, 2),
-        products={
-            ("h", "h"): {"P": 1},
-            ("h", "e"): {},
-            ("e", "e"): {"P": -1},
-        },
-        integral={"P": 1},
-        pushforward=(target, {"1": {"1": 1}, "h": {"h": 1}, "e": {}, "P": {"h2": 1}}),
-    )
+    return StructRing({
+        "name": "blowup_p2",
+        "basis": ["1", "h", "e", "P"],
+        "degrees": [0, 1, 1, 2],
+        "products": {"h*h": "P", "e*e": "-P"},
+        "integral": {"P": 1},
+        "pushforward": {"target": "p2", "map": {"1": "1", "h": "h", "e": "0", "P": "h2"}},
+    })
 
 
 def builtin_ring(name: str) -> StructRing:

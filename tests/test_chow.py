@@ -24,7 +24,6 @@ from schubres.chow import (
     load_ring,
     partitions_in_box,
     projective_space,
-    ring_from_dict,
     schubert_poly,
     to_schubert,
 )
@@ -286,6 +285,16 @@ def test_schubert_poly_rejects_out_of_box() -> None:
 
 def test_blowup_ring_products() -> None:
     ring = blowup_plane_at_point()
+    # The builtin ring leaves h*e out; listing it as zero is the same ring.
+    listed = {
+        "name": "blowup_p2",
+        "basis": ["1", "h", "e", "P"],
+        "degrees": [0, 1, 1, 2],
+        "products": {"h*h": "P", "h*e": "0", "e*e": "-P"},
+        "integral": {"P": 1},
+        "pushforward": {"target": "p2", "map": {"1": "1", "h": "h", "e": "0", "P": "h2"}},
+    }
+    assert StructRing(listed) == ring
     h, e, point = ring.element("h"), ring.element("e"), ring.element("P")
     assert h * h == point
     assert (h * e).is_zero
@@ -380,33 +389,41 @@ def test_projective_space_ring() -> None:
 
 
 def test_ring_validation_catches_bad_tables() -> None:
+    base = {"basis": ["1", "h", "P"], "degrees": [0, 1, 2]}
     with pytest.raises(RingFormatError):
         # Non-homogeneous product: degree 1 times degree 1 landing in degree 1.
-        StructRing(
-            "bad", ("1", "h", "P"), (0, 1, 2),
-            products={("h", "h"): {"h": 1}}, integral={"P": 1},
-        )
+        StructRing({**base, "products": {"h*h": "h"}, "integral": {"P": 1}})
     with pytest.raises(RingFormatError):
         # Integral supported off the top degree.
-        StructRing(
-            "bad", ("1", "h", "P"), (0, 1, 2),
-            products={("h", "h"): {"P": 1}}, integral={"h": 1},
-        )
+        StructRing({**base, "products": {"h*h": "P"}, "integral": {"h": 1}})
     with pytest.raises(RingFormatError):
         # Two degree-zero elements.
-        StructRing("bad", ("1", "u"), (0, 0), products={}, integral={})
+        StructRing({"basis": ["1", "u"], "degrees": [0, 0], "products": {}, "integral": {}})
     with pytest.raises(RingFormatError):
         # Associativity failure: (x*x)*y = z*y = t but x*(x*y) = 0.
         StructRing(
-            "bad", ("1", "x", "y", "z", "t"), (0, 1, 1, 2, 3),
-            products={
-                ("x", "x"): {"z": 1},
-                ("x", "y"): {},
-                ("y", "y"): {},
-                ("x", "z"): {},
-                ("y", "z"): {"t": 1},
-            },
-            integral={"t": 1},
+            {
+                "basis": ["1", "x", "y", "z", "t"],
+                "degrees": [0, 1, 1, 2, 3],
+                "products": {
+                    "x*x": "z",
+                    "x*y": "0",
+                    "y*y": "0",
+                    "x*z": "0",
+                    "y*z": "t",
+                },
+                "integral": {"t": 1},
+            }
+        )
+    with pytest.raises(RingFormatError, match="conflicting products for h\\*e"):
+        # A product listed as zero still conflicts with a nonzero listing.
+        StructRing(
+            {
+                "basis": ["1", "h", "e", "P"],
+                "degrees": [0, 1, 1, 2],
+                "products": {"h*h": "P", "e*h": "P", "h*e": "0"},
+                "integral": {"P": 1},
+            }
         )
 
 
@@ -421,10 +438,10 @@ def test_ring_yaml_fixture_matches_builtin(tmp_path) -> None:
     assert loaded.element("e") * loaded.element("e") == -loaded.element("P")
 
 
-def test_ring_from_dict_resolves_bare_integers_to_a_named_unit() -> None:
+def test_ring_description_resolves_bare_integers_to_a_named_unit() -> None:
     # The unit is labelled "one", not "1": bare integers in products, in the
     # pushforward map and in parse must all become multiples of it.
-    ring = ring_from_dict(
+    ring = StructRing(
         {
             "basis": ["one", "a", "p"],
             "degrees": [0, 1, 2],
@@ -450,13 +467,13 @@ def test_ring_from_dict_resolves_bare_integers_to_a_named_unit() -> None:
     assert (ring.parse("4 - 2*a + p").pushforward()).to_string() == "-6 + q"
 
 
-def test_ring_from_dict_rejects_malformed() -> None:
+def test_ring_description_rejects_malformed() -> None:
     with pytest.raises(RingFormatError):
-        ring_from_dict({"basis": ["1", "h"], "degrees": [0]})
+        StructRing({"basis": ["1", "h"], "degrees": [0]})
     with pytest.raises(RingFormatError):
-        ring_from_dict({"basis": ["1", "h"], "degrees": [0, 1], "bogus": 1})
+        StructRing({"basis": ["1", "h"], "degrees": [0, 1], "bogus": 1})
     with pytest.raises(RingFormatError):
-        ring_from_dict(
+        StructRing(
             {
                 "basis": ["1", "h"],
                 "degrees": [0, 1],
@@ -465,37 +482,26 @@ def test_ring_from_dict_rejects_malformed() -> None:
         )
 
 
-def test_ring_from_dict_rejects_non_integers() -> None:
+def test_struct_ring_rejects_non_integers() -> None:
     good = {
         "basis": ["1", "h", "h2"],
         "degrees": [0, 1, 2],
         "products": {"h*h": "h2"},
         "integral": {"h2": 1},
     }
-    assert ring_from_dict(good).element("h2").integrate() == 1
+    assert StructRing(good).element("h2").integrate() == 1
     for key, value in (
         ("degrees", [0, 1.7, 2]),
+        ("degrees", [0, 1.0, 2]),
         ("degrees", [0, True, 2]),
+        ("products", {"h*h": True}),
+        ("products", {"h*h": 1.5}),
         ("integral", {"h2": 1.5}),
         ("integral", {"h2": True}),
+        ("integral", {"h2": False}),
     ):
         with pytest.raises(RingFormatError):
-            ring_from_dict({**good, key: value})
-
-
-def test_struct_ring_rejects_non_integers() -> None:
-    labels, degrees = ("1", "h", "P"), (0, 1, 2)
-    products, integral = {("h", "h"): {"P": 1}}, {"P": 1}
-    assert StructRing("ok", labels, degrees, products, integral).element("P").integrate() == 1
-    for bad in (
-        {"degrees": (0, 1.0, 2)},
-        {"products": {("h", "h"): {"P": True}}},
-        {"integral": {"P": 1.5}},
-        {"integral": {"P": False}},
-    ):
-        args = {"degrees": degrees, "products": products, "integral": integral, **bad}
-        with pytest.raises(RingFormatError):
-            StructRing("bad", labels, **args)
+            StructRing({**good, key: value})
 
 
 def test_struct_element_rejects_non_integers() -> None:

@@ -342,6 +342,18 @@ residual_segre: "e + P"
 """
 
 
+# The blown-up plane as a ring file, its pushforward target a builtin.
+_RING_FILE = """
+basis: ["1", h, e, P]
+degrees: [0, 1, 1, 2]
+products: {h*h: P, e*e: -P}
+integral: {P: 1}
+pushforward:
+  target: p2
+  map: {"1": "1", h: h, e: "0", P: h2}
+"""
+
+
 _LABELS = "fixture key 'labels'"
 
 
@@ -370,6 +382,38 @@ def test_decompose_rejects_malformed_fixtures(tmp_path, capsys, text, argv, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param(
+            "{h*h: P, e*e: -P}", "[h]", "key 'products' must be a mapping", id="products"
+        ),
+        pytest.param("{P: 1}", "5", "key 'integral' must be a mapping", id="integral"),
+        pytest.param(
+            '{"1": "1", h: h, e: "0", P: h2}', "[h]", "key 'map' must be a mapping", id="map"
+        ),
+        pytest.param('["1", h, e, P]', "5", "key 'basis' must be a list", id="basis"),
+        pytest.param("[0, 1, 1, 2]", "5", "key 'degrees' must be a list", id="degrees"),
+        pytest.param(
+            "P: h2}", "P: q}", "pushforward of 'P' names label 'q', which ring 'p2' lacks",
+            id="map-target-label",
+        ),
+    ],
+)
+def test_decompose_rejects_malformed_ring_files(tmp_path, capsys, old, new, message) -> None:
+    # A ring file block of the wrong shape, or a label the ring lacks, is
+    # bad input: exit 2 and one line naming it, never a traceback.
+    assert _RING_FILE.count(old) == 1
+    (tmp_path / "ring.yaml").write_text(_RING_FILE.replace(old, new), encoding="utf-8")
+    path = tmp_path / "case.yaml"
+    path.write_text(_DIVISOR_FIXTURE.replace("blowup_p2", "ring.yaml"), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
 
 
@@ -454,15 +498,7 @@ def test_unread_keys_are_refused_without_coarse(tmp_path, capsys) -> None:
     path.write_text(_DIVISOR_FIXTURE + _COARSE + "  sgre: h2\n", encoding="utf-8")
     assert main(["decompose", str(path)]) == 2
     assert capsys.readouterr().err == "error: fixture key 'coarse' has unknown key 'sgre'\n"
-    ring = """
-basis: ["1", h, e, P]
-degrees: [0, 1, 1, 2]
-products: {h*h: P, e*e: -P}
-integral: {P: 1}
-pushforward:
-  target: p2
-  map: {"1": "1", h: h, e: "0", P: h2}
-"""
+    ring = _RING_FILE
     path.write_text(_SYMMETRIC_FIXTURE.replace("blowup_p2", "ring.yaml") + 'second: "e"\n')
     (tmp_path / "ring.yaml").write_text(ring + "  maps: {}\n", encoding="utf-8")
     assert main(["decompose", str(path)]) == 2

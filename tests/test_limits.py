@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +406,22 @@ def test_empty_families_build_no_bundle(monkeypatch) -> None:
         for piece in report.pieces:
             assert (piece.main_degree, piece.adjunct_degree, piece.total_degree) == (0, 0, 0)
             assert piece.total_class.is_zero and piece.main_class.is_zero
+
+
+def test_readme_library_example_runs() -> None:
+    # Each `expr  # value` line of the README's Library example evaluates to
+    # the value in its comment; the other statements run in order before it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            expected = ast.literal_eval(lines[node.lineno - 1].split("#", 1)[1].strip())
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert value == expected and type(value) is type(expected), ast.unparse(node)
+            checked.append(expected)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked == [2875, [2720, 155], True]

@@ -155,20 +155,22 @@ def test_symmetric_decompose_needs_pushforward() -> None:
 
 def identity_pushforward_space(m: int) -> StructRing:
     """Projective m-space with the identity pushforward to itself."""
-    base = projective_space(m)
+    labels = projective_space(m).labels
     products = {
-        (a, b): {base.labels[i + j]: 1}
-        for i, a in enumerate(base.labels[1:], 1)
-        for j, b in enumerate(base.labels[i:], i)
+        f"{a}*{b}": labels[i + j]
+        for i, a in enumerate(labels[1:], 1)
+        for j, b in enumerate(labels[i:], i)
         if i + j <= m
     }
     return StructRing(
-        name=f"p{m}_id",
-        labels=base.labels,
-        degrees=base.degrees,
-        products=products,
-        integral={base.labels[m]: 1},
-        pushforward=(base, {label: {label: 1} for label in base.labels}),
+        {
+            "name": f"p{m}_id",
+            "basis": labels,
+            "degrees": list(range(m + 1)),
+            "products": products,
+            "integral": {labels[m]: 1},
+            "pushforward": {"target": f"p{m}", "map": {label: label for label in labels}},
+        }
     )
 
 

@@ -482,26 +482,36 @@ def test_ring_description_rejects_malformed() -> None:
         )
 
 
-def test_struct_ring_rejects_non_integers() -> None:
-    good = {
-        "basis": ["1", "h", "h2"],
-        "degrees": [0, 1, 2],
-        "products": {"h*h": "h2"},
-        "integral": {"h2": 1},
-    }
-    assert StructRing(good).element("h2").integrate() == 1
+_GOOD_RING = {
+    "basis": ["1", "h", "h2"],
+    "degrees": [0, 1, 2],
+    "products": {"h*h": "h2"},
+    "integral": {"h2": 1},
+}
+
+
+def test_ring_from_dict_rejects_non_integers() -> None:
+    assert StructRing(_GOOD_RING).element("h2").integrate() == 1
     for key, value in (
         ("degrees", [0, 1.7, 2]),
-        ("degrees", [0, 1.0, 2]),
         ("degrees", [0, True, 2]),
-        ("products", {"h*h": True}),
-        ("products", {"h*h": 1.5}),
         ("integral", {"h2": 1.5}),
         ("integral", {"h2": True}),
+    ):
+        with pytest.raises(RingFormatError):
+            StructRing({**_GOOD_RING, key: value})
+
+
+def test_struct_ring_rejects_non_integers() -> None:
+    assert StructRing(_GOOD_RING).element("h2").integrate() == 1
+    for key, value in (
+        ("degrees", [0, 1.0, 2]),
+        ("products", {"h*h": True}),
+        ("products", {"h*h": 1.5}),
         ("integral", {"h2": False}),
     ):
         with pytest.raises(RingFormatError):
-            StructRing({**good, key: value})
+            StructRing({**_GOOD_RING, key: value})
 
 
 def test_struct_element_rejects_non_integers() -> None:

@@ -35,7 +35,6 @@ from .limits import (
     PieceReport,
     decompose_degeneration,
     enumerate_degenerations,
-    fano_class,
     fano_degree,
 )
 from .residual import (
@@ -75,7 +74,6 @@ __all__ = [
     "decompose_degeneration",
     "divisor_decompose",
     "enumerate_degenerations",
-    "fano_class",
     "fano_degree",
     "integrate",
     "load_ring",

@@ -3,13 +3,11 @@
 A bundle is represented by its rank and total Chern class.  That class is
 any ``symfunc.ClassCarrier`` -- a Grassmannian polynomial or an element of a
 tabulated structure ring -- and this module uses only the carrier protocol
-on it.  Segre classes are the series inverse of the Chern class.  Negative
-Segre indices follow the residual-intersection convention: indices strictly
-between -rank and zero vanish, and the index -rank itself is only
-meaningful inside a product that cancels it against the top Chern class, so
-asking for it alone is an error; that product is -1, and callers write it as
-a negation.  ``BundleClass.chern``, ``segre`` and ``total_segre`` are the one
-spelling of these operations.
+on it.  Segre classes are the series inverse of the Chern class, and both
+take only non-negative integer indices; the signed Segre indices of the raw
+residual bracket are resolved where that bracket is summed, in
+``identities.bracket_sum``.  ``BundleClass.chern``, ``segre`` and
+``total_segre`` are the one spelling of these operations.
 
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
@@ -33,7 +31,6 @@ from functools import lru_cache
 from math import comb
 
 from .chow import GrassContext
-from .errors import CancellationRequiredError
 from .symfunc import GradedPoly, e_spec, exact_int, root_spec, roots_to_e, substitute
 
 
@@ -68,31 +65,15 @@ class BundleClass:
 
     def chern(self, i: int):
         """The i-th Chern class; zero beyond the carried degrees."""
-        if not isinstance(i, int) or i < 0:
-            raise IndexError(f"Chern index must be a non-negative integer, got {i}")
+        if exact_int(i, "Chern index") < 0:
+            raise IndexError(f"Chern index must be non-negative, got {i}")
         return self.total_chern.degree_part(i)
 
     def segre(self, i: int):
-        """The i-th Segre class.
-
-        Non-negative indices come from inverting the total Chern class.
-        Indices strictly between -rank and zero are zero; the index -rank is
-        refused because it only makes sense multiplied against the top Chern
-        class, where the product is -1; anything lower is out of range.
-        """
-        if not isinstance(i, int):
-            raise IndexError(f"Segre index must be an integer, got {i!r}")
-        if i >= 0:
-            return self.total_segre().degree_part(i)
-        if -self.rank < i < 0:
-            return self.total_chern.zero_like()
-        if i == -self.rank:
-            raise CancellationRequiredError(
-                f"Segre index {-self.rank} of a rank-{self.rank} bundle is only "
-                "defined against the top Chern class, where the product is -1; "
-                "write that product as a negation"
-            )
-        raise IndexError(f"Segre index {i} below -rank = {-self.rank}")
+        """The i-th Segre class, from inverting the total Chern class."""
+        if exact_int(i, "Segre index") < 0:
+            raise IndexError(f"Segre index must be non-negative, got {i}")
+        return self.total_segre().degree_part(i)
 
     def total_segre(self):
         if self._segre is None:

@@ -587,6 +587,8 @@ class StructElement(ClassCarrier):
         return self.ring.zero()
 
     def degree_part(self, d: int) -> "StructElement":
+        if type(d) is not int:
+            exact_int(d, "degree")
         degrees = self.ring.degrees
         return StructElement(
             self.ring, {i: c for i, c in self.coeffs.items() if degrees[i] == d}

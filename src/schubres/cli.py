@@ -381,7 +381,7 @@ def _resolve_ring(value, base_dir: Path) -> StructRing:
 # takes them.  The function itself is looked up when the fixture runs, so a
 # caller that rebinds the module global is the one called.
 _MODE_KEYS = {
-    "divisor": ("divisor_segre", "divisor_class", "residual_segre"),
+    "divisor": ("divisor_class", "residual_segre"),
     "symmetric": ("first", "second"),
 }
 

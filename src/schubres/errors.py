@@ -19,14 +19,6 @@ class NotSymmetricError(EngineError):
     """A polynomial in root variables is not symmetric."""
 
 
-class CancellationRequiredError(EngineError):
-    """A Segre class of index -rank was requested on its own.
-
-    That index is only meaningful multiplied by the matching top Chern class,
-    and that product is -1; callers write it as a negation instead.
-    """
-
-
 class UnsupportedOperationError(EngineError):
     """The ring at hand does not support the requested operation."""
 

@@ -3,7 +3,8 @@
 The decomposition evaluators assemble main and adjunct terms from
 pre-restricted summation ranges.  This module evaluates the same totals
 from the raw double-sum bracket, where Segre indices run negative and are
-resolved termwise: a nonnegative index is an honest Segre class, an index
+resolved termwise, here only (``BundleClass.segre`` takes non-negative
+indices): a nonnegative index is an honest Segre class, an index
 strictly between ``-rank`` and zero kills the term, and an index of exactly
 ``-rank`` folds against the top Chern class of the same bundle with a sign,
 reproducing the main term.  Agreement with the top Chern class of the
@@ -16,7 +17,7 @@ import math
 
 from .bundles import sym_ustar
 from .chow import GrassContext
-from .limits import fano_class
+from .limits import fano_family
 from .symfunc import GradedPoly, exact_int
 
 __all__ = ["bracket_sum", "verify_identity"]
@@ -84,4 +85,4 @@ def verify_identity(ctx: GrassContext, k: int, l: int) -> GradedPoly:
     """Residual of the conservation identity: the top Chern class of the
     ambient bundle minus the bracket total.  Zero when the identity holds."""
     bracket = bracket_sum(ctx, k, l)
-    return fano_class(ctx, k + l) - bracket
+    return fano_family(ctx, k + l)[0] - bracket

@@ -25,7 +25,6 @@ __all__ = [
     "PieceReport",
     "LimitReport",
     "piece_label",
-    "fano_class",
     "fano_family",
     "fano_degree",
     "decompose_degeneration",
@@ -111,13 +110,6 @@ class LimitReport:
     conserved: bool
 
 
-def fano_class(ctx: GrassContext, d: int) -> GradedPoly:
-    """Class of the scheme of ``r``-planes on a general degree-``d``
-    hypersurface: the top Chern class of ``Sym^d U*``."""
-    bundle = sym_ustar(ctx, d)
-    return bundle.chern(bundle.rank)
-
-
 def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:
     """``pairing`` as a ``Partition``, refused unless it fits the box and its
     size is the family dimension ``max(excess, 0)``: none is dropped silently.
@@ -188,7 +180,7 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     if excess < 0:
         ambient = zero = GradedPoly.zero(ctx.spec)
         decomposition = Decomposition(
-            tuple(DecompositionComponent(label, zero, zero, zero) for label in spec.labels), zero
+            tuple(DecompositionComponent(label, zero, zero) for label in spec.labels), zero
         )
     else:
         ambient_bundle = sym_ustar(ctx, spec.degree)
@@ -198,9 +190,7 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
         bundle2 = sym_ustar(ctx, k2, e2)
         top1 = bundle1.chern(bundle1.rank)
         top2 = bundle2.chern(bundle2.rank)
-        decomposition = regular_decompose(
-            setup, bundle1, bundle2, top1, top2, top1 * top2, labels=spec.labels
-        )
+        decomposition = regular_decompose(setup, bundle1, bundle2, top1, top2, labels=spec.labels)
         ambient = ambient_bundle.chern(ambient_bundle.rank)
     # The pieces sum to ``ambient_total``; they must give c_top(Sym^d U*).
     conserved = decomposition.ambient_total == ambient

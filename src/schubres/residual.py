@@ -7,8 +7,9 @@ over the pieces of W.  Three evaluators cover the shapes of W this package
 needs:
 
 * ``divisor_decompose``: W = D union R with D a divisor in V.  D enters
-  through its divisor class, R through its Segre class; the adjunct terms
-  carry binomial weights and powers of -D.
+  through its divisor class, which fixes s(D,V) = D * (1 + D)^-1, and R
+  through its Segre class; the adjunct terms carry binomial weights and
+  powers of -D.
 
 * ``symmetric_decompose``: W is dominated by two divisors E1 and E2 on a
   blow-up of V.  It is ``divisor_decompose`` applied upstairs, with D = E1
@@ -26,9 +27,10 @@ and the evaluators return classes only: a caller that wants degrees
 integrates them itself (``chow.integrate`` on a Grassmannian,
 ``StructElement.integrate`` on a tabulated ring).  Each component is
 reported as a main term (the class the piece would contribute if it were
-alone, weighted by its own Segre class) plus an adjunct correction;
-components always sum to the total intersection class, and the symmetric
-evaluator checks that against an independently computed, unregrouped total.
+alone, weighted by its own Segre class) plus an adjunct correction, and
+its total is their sum.  The components of the divisor and regular
+evaluators define the ambient total; the symmetric evaluator checks them
+against an independently computed, unregrouped total.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ class DecompositionComponent:
     label: str
     main: object
     adjunct: object
-    total: object
+
+    @property
+    def total(self):
+        return self.main + self.adjunct
 
 
 @dataclass(frozen=True)
@@ -92,25 +97,30 @@ def main_term(setup: IntersectionSetup, sZ):
     return (setup.cN * sZ).degree_part(setup.d)
 
 
+def _divisor_segre(e):
+    """Segre class e * (1 + e)^-1 of an effective divisor with class ``e``."""
+    return e * (1 + e).series_inverse()
+
+
 def divisor_decompose(
     setup: IntersectionSetup,
-    sD,
     Dclass,
     sR,
     labels: tuple[str, str] = ("D", "R"),
 ) -> Decomposition:
     """Split the intersection class between a divisor D and its residual R.
 
-    ``Dclass`` is the divisor class of D; ``sD`` and ``sR`` are the Segre
-    classes of the two pieces.  The adjunct terms weight Chern classes of N
-    against powers of -D and codimension components of s(R,V); every term
-    of either adjunct vanishes when D and R share no geometry (sR has no
-    low-codimension part), leaving the sum of the two main terms.
+    ``Dclass`` is the divisor class of D, which fixes its Segre class
+    D * (1 + D)^-1; ``sR`` is the Segre class of R.  The adjunct terms
+    weight Chern classes of N against powers of -D and codimension
+    components of s(R,V); every term of either adjunct vanishes when D and
+    R share no geometry (sR has no low-codimension part), leaving the sum
+    of the two main terms.
     """
     d = setup.d
     if Dclass.degree_part(1) != Dclass:
         raise ValueError("the divisor class must be homogeneous of codimension 1")
-    main_d = main_term(setup, sD)
+    main_d = main_term(setup, _divisor_segre(Dclass))
     main_r = main_term(setup, sR)
     zero = setup.cN.zero_like()
     # Powers (-D)^0 .. (-D)^(d-1), each formed once.
@@ -136,15 +146,10 @@ def divisor_decompose(
     adj_d = zero.add_products(outer_d)
     adj_r = zero.add_products(outer_r)
     components = (
-        DecompositionComponent(labels[0], main_d, adj_d, main_d + adj_d),
-        DecompositionComponent(labels[1], main_r, adj_r, main_r + adj_r),
+        DecompositionComponent(labels[0], main_d, adj_d),
+        DecompositionComponent(labels[1], main_r, adj_r),
     )
     return Decomposition(components, components[0].total + components[1].total)
-
-
-def _divisor_segre(e):
-    """Segre class e * (1 + e)^-1 of an effective divisor with class ``e``."""
-    return e * (1 + e).series_inverse()
 
 
 def symmetric_decompose(
@@ -165,15 +170,13 @@ def symmetric_decompose(
     # ``divisor_decompose`` checks e1, which it receives as the divisor class.
     if e2.degree_part(1) != e2:
         raise ValueError("divisor classes must be homogeneous of codimension 1")
-    upstairs = divisor_decompose(
-        setup, _divisor_segre(e1), e1, _divisor_segre(e2), labels=labels
+    upstairs = divisor_decompose(setup, e1, _divisor_segre(e2), labels=labels)
+    components = tuple(
+        DecompositionComponent(c.label, c.main.pushforward(), c.adjunct.pushforward())
+        for c in upstairs.components
     )
-    components = []
-    for c in upstairs.components:
-        main, adjunct = c.main.pushforward(), c.adjunct.pushforward()
-        components.append(DecompositionComponent(c.label, main, adjunct, main + adjunct))
     ambient = main_term(setup, _divisor_segre(e1 + e2)).pushforward()
-    return Decomposition(tuple(components), ambient)
+    return Decomposition(components, ambient)
 
 
 def regular_decompose(
@@ -182,26 +185,27 @@ def regular_decompose(
     N2: BundleClass,
     z1,
     z2,
-    zint,
     labels: tuple[str, str] = ("Z1", "Z2"),
 ) -> Decomposition:
     """Split the class between two regularly embedded pieces Z1 and Z2.
 
-    ``N1`` and ``N2`` are their normal bundles inside V, ``z1`` and ``z2``
-    their classes, and ``zint`` the class of their (transversal)
-    intersection.  The main term of each piece is the top Chern class of
-    the excess bundle N - N_l on the piece; the adjunct is supported on
-    the intersection.  Swapping the two pieces swaps the components.
+    ``N1`` and ``N2`` are their normal bundles inside V and ``z1`` and
+    ``z2`` their classes; the pieces meet transversally, so their
+    intersection has class z1 * z2.  The main term of each piece is the
+    top Chern class of the excess bundle N - N_l on the piece; the adjunct
+    is supported on the intersection.  Swapping the two pieces swaps the
+    components.
 
     The products s_x(N1) * s_y(N2) with x + y <= d - r1 - r2 are formed
     once and shared by both adjuncts.  Each adjunct sums its weighted
     products per Chern degree i, accumulates the products of those sums
     with c_i(N) in one ``add_products`` call, and multiplies the total by
-    ``zint`` once.
+    z1 * z2, formed once for both.
     """
     d = setup.d
     r1, r2 = N1.rank, N2.rank
     zero = setup.cN.zero_like()
+    zint = z1 * z2
 
     def main_for(N_l: BundleClass, z_l):
         # Only the codimension-e part of c(N) * s(N_l) is needed, so form
@@ -247,7 +251,7 @@ def regular_decompose(
     adj1 = adjunct_for(r2, lambda a, b: pairs[b, a])
     adj2 = adjunct_for(r1, lambda a, b: pairs[a, b])
     components = (
-        DecompositionComponent(labels[0], main1, adj1, main1 + adj1),
-        DecompositionComponent(labels[1], main2, adj2, main2 + adj2),
+        DecompositionComponent(labels[0], main1, adj1),
+        DecompositionComponent(labels[1], main2, adj2),
     )
     return Decomposition(components, components[0].total + components[1].total)

@@ -201,10 +201,10 @@ class ClassCarrier:
     one-triple case, and ``*`` by an ``int`` and unary ``-`` from
     ``scaled``.  It also derives binary ``-``, the reflected operators,
     ``**``, truth, ``str``, ``one_like``, ``degree_scale`` (from
-    ``degree_part``) and ``series_inverse``.  An exponent, a scale factor, a
-    product coefficient or an ``int`` operand that is a float or a bool
-    raises ``ValueError``; it is never rounded, and a bool is never read as
-    0 or 1.
+    ``degree_part``) and ``series_inverse``.  A degree, an exponent, a scale
+    factor, a product coefficient or an ``int`` operand that is a float or a
+    bool raises ``ValueError``; it is never rounded, and a bool is never read
+    as 0 or 1.
     """
 
     __slots__ = ()
@@ -375,6 +375,8 @@ class GradedPoly(ClassCarrier):
         return max(self.packed) >> self.spec.key_shift
 
     def degree_part(self, d: int) -> "GradedPoly":
+        if type(d) is not int:
+            exact_int(d, "degree")
         parts = self._parts
         if parts is None:
             buckets: dict[int, TermMap] = {}

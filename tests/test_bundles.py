@@ -19,7 +19,6 @@ from schubres.bundles import (
     ustar,
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
-from schubres.errors import CancellationRequiredError
 from schubres.symfunc import (
     GeneratorSpec,
     GradedPoly,
@@ -52,9 +51,15 @@ def test_bundle_constructor_validation() -> None:
 
 def test_bundle_rank_rejects_non_integers() -> None:
     ctx = lines_ctx()
+    U = ustar(ctx)
     for bad in (True, 2.0):
         with pytest.raises(ValueError, match="not an integer"):
             BundleClass(bad, c(ctx, "1 + x"))
+        # A Chern or Segre index is never read as 1 from True or 1.0.
+        with pytest.raises(ValueError, match="not an integer"):
+            U.chern(bad)
+        with pytest.raises(ValueError, match="not an integer"):
+            U.segre(bad)
 
 
 def test_dual_subbundle_chern_classes() -> None:
@@ -78,12 +83,12 @@ def test_segre_of_dual_subbundle() -> None:
 
 
 def test_segre_negative_index_conventions() -> None:
+    # Signed Segre indices belong to identities.bracket_sum; a bundle takes
+    # only non-negative ones.
     U = ustar(lines_ctx())
-    assert U.segre(-1).is_zero
-    with pytest.raises(CancellationRequiredError):
-        U.segre(-2)
-    with pytest.raises(IndexError):
-        U.segre(-3)
+    for i in (-1, -2, -3):
+        with pytest.raises(IndexError):
+            U.segre(i)
 
 
 def test_sym_cube_of_dual_subbundle() -> None:

@@ -522,6 +522,15 @@ def test_struct_element_rejects_non_integers() -> None:
             StructElement(ring, {1: bad})
 
 
+def test_struct_element_degree_part_rejects_non_integer_degrees() -> None:
+    # True and 1.0 are never read as degree 1, nor "a" as an empty degree.
+    value = blowup_plane_at_point().parse("1 + h - e + 3*P")
+    assert value.degree_part(1) == value.ring.parse("h - e")
+    for bad in (True, 1.0, "a"):
+        with pytest.raises(ValueError, match="not an integer"):
+            value.degree_part(bad)
+
+
 def test_builtin_ring_lookup() -> None:
     assert builtin_ring("blowup_p2") == blowup_plane_at_point()
     assert builtin_ring("p2") == projective_space(2)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import importlib
+import inspect
 import io
 import json
 import os
@@ -11,14 +13,16 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from schubres import cli
 from schubres.bundles import sym_ustar
 from schubres.chow import GrassContext
 from schubres.cli import main, _parse_pieces
-from schubres.limits import fano_class
+from schubres.limits import fano_family
 from schubres.symfunc import GradedPoly, parse_poly
 
 
@@ -35,7 +39,7 @@ def test_fano_json_reports_classical_count(capsys) -> None:
     assert payload["count"] == 2875
     assert payload["context"] == {"r": 1, "n": 4, "d": 5}
     ctx = GrassContext(1, 4)
-    assert parse_poly(ctx.spec, payload["class"]) == fano_class(ctx, 5)
+    assert parse_poly(ctx.spec, payload["class"]) == fano_family(ctx, 5)[0]
 
 
 def test_fano_table_with_pairing(capsys) -> None:
@@ -209,6 +213,22 @@ def test_decompose_shipped_fixtures(capsys) -> None:
         assert payload["undecomposed_ok"] is True
 
 
+def test_every_shipped_fixture_is_replayed() -> None:
+    # --selftest and the benchmark replay the fixtures named in the literal
+    # ``expected`` table of cli._check_fixtures; a fixture shipped without a
+    # row there would go unchecked.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cli._check_fixtures)))
+    tables = [
+        ast.literal_eval(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["expected"]
+    ]
+    assert len(tables) == 1
+    data = Path(cli.__file__).parent / "data"
+    assert set(tables[0]) == {path.stem for path in data.glob("*.yaml")}
+
+
 def test_decompose_coarse_section(capsys) -> None:
     code, out = run(
         capsys,
@@ -231,7 +251,6 @@ dim: 2
 codim: 2
 normal_chern: "1 + 4*h + 4*P"
 divisor_class: "2*e"
-divisor_segre: "2*e + 4*P"
 residual_segre: "0"
 """,
         encoding="utf-8",
@@ -252,7 +271,6 @@ dim: {dim}
 codim: {codim}
 normal_chern: "1 + 4*h + 4*P"
 divisor_class: "2*e"
-divisor_segre: "2*e + 4*P"
 residual_segre: "0"
 """
     (tmp_path / "ring.yaml").write_text(
@@ -284,7 +302,6 @@ dim: {dim}
 codim: 2
 normal_chern: "1 + 4*h + 4*P"
 divisor_class: "2*e"
-divisor_segre: "2*e + 4*P"
 residual_segre: "0"
 """
     path = tmp_path / "case.yaml"
@@ -317,7 +334,6 @@ dim: 2
 codim: 2
 normal_chern: "1 + 4*h + 4*P"
 divisor_class: "2*e"
-divisor_segre: "2*e + 4*P"
 residual_segre: "0"
 """
     path = tmp_path / "case.yaml"
@@ -337,7 +353,6 @@ dim: 2
 codim: 2
 normal_chern: "1 + 4*h + 4*P"
 divisor_class: "e"
-divisor_segre: "e + P"
 residual_segre: "e + P"
 """
 
@@ -476,6 +491,12 @@ first: "e"
             _DIVISOR_FIXTURE + _COARSE + "  sgre: h2\n",
             "error: fixture key 'coarse' has unknown key 'sgre'\n",
             id="unknown-coarse-key",
+        ),
+        # s(D,V) is computed from divisor_class, so a second source is refused.
+        pytest.param(
+            _DIVISOR_FIXTURE + 'divisor_segre: "e + 5*P"\n',
+            "error: fixture 'case.yaml' has unknown key 'divisor_segre'\n",
+            id="divisor-segre-key",
         ),
     ],
 )

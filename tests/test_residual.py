@@ -75,8 +75,7 @@ def test_divisor_decompose_exceptional_first() -> None:
     # Treat one copy of the exceptional curve as the divisor; the residual
     # is the other copy.  Each piece receives two of the four points.
     ring, setup = blowup_setup()
-    s_both = ring.parse("e + P")
-    dec = divisor_decompose(setup, s_both, ring.parse("e"), s_both)
+    dec = divisor_decompose(setup, ring.parse("e"), ring.parse("e + P"))
     d_comp, r_comp = dec.components
     assert d_comp.main == ring.parse("P")
     assert d_comp.adjunct == ring.parse("P")
@@ -92,12 +91,7 @@ def test_divisor_decompose_whole_scheme_first() -> None:
     # Treat the full doubled exceptional divisor as D; nothing is left over
     # and D absorbs all four points.
     ring, setup = blowup_setup()
-    dec = divisor_decompose(
-        setup,
-        ring.parse("2*e + 4*P"),
-        ring.parse("2*e"),
-        ring.zero(),
-    )
+    dec = divisor_decompose(setup, ring.parse("2*e"), ring.zero())
     assert degrees(dec) == ((4, 0, 4), (0, 0, 0))
     assert dec.components[0].adjunct.is_zero
     assert dec.ambient_total.integrate() == 4
@@ -105,9 +99,8 @@ def test_divisor_decompose_whole_scheme_first() -> None:
 
 def test_divisor_decompose_rejects_non_divisor() -> None:
     ring, setup = blowup_setup()
-    data = ring.parse("e + P")
     with pytest.raises(ValueError):
-        divisor_decompose(setup, data, ring.parse("e + P"), data)
+        divisor_decompose(setup, ring.parse("e + P"), ring.parse("e + P"))
 
 
 def test_coarser_main_term_comparison() -> None:
@@ -252,10 +245,7 @@ def test_symmetric_equals_regular_on_transverse_divisors() -> None:
     cN_base = base.parse("1 + 2*h") * base.parse("1 + 3*h")
     base_setup = IntersectionSetup(cN=cN_base, d=2)
     line = BundleClass(1, base.parse("1 + h"))
-    reg = regular_decompose(
-        base_setup, line, line,
-        base.parse("h"), base.parse("h"), base.parse("h2"),
-    )
+    reg = regular_decompose(base_setup, line, line, base.parse("h"), base.parse("h"))
     for sym_comp, reg_comp in zip(sym.components, reg.components):
         assert sym_comp.main == reg_comp.main
         assert sym_comp.adjunct == reg_comp.adjunct
@@ -267,11 +257,12 @@ def test_disjoint_sum_matches_decomposition_without_overlap() -> None:
     # A line and a point off the line: no shared geometry, no adjuncts.
     base = projective_space(2)
     setup = IntersectionSetup(cN=base.parse("1 + 3*h + 3*h2"), d=2)
-    s_line = base.parse("h - h2")
     s_point = base.parse("h2")
-    dec = divisor_decompose(setup, s_line, base.parse("h"), s_point)
+    dec = divisor_decompose(setup, base.parse("h"), s_point)
     assert dec.components[0].adjunct.is_zero
     assert dec.components[1].adjunct.is_zero
+    # The line's Segre class h * (1 + h)^-1 is h - h2.
+    s_line = base.parse("h - h2")
     assert dec.ambient_total == main_term(setup, s_line) + main_term(setup, s_point)
 
 
@@ -285,7 +276,7 @@ def test_regular_decompose_on_cubic_surfaces() -> None:
     N2 = sym_ustar(ctx, 1, 2)
     z1 = N1.chern(2)
     z2 = N2.chern(2)
-    dec = regular_decompose(setup, N1, N2, z1, z2, z1 * z2)
+    dec = regular_decompose(setup, N1, N2, z1, z2)
 
     def poly(text: str):
         return parse_poly(ctx.spec, text)
@@ -308,8 +299,8 @@ def test_regular_decompose_swap_symmetry() -> None:
     N1 = sym_ustar(ctx, 1, 1)
     N2 = sym_ustar(ctx, 1, 2)
     z1, z2 = N1.chern(2), N2.chern(2)
-    forward = regular_decompose(setup, N1, N2, z1, z2, z1 * z2)
-    backward = regular_decompose(setup, N2, N1, z2, z1, z1 * z2)
+    forward = regular_decompose(setup, N1, N2, z1, z2)
+    backward = regular_decompose(setup, N2, N1, z2, z1)
     assert forward.components[0].total == backward.components[1].total
     assert forward.components[0].adjunct == backward.components[1].adjunct
     assert forward.ambient_total == backward.ambient_total
@@ -324,7 +315,7 @@ def test_regular_decompose_empty_adjunct_ranges() -> None:
     N1 = sym_ustar(ctx, 1, 1)
     N2 = N1
     z = N1.chern(2)
-    dec = regular_decompose(setup, N1, N2, z, z, z * z)
+    dec = regular_decompose(setup, N1, N2, z, z)
     assert dec.components[0].adjunct.is_zero
     assert dec.components[1].adjunct.is_zero
     # One-dimensional excess: [c(N) s(N1)] in degree 1 is c1(N) - c1(N1).
@@ -332,7 +323,7 @@ def test_regular_decompose_empty_adjunct_ranges() -> None:
     assert dec.components[0].main == parse_poly(ctx.spec, "2*x*y")
 
 
-def unshared_regular_components(setup, N1, N2, z1, z2, zint):
+def unshared_regular_components(setup, N1, N2, z1, z2):
     """(main, adjunct) of each piece, every adjunct term formed on its own.
 
     The reference for ``regular_decompose``: each term
@@ -357,7 +348,7 @@ def unshared_regular_components(setup, N1, N2, z1, z2, zint):
             for j in range(r_o, d - r_l - i + 1):
                 term = ci * N_other.segre(j - r_o) * N_l.segre(d - r_l - i - j)
                 acc = acc + comb(d - 1 - i, j) * term
-        return -(acc * zint)
+        return -(acc * z1 * z2)
 
     return (
         (main_for(N1, z1), adjunct_for(N1, N2)),
@@ -379,8 +370,8 @@ def test_regular_decompose_matches_unshared_reference() -> None:
             z1, z2 = N1.chern(N1.rank), N2.chern(N2.rank)
             excess_free_seen.add(N.rank - N1.rank - N2.rank < 0)
             for A, B, za, zb in ((N1, N2, z1, z2), (N2, N1, z2, z1)):
-                dec = regular_decompose(setup, A, B, za, zb, z1 * z2)
-                expected = unshared_regular_components(setup, A, B, za, zb, z1 * z2)
+                dec = regular_decompose(setup, A, B, za, zb)
+                expected = unshared_regular_components(setup, A, B, za, zb)
                 for component, (main, adjunct) in zip(dec.components, expected):
                     assert component.main == main
                     assert component.adjunct == adjunct
@@ -391,8 +382,7 @@ def test_regular_decompose_matches_unshared_reference() -> None:
 
 def test_decomposition_conserved_flag() -> None:
     ring, setup = blowup_setup()
-    s_both = ring.parse("e + P")
-    dec = divisor_decompose(setup, s_both, ring.parse("e"), s_both)
+    dec = divisor_decompose(setup, ring.parse("e"), ring.parse("e + P"))
     assert dec.conserved
     broken = Decomposition(dec.components, ring.parse("5*P"))
     assert not broken.conserved

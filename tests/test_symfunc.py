@@ -207,6 +207,16 @@ def test_degree_part_and_scale() -> None:
             assert 0 not in q.degree_scale(m).packed.values()
 
 
+def test_degree_part_rejects_non_integer_degrees() -> None:
+    # True and 1.0 are never read as degree 1, nor "a" as an empty degree.
+    p = P("1 + 3*x + 2*x^2 + 4*y")
+    p.degree_part(1)  # the cached split by degree must not admit them either
+    for bad in (True, 1.0, "a"):
+        with pytest.raises(ValueError, match="not an integer"):
+            p.degree_part(bad)
+    assert p.degree_part(-1).is_zero
+
+
 def test_zero_generator_spec_is_integers() -> None:
     spec = GeneratorSpec((), (), 0)
     two = GradedPoly.constant(spec, 2)

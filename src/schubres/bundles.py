@@ -3,11 +3,13 @@
 A bundle is represented by its rank and total Chern class.  That class is
 any ``symfunc.ClassCarrier`` -- a Grassmannian polynomial or an element of a
 tabulated structure ring -- and this module uses only the carrier protocol
-on it.  Segre classes are the series inverse of the Chern class, and both
-take only non-negative integer indices; the signed Segre indices of the raw
-residual bracket are resolved where that bracket is summed, in
-``identities.bracket_sum``.  ``BundleClass.chern``, ``segre`` and
-``total_segre`` are the one spelling of these operations.
+on it.  Segre classes are the series inverse of the Chern class, computed
+on demand: ``segre(i)`` draws the inversion only up to degree i, and
+``total_segre`` draws the rest.  Both indices are non-negative integers;
+the signed Segre indices of the raw residual bracket are resolved where
+that bracket is summed, in ``identities.bracket_sum``.
+``BundleClass.chern``, ``segre`` and ``total_segre`` are the one spelling
+of these operations.
 
 Symmetric powers are computed by the splitting principle: the Chern roots
 of the d-th symmetric power are the d-fold multiset sums of the original
@@ -20,8 +22,9 @@ functions on its own, and the orbit classes are multiplied in that basis.
 tautological subbundle are the generators of the Grassmannian's Chow ring,
 so it writes the elementary symmetric functions straight into that ring.
 Twisting by a line bundle rescales Chern and Segre classes alike, so a
-twisted bundle inherits its Segre class instead of inverting its Chern
-class again.
+twisted bundle scales the Segre parts of its untwisted bundle, each when it
+is read, instead of inverting its Chern class again.  One Sym^d build
+shares one set of e-basis tables across its orbits (see ``roots_to_e``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from functools import lru_cache
 from math import comb
 
 from .chow import GrassContext
-from .symfunc import GradedPoly, e_spec, exact_int, root_spec, roots_to_e, substitute
+from .symfunc import GradedPoly, e_spec, exact_int, inverse_parts, root_spec, roots_to_e
+from .symfunc import substitute
 
 
 class BundleClass:
@@ -39,11 +43,12 @@ class BundleClass:
 
     Chern classes above the rank vanish for honest bundles, so a total Chern
     class with a nonzero part there is refused.  Instances are immutable;
-    the total Segre class is computed on first use and cached, or set by
-    ``adams_twist``.
+    the Segre parts are drawn on first use, each only as far as a caller
+    reads, and kept: from the inversion of the total Chern class, or from
+    the parts of the untwisted bundle that ``adams_twist`` rescales.
     """
 
-    __slots__ = ("rank", "total_chern", "_segre")
+    __slots__ = ("rank", "total_chern", "_segre_parts", "_segre_source")
 
     def __init__(self, rank: int, total_chern) -> None:
         if exact_int(rank, "rank") < 1:
@@ -58,7 +63,8 @@ class BundleClass:
                 raise ValueError(f"a rank-{rank} bundle has a Chern class in degree {i}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "total_chern", total_chern)
-        object.__setattr__(self, "_segre", None)
+        object.__setattr__(self, "_segre_parts", [])
+        object.__setattr__(self, "_segre_source", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BundleClass is immutable")
@@ -70,15 +76,22 @@ class BundleClass:
         return self.total_chern.degree_part(i)
 
     def segre(self, i: int):
-        """The i-th Segre class, from inverting the total Chern class."""
+        """The i-th Segre class; no part above degree i is computed for it."""
         if exact_int(i, "Segre index") < 0:
             raise IndexError(f"Segre index must be non-negative, got {i}")
-        return self.total_segre().degree_part(i)
+        if i > self.total_chern.truncation:
+            return self.total_chern.zero_like()
+        if self._segre_source is None:
+            object.__setattr__(self, "_segre_source", inverse_parts(self.total_chern))
+        parts = self._segre_parts
+        while len(parts) <= i:
+            parts.append(next(self._segre_source))
+        return parts[i]
 
     def total_segre(self):
-        if self._segre is None:
-            object.__setattr__(self, "_segre", self.total_chern.series_inverse())
-        return self._segre
+        """The total Segre class: every part, drawn up to the truncation."""
+        parts = map(self.segre, range(self.total_chern.truncation + 1))
+        return sum(parts, self.total_chern.zero_like())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BundleClass):
@@ -155,10 +168,12 @@ def adams_twist(E: BundleClass, m: int) -> BundleClass:
     dual subbundle by the m-th power of the corresponding line bundle, which
     is the only way twists enter downstream.  The rescaling is a ring
     homomorphism, so the Segre class of the result is the rescaled Segre
-    class of E.
+    class of E: each part s_i(E) * m**i is drawn from E when it is read,
+    and one inversion of E serves every twist of it.
     """
     twisted = BundleClass(E.rank, E.total_chern.degree_scale(m))
-    object.__setattr__(twisted, "_segre", E.total_segre().degree_scale(m))
+    parts = (E.segre(i).scaled(m**i) for i in range(E.total_chern.truncation + 1))
+    object.__setattr__(twisted, "_segre_source", parts)
     return twisted
 
 

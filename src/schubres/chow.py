@@ -619,6 +619,10 @@ class StructElement(ClassCarrier):
         for c, a, b in triples:
             exact_int(c, "product coefficient")
             self._check_ring(a)
+            if isinstance(b, (int, float)):
+                m = c * exact_int(b, "product factor")
+                add_terms(out, ((i, m * v) for i, v in a.coeffs.items()))
+                continue
             self._check_ring(b)
             for ia, ca in a.coeffs.items():
                 for ib, cb in b.coeffs.items():

@@ -20,7 +20,9 @@ needs:
   embedded with known normal bundles, meeting transversally along their
   intersection.  The adjunct of each piece is supported on the
   intersection and built from Segre classes of the two normal bundles;
-  both adjuncts share one table of products s_x(N1) * s_y(N2).
+  both adjuncts share one table of products s_x(N1) * s_y(N2).  It reads
+  s_i(N_l) only for i <= d - rank(N_l), and those are all the Segre parts
+  computed, since ``BundleClass`` computes them on demand.
 
 All classes, Segre classes included, are carriers graded by codimension,
 and the evaluators return classes only: a caller that wants degrees
@@ -198,14 +200,15 @@ def regular_decompose(
 
     The products s_x(N1) * s_y(N2) with x + y <= d - r1 - r2 are formed
     once and shared by both adjuncts.  Each adjunct sums its weighted
-    products per Chern degree i, accumulates the products of those sums
-    with c_i(N) in one ``add_products`` call, and multiplies the total by
-    z1 * z2, formed once for both.
+    products per Chern degree i in one ``add_products`` call, accumulates
+    the products of those sums with c_i(N) in another, and multiplies the
+    total by z1 * z2, formed once for both.  When d < r1 + r2 both adjuncts
+    are zero and nothing of them is multiplied.  The Segre classes are read
+    only up to degree d - r_l, and no higher part of them is computed.
     """
     d = setup.d
     r1, r2 = N1.rank, N2.rank
     zero = setup.cN.zero_like()
-    zint = z1 * z2
 
     def main_for(N_l: BundleClass, z_l):
         # Only the codimension-e part of c(N) * s(N_l) is needed, so form
@@ -234,22 +237,25 @@ def regular_decompose(
         for y in range(span + 1 - x):
             pairs[x, y] = row.degree_part(x + y)
 
-    def adjunct_for(r_o: int, pair_of):
+    def adjunct_for(r_o: int, pair_of, zint):
         outer = []
         for i in range(0, span + 1):
             ci = setup.cN.degree_part(i)
-            if ci.is_zero:
-                continue
-            inner = zero
-            for a in range(span - i + 1):
-                inner = inner + pair_of(a, span - i - a).scaled(comb(d - 1 - i, a + r_o))
-            outer.append((1, ci, inner))
+            if not ci.is_zero:
+                inner = zero.add_products(
+                    (comb(d - 1 - i, a + r_o), pair_of(a, span - i - a), 1)
+                    for a in range(span - i + 1)
+                )
+                outer.append((1, ci, inner))
         return zero.add_products(((-1, zero.add_products(outer), zint),))
 
     main1, main2 = main_for(N1, z1), main_for(N2, z2)
-    # Z1's adjunct pairs s_a(N2) with s_b(N1); Z2's pairs s_a(N1) with s_b(N2).
-    adj1 = adjunct_for(r2, lambda a, b: pairs[b, a])
-    adj2 = adjunct_for(r1, lambda a, b: pairs[a, b])
+    adj1 = adj2 = zero
+    if span >= 0:
+        # Z1's adjunct pairs s_a(N2) with s_b(N1); Z2's s_a(N1) with s_b(N2).
+        zint = z1 * z2
+        adj1 = adjunct_for(r2, lambda a, b: pairs[b, a], zint)
+        adj2 = adjunct_for(r1, lambda a, b: pairs[a, b], zint)
     components = (
         DecompositionComponent(labels[0], main1, adj1),
         DecompositionComponent(labels[1], main2, adj2),

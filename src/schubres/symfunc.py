@@ -86,7 +86,8 @@ class GeneratorSpec:
     are interchangeable.  The packed key layout of the module docstring is
     derived from the fields: ``key_shift`` is n * W, ``key_limit`` is
     ``(truncation + 1) << key_shift`` and ``generator_keys`` holds the key of
-    each generator.
+    each generator.  ``roots_to_e`` keeps its tables for a root spec on the
+    spec itself, outside the fields, so they live exactly as long as it does.
     """
 
     names: tuple[str, ...]
@@ -121,6 +122,7 @@ class GeneratorSpec:
             "generator_keys": tuple(
                 d << shift | 1 << pos for d, pos in zip(self.degrees, positions)
             ),
+            "_e_tables": None,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -181,7 +183,8 @@ class ClassCarrier:
       live in the same ring (else ``ContextMismatchError``); ``a ** n`` for
       ``n >= 0``; ``a == b``, hashing and truth (nonzero);
     * ``add_products(triples)``, ``self + sum(c * a * b)`` over (int c,
-      carrier a, carrier b) triples, zeros dropped once for the whole sum;
+      carrier a, carrier or int b) triples, zeros dropped once for the whole
+      sum; an ``int`` b adds c * b * a with no product formed;
     * ``scaled(m)``, the carrier times an ``int``;
     * ``degree_part(d)``, the homogeneous part of degree d (zero outside
       0..truncation); ``degree_scale(m)``, each degree-i part times m**i;
@@ -202,9 +205,9 @@ class ClassCarrier:
     ``scaled``.  It also derives binary ``-``, the reflected operators,
     ``**``, truth, ``str``, ``one_like``, ``degree_scale`` (from
     ``degree_part``) and ``series_inverse``.  A degree, an exponent, a scale
-    factor, a product coefficient or an ``int`` operand that is a float or a
-    bool raises ``ValueError``; it is never rounded, and a bool is never read
-    as 0 or 1.
+    factor, a product coefficient or factor, or an ``int`` operand that is a
+    float or a bool raises ``ValueError``; it is never rounded, and a bool is
+    never read as 0 or 1.
     """
 
     __slots__ = ()
@@ -434,6 +437,10 @@ class GradedPoly(ClassCarrier):
                 exact_int(c, "product coefficient")
             if type(a) is not GradedPoly or a.spec is not spec:
                 self._check_spec(a)
+            if isinstance(b, (int, float)):
+                m = c * exact_int(b, "product factor")
+                add_terms(out, ((k, m * v) for k, v in a.packed.items()))
+                continue
             if type(b) is not GradedPoly or b.spec is not spec:
                 self._check_spec(b)
             kernel.mul_terms(a.packed, b.packed, spec.key_limit, out, c)
@@ -471,34 +478,36 @@ class GradedPoly(ClassCarrier):
         return f"GradedPoly({self.to_string()!r})"
 
 
-def series_inverse(a: ClassCarrier) -> ClassCarrier:
-    """Multiplicative inverse of a class with constant term one.
+def inverse_parts(a: ClassCarrier) -> Iterator[ClassCarrier]:
+    """The homogeneous parts b_0, b_1, ..., b_top of the inverse of a class
+    with constant term one, each computed only when it is drawn.
 
-    Computed degree by degree: if a = 1 + a_1 + a_2 + ... then the inverse
-    b = 1 + b_1 + b_2 + ... satisfies b_n = -(a_1 b_{n-1} + ... + a_n b_0),
+    If a = 1 + a_1 + a_2 + ... then b_n = -(a_1 b_{n-1} + ... + a_n b_0),
     one ``add_products`` call per degree.  Uses only the carrier protocol,
-    so it serves every ``ClassCarrier``.
+    so it serves every ``ClassCarrier``; this is the one inversion
+    recurrence, behind ``series_inverse`` and ``BundleClass.segre``.
     """
     if a.constant_term != 1:
         raise NonUnitError(
             f"series inverse needs constant term 1, got {a.constant_term}"
         )
-    top = a.truncation
-    parts_a = [(j, a.degree_part(j)) for j in range(1, top + 1)]
+    parts_a = [(j, a.degree_part(j)) for j in range(1, a.truncation + 1)]
     parts_a = [(j, part) for j, part in parts_a if not part.is_zero]
     zero = a.zero_like()
-    result = a.one_like()
-    parts_b = {0: result}
-    for n in range(1, top + 1):
-        triples = [
-            (-1, a_j, parts_b[n - j]) for j, a_j in parts_a if n - j in parts_b
-        ]
-        if triples:
-            b_n = zero.add_products(triples)
-            if not b_n.is_zero:
-                parts_b[n] = b_n
-                result = result + b_n
-    return result
+    parts_b = [a.one_like()]
+    yield parts_b[0]
+    for n in range(1, a.truncation + 1):
+        parts_b.append(zero.add_products(
+            [(-1, a_j, parts_b[n - j]) for j, a_j in parts_a
+             if j <= n and not parts_b[n - j].is_zero]
+        ))
+        yield parts_b[n]
+
+
+def series_inverse(a: ClassCarrier) -> ClassCarrier:
+    """Multiplicative inverse of a class with constant term one: the sum of
+    every part ``inverse_parts`` draws."""
+    return sum(inverse_parts(a), a.zero_like())
 
 
 def root_spec(k: int, truncation: int) -> GeneratorSpec:
@@ -531,10 +540,9 @@ def elementary_symmetric(spec: GeneratorSpec, i: int) -> GradedPoly:
     return GradedPoly._raw(spec, terms)
 
 
-def _descending_partitions(k: int, top: int) -> list[Exponent]:
-    """Every weakly decreasing k-tuple of non-negative integers with sum at
-    most ``top``, in descending packed-key order: by sum from ``top`` down,
-    then lexicographically descending."""
+def _descending_partitions(k: int, total: int) -> list[Exponent]:
+    """Every weakly decreasing k-tuple of non-negative integers with sum
+    ``total``, lexicographically descending, which is descending key order."""
 
     def parts(total: int, slots: int, cap: int) -> list[Exponent]:
         if not slots:
@@ -543,7 +551,7 @@ def _descending_partitions(k: int, top: int) -> list[Exponent]:
         firsts = range(min(total, cap), -(-total // slots) - 1, -1)
         return [(a,) + rest for a in firsts for rest in parts(total - a, slots - 1, a)]
 
-    return [lam for total in range(top, -1, -1) for lam in parts(total, k, total)]
+    return parts(total, k, total)
 
 
 def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPoly:
@@ -573,8 +581,12 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
     if out_spec.truncation != spec.truncation:
         raise ValueError("output spec must keep the input truncation")
 
-    e_polys = [elementary_symmetric(spec, i + 1) for i in range(k)]
-    expansions: dict[Exponent, GradedPoly] = {(0,) * k: GradedPoly.one(spec)}
+    # The e-polynomials, the expansion memo and the partitions by total are
+    # kept on the root spec and shared by every call over it.
+    if spec._e_tables is None:
+        e_polys = [elementary_symmetric(spec, i + 1) for i in range(k)]
+        _set(spec, "_e_tables", (e_polys, {(0,) * k: GradedPoly.one(spec)}, {}))
+    e_polys, expansions, partitions = spec._e_tables
 
     def expansion(m: Exponent) -> GradedPoly:
         cached = expansions.get(m)
@@ -589,18 +601,21 @@ def roots_to_e(p: GradedPoly, out_spec: GeneratorSpec | None = None) -> GradedPo
     out: TermMap = {}
     rem = dict(p.packed)
     get = rem.get
-    for lam in _descending_partitions(k, p.max_degree()):
-        coeff = get(spec.pack(lam))
-        if coeff is None:
-            continue
-        m = tuple(a - b for a, b in zip(lam, lam[1:])) + lam[-1:]
-        out[out_spec.pack(m)] = coeff
-        for key, c in expansion(m).packed.items():
-            value = get(key, 0) - coeff * c
-            if value:  # a zero difference needs a present key: coeff, c != 0
-                rem[key] = value
-            else:
-                del rem[key]
+    for total in range(p.max_degree(), -1, -1):
+        if total not in partitions:
+            partitions[total] = _descending_partitions(k, total)
+        for lam in partitions[total]:
+            coeff = get(spec.pack(lam))
+            if coeff is None:
+                continue
+            m = tuple(a - b for a, b in zip(lam, lam[1:])) + lam[-1:]
+            out[out_spec.pack(m)] = coeff
+            for key, c in expansion(m).packed.items():
+                value = get(key, 0) - coeff * c
+                if value:  # a zero difference needs a present key: coeff, c != 0
+                    rem[key] = value
+                else:
+                    del rem[key]
     if rem:
         leftover = spec.unpack(next(iter(rem)))
         raise NotSymmetricError(f"not symmetric: exponent {leftover} is left over")

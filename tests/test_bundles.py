@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from schubres import bundles
+from schubres import bundles, symfunc
 from schubres.bundles import (
     BundleClass,
     adams_twist,
@@ -19,6 +19,7 @@ from schubres.bundles import (
     ustar,
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
+from schubres.limits import enumerate_degenerations
 from schubres.symfunc import (
     GeneratorSpec,
     GradedPoly,
@@ -349,3 +350,89 @@ def test_orbit_route_matches_the_full_product_over_a_structure_ring() -> None:
             in_e_basis = full_multiset_product(2, d, ring.top_degree)
             expected = substitute(in_e_basis, images, total.one_like())
             assert sym_power(E, d).total_chern == expected, (total, d)
+
+
+def table_bundles() -> list[tuple[GrassContext, int, int]]:
+    """(context, degree, twist) of every bundle the two paper tables read:
+    each piece, twisted or not, and the ambient power."""
+    found = []
+    for (r, n), degree in (((1, 4), 5), ((2, 7), 4)):
+        ctx = GrassContext(r, n)
+        found.append((ctx, degree, 1))
+        for pieces in enumerate_degenerations(degree):
+            found.extend((ctx, k, e) for k, e in pieces if (ctx, k, e) not in found)
+    return found
+
+
+def test_segre_on_demand_matches_the_whole_inversion() -> None:
+    # Whatever order the indices are read in, on a cold cache, each Segre
+    # class is the part of the total Segre class and of the inverted total
+    # Chern class in its degree; twisted bundles draw from their untwisted
+    # power.
+    rng = random.Random(19)
+    for ctx, d, m in table_bundles():
+        indices = list(range(ctx.dim + 1))
+        for order in (indices, indices[::-1], rng.sample(indices, len(indices))):
+            sym_ustar.cache_clear()
+            bundle = sym_ustar(ctx, d, m)
+            read = {i: bundle.segre(i) for i in order}
+            total = bundle.total_segre()
+            assert total == series_inverse(bundle.total_chern)
+            assert [read[i] for i in indices] == [total.degree_part(i) for i in indices]
+            assert bundle.segre(ctx.dim + 1).is_zero
+
+
+def test_segre_draws_no_part_above_its_index(monkeypatch) -> None:
+    drawn = []
+    inverse_parts = bundles.inverse_parts
+
+    def counted(total_chern):
+        for i, part in enumerate(inverse_parts(total_chern)):
+            drawn.append(i)
+            yield part
+
+    monkeypatch.setattr(bundles, "inverse_parts", counted)
+    ctx = GrassContext(2, 7)
+    for m in (1, 2, -1):
+        sym_ustar.cache_clear()
+        drawn.clear()
+        bundle = sym_ustar(ctx, 3, m)
+        assert bundle.segre(3) == series_inverse(bundle.total_chern).degree_part(3)
+        assert drawn == [0, 1, 2, 3]
+        bundle.segre(1)
+        assert drawn == [0, 1, 2, 3]
+        bundle.total_segre()
+        assert drawn == list(range(ctx.dim + 1))
+        for bad, error in ((-1, IndexError), (True, ValueError), (2.0, ValueError)):
+            with pytest.raises(error):
+                bundle.segre(bad)
+
+
+def test_one_sym_power_build_shares_its_e_basis_tables(monkeypatch) -> None:
+    # Sym^3 of a rank-3 bundle has three S_3-orbits, so three roots_to_e
+    # calls; they share one set of elementary symmetric polynomials, built
+    # once on the build's root spec, and the spec and its tables are freed
+    # with the build.
+    built, specs = [], []
+    elementary = symfunc.elementary_symmetric
+    make_root_spec = bundles.root_spec
+
+    def counted(spec, i):
+        built.append(i)
+        return elementary(spec, i)
+
+    def recorded(k, truncation):
+        spec = make_root_spec(k, truncation)
+        specs.append(weakref.ref(spec))
+        return spec
+
+    ctx = GrassContext(2, 7)
+    expected = full_multiset_product(ctx.k, 3, ctx.dim)
+    monkeypatch.setattr(symfunc, "elementary_symmetric", counted)
+    monkeypatch.setattr(bundles, "root_spec", recorded)
+    in_ring = bundles._sym_chern_in_e(ctx.k, 3, ctx.dim, ctx.spec)
+    assert in_ring.terms == expected.terms
+    assert sorted(built) == [1, 2, 3]
+    gc.collect()
+    assert [ref() for ref in specs] == [None]
+    assert ctx.spec._e_tables is None

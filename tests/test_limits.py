@@ -321,19 +321,23 @@ def test_quartic_table_pieri_work_is_bounded(monkeypatch) -> None:
 def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     # Exact products behind both paper tables from cold caches: Sym^k U* is
     # multiplied out one S_k-orbit of multisets at a time and lands directly
-    # in the Chern ring (no substitute), twisted pieces inherit their Segre
-    # class (one inversion per distinct untwisted piece: 4 on G(1,4), 3 on
-    # G(2,7)), and the adjunct Segre products are formed once per
-    # decomposition, one product per Segre class of the first piece.  Every
-    # product is one kernel call, also inside ``add_products``, and sums of
-    # products accumulate without subtracting (a subtraction copies its
-    # operand twice).  Counted, not timed; the engine needs 854 products
-    # over 11,980 term pairs, 7 inversions, no substitute and no
-    # subtraction.  A piece's total degree is the sum of its main and adjunct
-    # degrees, so a decomposition integrates five classes: 60 in all.
+    # in the Chern ring (no substitute), twisted pieces scale the Segre parts
+    # of their untwisted piece (one inversion per distinct untwisted piece:
+    # 4 on G(1,4), 3 on G(2,7)), and the adjunct Segre products are formed
+    # once per decomposition, one product per Segre class of the first
+    # piece.  Every product is one kernel call, also inside
+    # ``add_products``; a weighted sum of products adds its int-weighted
+    # terms without a kernel call, and sums of products accumulate without
+    # subtracting (a subtraction copies its operand twice).  A Segre class
+    # is drawn only up to the degree the decomposition reads, and an empty
+    # adjunct range forms no product.  Counted, not timed; the engine needs
+    # 634 products over 8,080 term pairs, 7 inversions that draw 43 Segre
+    # degrees (the whole inversions would draw 76), no substitute and no
+    # subtraction.  A piece's total degree is the sum of its main and
+    # adjunct degrees, so a decomposition integrates five classes: 60 in all.
     counts = {
-        "mul_terms": 0, "pairs": 0, "series_inverse": 0, "substitute": 0, "__sub__": 0,
-        "integrate": 0,
+        "mul_terms": 0, "pairs": 0, "inverse_parts": 0, "segre_degrees": 0, "substitute": 0,
+        "__sub__": 0, "integrate": 0,
     }
 
     def counting(owner, name):
@@ -347,8 +351,17 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
 
         monkeypatch.setattr(owner, name, counted)
 
+    inverse_parts = bundles.inverse_parts
+
+    def counted_parts(total_chern):
+        # The one inversion recurrence BundleClass draws its Segre parts from.
+        counts["inverse_parts"] += 1
+        for part in inverse_parts(total_chern):
+            counts["segre_degrees"] += 1
+            yield part
+
+    monkeypatch.setattr(bundles, "inverse_parts", counted_parts)
     counting(kernel, "mul_terms")
-    counting(symfunc, "series_inverse")
     counting(bundles, "substitute")
     counting(symfunc.ClassCarrier, "__sub__")
     counting(limits, "integrate")
@@ -357,10 +370,11 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
         ctx = GrassContext(*context)
         for pieces in enumerate_degenerations(degree):
             assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
-    assert 0 < counts["mul_terms"] <= 854
+    assert 0 < counts["mul_terms"] <= 634
     assert 0 < counts["integrate"] <= 60
-    assert 0 < counts["pairs"] <= 11_980
-    assert 0 < counts["series_inverse"] <= 7
+    assert 0 < counts["pairs"] <= 8_080
+    assert 0 < counts["inverse_parts"] <= 7
+    assert 0 < counts["segre_degrees"] <= 43
     assert counts["substitute"] == 0
     assert counts["__sub__"] == 0
 

@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+from schubres import kernel
 from schubres.bundles import BundleClass, sym_ustar, ustar
 from schubres.chow import (
     GrassContext,
@@ -321,6 +322,35 @@ def test_regular_decompose_empty_adjunct_ranges() -> None:
     # One-dimensional excess: [c(N) s(N1)] in degree 1 is c1(N) - c1(N1).
     assert dec.components[0].main == (N.chern(1) - ustar(ctx).chern(1)) * z
     assert dec.components[0].main == parse_poly(ctx.spec, "2*x*y")
+
+
+def test_empty_adjuncts_form_no_product(monkeypatch) -> None:
+    # Lines on a quintic threefold degenerating to a quartic and a plane:
+    # d = 6 < r1 + r2 = 5 + 2, so no term of either adjunct exists.  With
+    # the Segre parts drawn beforehand, the only kernel calls are the main
+    # terms': one per nonzero c_i(N) with i <= d - r_l, and one times z_l.
+    # Neither z1 * z2 nor any product for the zero adjuncts is formed.
+    ctx = GrassContext(1, 4)
+    ambient = sym_ustar(ctx, 5)
+    setup = IntersectionSetup(cN=ambient.total_chern, d=ambient.rank)
+    N1, N2 = sym_ustar(ctx, 4), sym_ustar(ctx, 1)
+    assert setup.d - N1.rank - N2.rank == -1
+    N1.total_segre(), N2.total_segre()
+    expected = sum(
+        1 + sum(not ambient.chern(i).is_zero for i in range(setup.d - N.rank + 1))
+        for N in (N1, N2)
+    )
+    calls = []
+    mul_terms = kernel.mul_terms
+
+    def counted(*args):
+        calls.append(args)
+        return mul_terms(*args)
+
+    monkeypatch.setattr(kernel, "mul_terms", counted)
+    dec = regular_decompose(setup, N1, N2, N1.chern(N1.rank), N2.chern(N2.rank))
+    assert [c.adjunct.is_zero for c in dec.components] == [True, True]
+    assert len(calls) == expected == 9
 
 
 def unshared_regular_components(setup, N1, N2, z1, z2):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from schubres import kernel
 from schubres.errors import ContextMismatchError, NonUnitError, NotSymmetricError
 from schubres.chow import (
     GrassContext,
@@ -301,6 +302,21 @@ def test_roots_to_e_rejects_asymmetric() -> None:
         roots_to_e(parse_poly(spec, "t1^2*t2 + t1*t2"))
 
 
+def test_roots_to_e_refuses_asymmetric_input_after_sharing_tables() -> None:
+    # Calls over one root spec share its e-basis tables; a table filled by a
+    # symmetric input never lets a non-symmetric one through.
+    spec = root_spec(3, 6)
+    symmetric = parse_poly(spec, "1 + t1 + t2 + t3 + t1^2*t2^2*t3^2")
+    assert roots_to_e(symmetric).to_string() == "1 + e1 + e3^2"
+    tables = spec._e_tables
+    for text in ("t1", "t1^2*t2^2*t3^2 + t1^3", "t1*t2 + t1*t3"):
+        with pytest.raises(NotSymmetricError):
+            roots_to_e(parse_poly(spec, text))
+    assert roots_to_e(symmetric).to_string() == "1 + e1 + e3^2"
+    assert spec._e_tables is tables
+    assert root_spec(3, 6)._e_tables is None
+
+
 def test_roots_to_e_section_property() -> None:
     # Expanding e_i into fresh roots and contracting back is the identity.
     rng = random.Random(11)
@@ -560,3 +576,32 @@ def test_add_products_refuses_non_integer_coefficients_and_foreign_operands() ->
         graded.add_products([(1, graded, tabulated)])
     with pytest.raises(TypeError):
         graded * tabulated
+
+
+def test_add_products_takes_an_int_factor(monkeypatch) -> None:
+    # (c, a, m) with an int m adds c * m * a on both carriers, with no
+    # kernel call; a bool or float factor is refused, and so is an operand
+    # of another ring.
+    calls = []
+    mul_terms = kernel.mul_terms
+    monkeypatch.setattr(kernel, "mul_terms", lambda *args: calls.append(args) or mul_terms(*args))
+    tabulated = projective_space(4)
+    spec = GeneratorSpec(("h",), (1,), 4)
+    for x, a in (
+        (tabulated.parse("1 + h"), tabulated.parse("2*h - 3*h2 + h4")),
+        (parse_poly(spec, "1 + h"), parse_poly(spec, "2*h - 3*h^2 + h^4")),
+    ):
+        sums = [x.add_products([(3, a, 2)]), x.add_products([(1, a, -1), (1, a, 1)])]
+        assert calls == []
+        assert sums == [x + 6 * a, x]
+        assert x.add_products([(2, a, 1), (1, a, 0), (-1, x, x)]) == x + 2 * a - x * x
+        for bad in (True, False, 2.0, 0.5):
+            with pytest.raises(ValueError, match="not an integer"):
+                x.add_products([(1, a, bad)])
+        calls.clear()
+    with pytest.raises(ContextMismatchError):
+        tabulated.one().add_products([(1, projective_space(3).element("h"), 2)])
+    with pytest.raises(ContextMismatchError):
+        parse_poly(spec, "h").add_products([(1, tabulated.one(), 2)])
+    with pytest.raises(ContextMismatchError):
+        parse_poly(spec, "h").add_products([(1, parse_poly(lines_spec(), "x"), 2)])

@@ -11,9 +11,11 @@ carries a pushforward to another such ring.  It is built from one
 description, the mapping a ring file holds, and the builtin rings
 (``projective_space``, ``blowup_plane_at_point``) are written in that form
 too.  Its elements, ``StructElement``, are the second
-``symfunc.ClassCarrier`` next to ``GradedPoly``: the arithmetic the protocol
-derives, series inversion and printing come from that base class.  Ring
-descriptions must give integers; a float or bool is refused, not rounded.
+``symfunc.ClassCarrier`` next to ``GradedPoly``: all their arithmetic,
+comparison, degree parts, printing and series inversion come from that base
+class, and ``StructRing`` supplies only its key algebra, on basis indices
+multiplied by the structure constants.  Ring descriptions must give
+integers; a float or bool is refused, not rounded.
 
 Integration over the Grassmannian is implemented twice on purpose: the
 production path converts to the Schubert basis via the Pieri rule for the
@@ -48,7 +50,6 @@ from .symfunc import (
     add_terms,
     elementary_symmetric,
     exact_int,
-    format_terms,
     parse_linear_terms,
     root_spec,
     substitute,
@@ -367,7 +368,7 @@ class StructRing:
     two rings.
     """
 
-    __slots__ = ("name", "labels", "degrees", "_index", "_unit", "_table",
+    __slots__ = ("name", "labels", "degrees", "_index", "unit_key", "_table",
                  "_integral", "_pushforward")
 
     def __init__(self, description: Mapping, name_hint: str = "ring") -> None:
@@ -393,7 +394,7 @@ class StructRing:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
-        object.__setattr__(self, "_unit", units[0])
+        object.__setattr__(self, "unit_key", units[0])
 
         table: dict[tuple[int, int], dict[int, int]] = {}
         for key, value in _block(data, "products", what).items():
@@ -440,6 +441,8 @@ class StructRing:
     def top_degree(self) -> int:
         return max(self.degrees)
 
+    truncation = top_degree
+
     @property
     def pushforward_target(self) -> "StructRing":
         if self._pushforward is None:
@@ -450,8 +453,8 @@ class StructRing:
         top = self.top_degree
         for (ia, ib), entry in self._table.items():
             degree = self.degrees[ia] + self.degrees[ib]
-            if self._unit in (ia, ib):
-                other = ib if ia == self._unit else ia
+            if self.unit_key in (ia, ib):
+                other = ib if ia == self.unit_key else ia
                 if entry != {other: 1}:
                     raise RingFormatError("unit must act as the identity")
             for i in entry:
@@ -480,7 +483,7 @@ class StructRing:
                     )
                 value = image[i]
                 expected = self.degrees[i] - shift
-                for j in value.coeffs:
+                for j in value.packed:
                     if target.degrees[j] != expected:
                         raise RingFormatError(
                             f"pushforward of {self.labels[i]!r} is not homogeneous "
@@ -497,7 +500,7 @@ class StructRing:
         return StructElement(self, {})
 
     def one(self) -> "StructElement":
-        return self.basis_element(self._unit)
+        return self.basis_element(self.unit_key)
 
     def parse(self, text: str) -> "StructElement":
         """Parse a linear combination of basis labels such as ``2*h - P``.
@@ -527,15 +530,34 @@ class StructRing:
         for coeff, factors in parse_linear_terms(str(text)):
             if len(factors) > 1 or (factors and factors[0][1] != 1):
                 raise RingFormatError(f"expected a linear expression, got {text!r}")
-            pairs.append((self._position(factors[0][0], where) if factors else self._unit, coeff))
+            pairs.append((self._position(factors[0][0], where) if factors else self.unit_key, coeff))
         return add_terms({}, pairs)
 
-    def _mul_basis(self, ia: int, ib: int) -> dict[int, int]:
-        if ia == self._unit:
-            return {ib: 1}
-        if ib == self._unit:
-            return {ia: 1}
-        return self._table.get((min(ia, ib), max(ia, ib)), {})
+    # The key algebra ``ClassCarrier`` asks of a ring: keys are basis indices.
+
+    def degree_of(self, i: int) -> int:
+        return self.degrees[i]
+
+    def mul_into(self, out: dict[int, int], a: dict[int, int], b: dict[int, int],
+                 scale: int) -> None:
+        get, unit, table = out.get, self.unit_key, self._table
+        for ia, ca in a.items():
+            for ib, cb in b.items():
+                if ia == unit:
+                    entry = {ib: 1}
+                elif ib == unit:
+                    entry = {ia: 1}
+                else:
+                    entry = table.get((min(ia, ib), max(ia, ib)), {})
+                product = scale * ca * cb
+                for i, value in entry.items():
+                    out[i] = get(i, 0) + product * value
+
+    def sort_key(self, i: int) -> tuple[int, int]:
+        return self.degrees[i], i
+
+    def key_name(self, i: int) -> str:
+        return "" if i == self.unit_key else self.labels[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructRing):
@@ -557,105 +579,27 @@ class StructRing:
 
 
 class StructElement(ClassCarrier):
-    """Element of a ``StructRing``: an integer combination of basis classes.
+    """Element of a ``StructRing``: an integer combination of basis classes,
+    ``packed`` from basis index to nonzero coefficient.
 
     A ``ClassCarrier`` whose truncation is the ring's top degree.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ring: StructRing, coeffs: Mapping[int, int]) -> None:
-        canonical = {
+        super().__init__(ring, {
             i: c for i, c in coeffs.items() if exact_int(c, "coefficient", RingFormatError)
-        }
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", canonical)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs.get(self.ring._unit, 0)
-
-    @property
-    def truncation(self) -> int:
-        return self.ring.top_degree
-
-    def zero_like(self) -> "StructElement":
-        return self.ring.zero()
-
-    def degree_part(self, d: int) -> "StructElement":
-        if type(d) is not int:
-            exact_int(d, "degree")
-        degrees = self.ring.degrees
-        return StructElement(
-            self.ring, {i: c for i, c in self.coeffs.items() if degrees[i] == d}
-        )
-
-    def _check_ring(self, other: "StructElement") -> None:
-        if not isinstance(other, StructElement):
-            raise ContextMismatchError(f"{other!r} is not an element of {self.ring.name!r}")
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ContextMismatchError("elements of different structure rings")
-
-    def __add__(self, other: "StructElement | int") -> "StructElement":
-        if isinstance(other, int):
-            other = exact_int(other, "operand") * self.ring.one()
-        if not isinstance(other, StructElement):
-            return NotImplemented
-        self._check_ring(other)
-        return StructElement(self.ring, add_terms(dict(self.coeffs), other.coeffs.items()))
-
-    def scaled(self, m: int) -> "StructElement":
-        exact_int(m, "factor")
-        return StructElement(self.ring, {i: c * m for i, c in self.coeffs.items()})
-
-    def add_products(self, triples) -> "StructElement":
-        out = dict(self.coeffs)
-        get = out.get
-        mul_basis = self.ring._mul_basis
-        for c, a, b in triples:
-            exact_int(c, "product coefficient")
-            self._check_ring(a)
-            if isinstance(b, (int, float)):
-                m = c * exact_int(b, "product factor")
-                add_terms(out, ((i, m * v) for i, v in a.coeffs.items()))
-                continue
-            self._check_ring(b)
-            for ia, ca in a.coeffs.items():
-                for ib, cb in b.coeffs.items():
-                    scale = c * ca * cb
-                    for i, value in mul_basis(ia, ib).items():
-                        out[i] = get(i, 0) + scale * value
-        return StructElement(self.ring, out)
+        })
 
     def integrate(self) -> int:
         return sum(
-            c * self.ring._integral.get(i, 0) for i, c in self.coeffs.items()
+            c * self.ring._integral.get(i, 0) for i, c in self.packed.items()
         )
 
     def pushforward(self) -> "StructElement":
         target, image = self.ring.pushforward_target, self.ring._pushforward[1]
-        return sum((c * image[i] for i, c in self.coeffs.items()), target.zero())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = other * self.ring.one()
-        if not isinstance(other, StructElement):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.coeffs.items())))
-
-    def to_string(self) -> str:
-        ring = self.ring
-        ordered = sorted(self.coeffs.items(), key=lambda item: (ring.degrees[item[0]], item[0]))
-        return format_terms(
-            (coeff, "" if i == ring._unit else ring.labels[i]) for i, coeff in ordered
-        )
+        return sum((c * image[i] for i, c in self.packed.items()), target.zero())
 
     def __repr__(self) -> str:
         return f"StructElement({self.to_string()!r} in {self.ring.name})"

@@ -368,13 +368,22 @@ def _fixture_path(source: str) -> Path:
     )
 
 
-def _resolve_ring(value, base_dir: Path) -> StructRing:
-    if isinstance(value, str):
-        try:
-            return builtin_ring(value)
-        except KeyError:
-            return load_ring(base_dir / value)
-    raise ValueError(f"cannot resolve ring from {value!r}")
+def _resolve_ring(value, base_dir: Path, dim: int, what: str = "ring") -> StructRing:
+    """The ring ``value`` names, a builtin name or a path from ``base_dir``;
+    one whose top degree is not the fixture's ``dim`` raises ``ValueError``
+    naming ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"cannot resolve ring from {value!r}")
+    try:
+        ring = builtin_ring(value)
+    except KeyError:
+        ring = load_ring(base_dir / value)
+    if dim != ring.top_degree:
+        raise ValueError(
+            f"fixture key 'dim' is {dim}, but {what} {ring.name!r} has top degree "
+            f"{ring.top_degree}"
+        )
+    return ring
 
 
 # The class keys each decomposition mode reads, in the order its function
@@ -410,13 +419,8 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     if "coarse" in data:
         what = "fixture key 'coarse'"
         check_keys(data["coarse"], what, ("ring", "normal_chern", "segre", "total"))
-    ring = _resolve_ring(data["ring"], path.parent)
     dim = exact_int(data["dim"], "fixture key 'dim'")
-    if dim != ring.top_degree:
-        raise ValueError(
-            f"fixture key 'dim' is {dim}, but ring {ring.name!r} has top degree "
-            f"{ring.top_degree}"
-        )
+    ring = _resolve_ring(data["ring"], path.parent, dim)
 
     def element(key: str):
         return ring.parse(str(data[key]))
@@ -442,7 +446,7 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
         if "coarse" not in data:
             raise ValueError(f"fixture {data.get('name', path.name)!r} has no coarse section")
         section = data["coarse"]
-        coarse_ring = _resolve_ring(section["ring"], path.parent)
+        coarse_ring = _resolve_ring(section["ring"], path.parent, dim, "coarse ring")
 
         def coarse_element(key: str):
             return coarse_ring.parse(str(section[key]))

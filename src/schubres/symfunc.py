@@ -19,15 +19,18 @@ the sum of the keys, its weighted degree is ``key >> (n * W)``, and it is
 within the truncation exactly when the sum is below ``(D + 1) << (n * W)``.
 Integer order on keys is graded-lex order on monomials.  The layout lives in
 ``GeneratorSpec`` alone; ``GradedPoly.terms`` unpacks a tuple-keyed view for
-printing and callers outside the engine.
+callers outside the engine.
 
-``ClassCarrier`` states the protocol every ring of classes follows: this
-module's ``GradedPoly`` and the tabulated ``chow.StructElement``.  The bundle,
-residual and identity layers are written once against it.  The base class
-implements the representation-free half of the protocol once: the derived
-operators, immutability, the unit, degree scaling, printing through
-``format_terms`` and series inversion (total Segre class from total Chern
-class).
+``ClassCarrier`` states the protocol every ring of classes follows and is
+its one implementation: a class is a dict from keys of its ring to nonzero
+integers, and the base class does all the arithmetic, the comparisons, the
+degree parts, printing and series inversion (total Segre class from total
+Chern class) on that dict.  Each ring supplies only its key algebra: the
+degree of a key, the key of the unit, how two dicts of keys multiply, and
+how a key prints.  ``GeneratorSpec`` supplies it for this module's
+``GradedPoly``, and ``chow.StructRing`` for the tabulated
+``chow.StructElement``.  The bundle, residual and identity layers are
+written once against the protocol.
 
 The module also rewrites a symmetric polynomial in degree-one root variables
 as a polynomial in the elementary symmetric functions.
@@ -148,27 +151,29 @@ class GeneratorSpec:
         except ValueError:
             raise KeyError(f"no generator named {name!r}") from None
 
+    # The key algebra ``ClassCarrier`` asks of a ring.  The unit is the
+    # empty monomial, whose key is 0.
+    unit_key = 0
 
-def format_terms(terms: Iterable[tuple[int, str]]) -> str:
-    """Print (coefficient, monomial) pairs, in the given order, as a signed sum.
+    def degree_of(self, key: int) -> int:
+        return key >> self.key_shift
 
-    Coefficients must be nonzero.  An empty monomial is the unit, and a unit
-    coefficient is left out in front of any other monomial: ``3 + 2*h - P``.
-    """
-    chunks: list[str] = []
-    for coeff, monomial in terms:
-        magnitude = abs(coeff)
-        if not monomial:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = monomial
-        else:
-            body = f"{magnitude}*{monomial}"
-        if not chunks:
-            chunks.append(body if coeff > 0 else f"-{body}")
-        else:
-            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(chunks) if chunks else "0"
+    def mul_into(self, out: TermMap, a: TermMap, b: TermMap, scale: int) -> None:
+        # ``kernel.mul_terms`` is looked up on the module at call time, so a
+        # rebinding of it sees every product.
+        kernel.mul_terms(a, b, self.key_limit, out, scale)
+
+    def sort_key(self, key: int) -> tuple[int, int]:
+        # Ascending weighted degree, then descending key (descending
+        # lexicographic exponent), so leading generators print first.
+        return key >> self.key_shift, -key
+
+    def key_name(self, key: int) -> str:
+        return "*".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(self.names, self.unpack(key))
+            if e
+        )
 
 
 class ClassCarrier:
@@ -196,24 +201,71 @@ class ClassCarrier:
     * ``pushforward()``, the image in a base ring; this base raises
       ``UnsupportedOperationError``, and a ring with a pushforward overrides it.
 
-    A carrier supplies its storage and only these members: ``+`` (also
-    accepting an ``int``), ``scaled``, ``add_products``, ``==`` with
-    hashing, ``degree_part``, ``zero_like``, ``constant_term``, ``is_zero``,
-    ``truncation`` and ``to_string``.  ``add_products`` is the one product
-    a carrier writes: this base derives ``a * b`` of two carriers as its
-    one-triple case, and ``*`` by an ``int`` and unary ``-`` from
-    ``scaled``.  It also derives binary ``-``, the reflected operators,
-    ``**``, truth, ``str``, ``one_like``, ``degree_scale`` (from
-    ``degree_part``) and ``series_inverse``.  A degree, an exponent, a scale
-    factor, a product coefficient or factor, or an ``int`` operand that is a
-    float or a bool raises ``ValueError``; it is never rounded, and a bool is
-    never read as 0 or 1.
+    A class is stored as ``packed``, a dict from keys of its ``ring`` to
+    nonzero ints, and this base implements every member above on that dict.
+    The homogeneous parts are split out on first use and kept, so repeated
+    ``degree_part`` calls on one class do not rescan its terms.  The ring
+    supplies only how its keys behave: ``truncation``; ``unit_key``, the key
+    of the unit; ``degree_of(key)``; ``mul_into(out, a, b, scale)``, which
+    adds ``scale * a * b`` of two key dicts into the dict ``out``, zeros
+    included; ``sort_key(key)``, the printing order; and ``key_name(key)``,
+    the printed key, empty for the unit.  Two carriers live in the same ring
+    when their rings are equal.  A degree, an exponent, a scale factor, or a
+    product coefficient or factor that is a float or a bool raises
+    ``ValueError``, and so does a bool operand of an operator or of ``==``:
+    nothing is rounded, and a bool is never read as 0 or 1.
     """
 
-    __slots__ = ()
+    __slots__ = ("ring", "packed", "_parts")
+
+    def __init__(self, ring, packed: dict) -> None:
+        # Trusting, as ``_raw``: the carriers' constructors validate first.
+        _set(self, "ring", ring)
+        _set(self, "packed", packed)
+        _set(self, "_parts", None)
+
+    @classmethod
+    def _raw(cls, ring, packed: dict) -> "ClassCarrier":
+        # Trusted constructor: packed must already be canonical.
+        self = _new(cls)
+        _set(self, "ring", ring)
+        _set(self, "packed", packed)
+        _set(self, "_parts", None)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.packed
+
+    @property
+    def constant_term(self) -> int:
+        return self.packed.get(self.ring.unit_key, 0)
+
+    @property
+    def truncation(self) -> int:
+        return self.ring.truncation
+
+    def zero_like(self) -> "ClassCarrier":
+        return self._raw(self.ring, {})
+
+    def one_like(self) -> "ClassCarrier":
+        return self._raw(self.ring, {self.ring.unit_key: 1})
+
+    def _check(self, other: object) -> None:
+        if not (isinstance(other, ClassCarrier) and other.ring == self.ring):
+            raise ContextMismatchError(f"{other!r} does not live in the ring of {self!r}")
+
+    def __add__(self, other: "ClassCarrier | int") -> "ClassCarrier":
+        if isinstance(other, int):
+            unit = {self.ring.unit_key: other} if exact_int(other, "operand") else {}
+            other = self._raw(self.ring, unit)
+        elif not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._raw(self.ring, add_terms(dict(self.packed), other.packed.items()))
 
     # The reflected operators call the carrier's own methods directly, so an
     # operand of a foreign type gets NotImplemented back instead of bouncing
@@ -222,7 +274,7 @@ class ClassCarrier:
         return self.__add__(other)
 
     # Both ``-`` operators check an int operand themselves: ``a - True``
-    # negates it into a plain int before the carrier's ``__add__`` sees it.
+    # negates it into a plain int before ``__add__`` sees it.
     def __sub__(self, other: "ClassCarrier | int") -> "ClassCarrier":
         if isinstance(other, int):
             exact_int(other, "operand")
@@ -235,6 +287,32 @@ class ClassCarrier:
 
     def __neg__(self) -> "ClassCarrier":
         return self.scaled(-1)
+
+    def scaled(self, m: int) -> "ClassCarrier":
+        if exact_int(m, "factor") == 0:
+            return self.zero_like()
+        return self._raw(self.ring, {k: c * m for k, c in self.packed.items()})
+
+    def add_products(self, triples: Iterable[tuple[int, "ClassCarrier", object]]) -> "ClassCarrier":
+        # Every product accumulates into the same dict through the ring's
+        # ``mul_into``; the checks take a fast path for operands of this
+        # very ring.
+        ring, cls = self.ring, type(self)
+        mul_into = ring.mul_into
+        out = dict(self.packed)
+        for c, a, b in triples:
+            if type(c) is not int:
+                exact_int(c, "product coefficient")
+            if type(a) is not cls or a.ring is not ring:
+                self._check(a)
+            if isinstance(b, (int, float)):
+                m = c * exact_int(b, "product factor")
+                add_terms(out, ((k, m * v) for k, v in a.packed.items()))
+                continue
+            if type(b) is not cls or b.ring is not ring:
+                self._check(b)
+            mul_into(out, a.packed, b.packed, c)
+        return self._raw(ring, {k: v for k, v in out.items() if v})
 
     def __mul__(self, other: "ClassCarrier | int") -> "ClassCarrier":
         if isinstance(other, int):
@@ -258,24 +336,42 @@ class ClassCarrier:
             exponent >>= 1
         return result
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            # An int reads as that multiple of the unit, as in ``+``.
+            other = exact_int(other, "operand")
+            return self.packed == ({self.ring.unit_key: other} if other else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.ring == other.ring and self.packed == other.packed
+
+    def __hash__(self) -> int:
+        return hash((self.ring, frozenset(self.packed.items())))
+
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def __str__(self) -> str:
-        return self.to_string()
-
-    def one_like(self) -> "ClassCarrier":
-        return self.zero_like() + 1
+    def degree_part(self, d: int) -> "ClassCarrier":
+        if type(d) is not int:
+            exact_int(d, "degree")
+        parts = self._parts
+        if parts is None:
+            buckets: dict[int, dict] = {}
+            degree_of = self.ring.degree_of
+            for key, coeff in self.packed.items():
+                buckets.setdefault(degree_of(key), {})[key] = coeff
+            parts = {i: self._raw(self.ring, t) for i, t in buckets.items()}
+            _set(self, "_parts", parts)
+        part = parts.get(d)
+        return part if part is not None else self.zero_like()
 
     def degree_scale(self, m: int) -> "ClassCarrier":
-        """Multiply each homogeneous degree-i part by m**i."""
+        """Multiply each homogeneous degree-i part by m**i, in one pass."""
         exact_int(m, "degree scale")
-        out = self.zero_like()
-        for i in range(self.truncation + 1):
-            part = self.degree_part(i)
-            if not part.is_zero:
-                out = out + part * m**i
-        return out
+        degree_of = self.ring.degree_of
+        powers = [m**i for i in range(self.truncation + 1)]
+        scaled = {k: c * powers[degree_of(k)] for k, c in self.packed.items()}
+        return self._raw(self.ring, {k: c for k, c in scaled.items() if c})
 
     def series_inverse(self) -> "ClassCarrier":
         # Looked up in this module at call time, so the one module-level
@@ -285,19 +381,41 @@ class ClassCarrier:
     def pushforward(self) -> "ClassCarrier":
         raise UnsupportedOperationError(f"{type(self).__name__} has no pushforward")
 
+    def to_string(self) -> str:
+        """A signed sum in the ring's printing order.  The unit prints as its
+        coefficient, and a unit coefficient is left out in front of any
+        other key: ``3 + 2*h - P``."""
+        ring, packed = self.ring, self.packed
+        chunks: list[str] = []
+        for key in sorted(packed, key=ring.sort_key):
+            coeff, name = packed[key], ring.key_name(key)
+            magnitude = abs(coeff)
+            if not name:
+                body = str(magnitude)
+            elif magnitude == 1:
+                body = name
+            else:
+                body = f"{magnitude}*{name}"
+            if not chunks:
+                chunks.append(body if coeff > 0 else f"-{body}")
+            else:
+                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        return " ".join(chunks) if chunks else "0"
+
+    def __str__(self) -> str:
+        return self.to_string()
+
 
 class GradedPoly(ClassCarrier):
     """Immutable truncated polynomial with exact integer coefficients.
 
-    ``packed`` is canonical: a dict from packed monomial keys (see the module
-    docstring) to nonzero coefficients, every key within the truncation.
-    ``terms`` is a read-only view of the same terms keyed by exponent tuples.
-    Treat instances as read-only; all operations return new objects.  The
-    homogeneous parts are split out on first use and kept, so repeated
-    ``degree_part`` calls on one series do not rescan its terms.
+    Its ring is a ``GeneratorSpec``, also read as ``spec``, and ``packed``
+    maps packed monomial keys (see the module docstring) to nonzero
+    coefficients, every key within the truncation.  ``terms`` is a read-only
+    view of the same terms keyed by exponent tuples.
     """
 
-    __slots__ = ("spec", "packed", "_parts")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -319,23 +437,16 @@ class GradedPoly(ClassCarrier):
                 if coeff and spec.weighted_degree(expo) <= spec.truncation:
                     yield spec.pack(expo), coeff
 
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "packed", add_terms({}, packed_items()))
-        object.__setattr__(self, "_parts", None)
+        super().__init__(spec, add_terms({}, packed_items()))
 
-    @classmethod
-    def _raw(cls, spec: GeneratorSpec, packed: TermMap) -> "GradedPoly":
-        # Trusted constructor: packed must already be canonical.
-        self = _new(cls)
-        _set(self, "spec", spec)
-        _set(self, "packed", packed)
-        _set(self, "_parts", None)
-        return self
+    @property
+    def spec(self) -> GeneratorSpec:
+        return self.ring
 
     @property
     def terms(self) -> Mapping[Exponent, int]:
         """The terms keyed by exponent tuples, unpacked on each access."""
-        unpack = self.spec.unpack
+        unpack = self.ring.unpack
         return MappingProxyType({unpack(k): c for k, c in self.packed.items()})
 
     @classmethod
@@ -359,120 +470,11 @@ class GradedPoly(ClassCarrier):
             return cls.zero(spec)
         return cls._raw(spec, {spec.generator_keys[i]: 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.packed
-
-    @property
-    def constant_term(self) -> int:
-        return self.packed.get(0, 0)
-
-    @property
-    def truncation(self) -> int:
-        return self.spec.truncation
-
     def max_degree(self) -> int:
         """Largest weighted degree with a nonzero term; -1 for the zero poly."""
         if not self.packed:
             return -1
-        return max(self.packed) >> self.spec.key_shift
-
-    def degree_part(self, d: int) -> "GradedPoly":
-        if type(d) is not int:
-            exact_int(d, "degree")
-        parts = self._parts
-        if parts is None:
-            buckets: dict[int, TermMap] = {}
-            shift = self.spec.key_shift
-            for key, coeff in self.packed.items():
-                buckets.setdefault(key >> shift, {})[key] = coeff
-            parts = {d: GradedPoly._raw(self.spec, t) for d, t in buckets.items()}
-            object.__setattr__(self, "_parts", parts)
-        part = parts.get(d)
-        return part if part is not None else GradedPoly.zero(self.spec)
-
-    def zero_like(self) -> "GradedPoly":
-        return GradedPoly.zero(self.spec)
-
-    def degree_scale(self, m: int) -> "GradedPoly":
-        # One pass over the terms instead of the base's sum over degrees.
-        exact_int(m, "degree scale")
-        shift = self.spec.key_shift
-        powers = [m**i for i in range(self.spec.truncation + 1)]
-        scaled = {k: c * powers[k >> shift] for k, c in self.packed.items()}
-        return GradedPoly._raw(self.spec, {k: c for k, c in scaled.items() if c})
-
-    def _check_spec(self, other: "GradedPoly") -> None:
-        if not isinstance(other, GradedPoly):
-            raise ContextMismatchError(f"{other!r} is not a polynomial over {self.spec}")
-        if self.spec is other.spec:
-            return
-        if self.spec != other.spec:
-            raise ContextMismatchError(
-                f"operands live over different specs: {self.spec} vs {other.spec}"
-            )
-
-    def __add__(self, other: "GradedPoly | int") -> "GradedPoly":
-        if isinstance(other, int):
-            other = GradedPoly.constant(self.spec, other)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        self._check_spec(other)
-        return GradedPoly._raw(self.spec, add_terms(dict(self.packed), other.packed.items()))
-
-    def scaled(self, m: int) -> "GradedPoly":
-        if exact_int(m, "factor") == 0:
-            return GradedPoly.zero(self.spec)
-        return GradedPoly._raw(self.spec, {k: c * m for k, c in self.packed.items()})
-
-    def add_products(
-        self, triples: Iterable[tuple[int, "GradedPoly", "GradedPoly"]]
-    ) -> "GradedPoly":
-        # Every product is one kernel call accumulating into the same dict;
-        # the checks take a fast path for operands over this very spec.
-        spec = self.spec
-        out = dict(self.packed)
-        for c, a, b in triples:
-            if type(c) is not int:
-                exact_int(c, "product coefficient")
-            if type(a) is not GradedPoly or a.spec is not spec:
-                self._check_spec(a)
-            if isinstance(b, (int, float)):
-                m = c * exact_int(b, "product factor")
-                add_terms(out, ((k, m * v) for k, v in a.packed.items()))
-                continue
-            if type(b) is not GradedPoly or b.spec is not spec:
-                self._check_spec(b)
-            kernel.mul_terms(a.packed, b.packed, spec.key_limit, out, c)
-        return GradedPoly._raw(spec, {k: v for k, v in out.items() if v})
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            # An int reads as that multiple of the unit, as in ``+``.
-            return self.packed == ({0: other} if other else {})
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        return self.spec == other.spec and self.packed == other.packed
-
-    def __hash__(self) -> int:
-        return hash((self.spec, frozenset(self.packed.items())))
-
-    def _monomial(self, key: int) -> str:
-        factors = []
-        for name, e in zip(self.spec.names, self.spec.unpack(key)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        return "*".join(factors)
-
-    def to_string(self) -> str:
-        # Ascending weighted degree, then descending lexicographic exponent
-        # (descending key), so leading generators print before trailing ones
-        # within a degree.
-        shift = self.spec.key_shift
-        keys = sorted(self.packed, key=lambda key: (key >> shift, -key))
-        return format_terms((self.packed[key], self._monomial(key)) for key in keys)
+        return max(self.packed) >> self.ring.key_shift
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.to_string()!r})"

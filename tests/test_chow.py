@@ -362,7 +362,7 @@ def test_carriers_of_different_kinds_do_not_mix() -> None:
             with pytest.raises(TypeError):
                 op(a, b)
     with pytest.raises(AttributeError, match="StructElement is immutable"):
-        point.coeffs = {}
+        point.packed = {}
     assert (2 - point).to_string() == "2 - P"
     assert (point - 2) == -(2 - point)
 

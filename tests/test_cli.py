@@ -369,6 +369,14 @@ pushforward:
 """
 
 
+_COARSE = """coarse:
+  ring: p2
+  normal_chern: "1 + 4*h + 4*h2"
+  segre: "h2"
+  total: "4*h2"
+"""
+
+
 _LABELS = "fixture key 'labels'"
 
 
@@ -382,6 +390,10 @@ _LABELS = "fixture key 'labels'"
         pytest.param(_DIVISOR_FIXTURE + "labels: [1, 2]\n", [], _LABELS, id="int-label-items"),
         pytest.param(
             _DIVISOR_FIXTURE + "coarse: 5\n", ["--coarse"], "fixture key 'coarse'", id="int-coarse"
+        ),
+        pytest.param(
+            _DIVISOR_FIXTURE + _COARSE.replace("p2", "p3"), ["--coarse"],
+            "fixture key 'dim' is 2, but coarse ring 'p3' has top degree 3", id="coarse-dim",
         ),
         pytest.param("- ring\n- blowup_p2\n", [], "must be a mapping", id="list-file"),
         pytest.param("7\n", [], "must be a mapping", id="scalar-file"),
@@ -430,14 +442,6 @@ def test_decompose_rejects_malformed_ring_files(tmp_path, capsys, old, new, mess
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
-
-
-_COARSE = """coarse:
-  ring: p2
-  normal_chern: "1 + 4*h + 4*h2"
-  segre: "h2"
-  total: "4*h2"
-"""
 
 
 _SYMMETRIC_FIXTURE = """

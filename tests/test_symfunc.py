@@ -16,7 +16,6 @@ from schubres.chow import (
     projective_space,
 )
 from schubres.symfunc import (
-    ClassCarrier,
     GeneratorSpec,
     GradedPoly,
     add_terms,
@@ -85,7 +84,11 @@ def test_spec_rejects_non_integers() -> None:
 
 
 @pytest.mark.parametrize(
-    "expression", ["x - True", "e - True", "e + True", "e * True", "True - e", "x * True"]
+    "expression",
+    [
+        "x - True", "e - True", "e + True", "e * True", "True - e", "x * True",
+        "x == True", "e == True", "x == False",
+    ],
 )
 def test_bool_operands_are_refused(expression: str) -> None:
     # x lives on G(1,3), e on the blown-up plane; a bool is never read as 1.
@@ -144,11 +147,11 @@ def test_term_merges_match_naive_merge() -> None:
         assert dual_pieri_multiply(ctx, vector, 1) == naive_merge(by_term)
         a, b = random_pairs(rng, range(5), 6), random_pairs(rng, range(5), 6)
         ea, eb = StructElement(ring, naive_merge(a)), StructElement(ring, naive_merge(b))
-        assert (ea + eb).coeffs == naive_merge(a + b)
+        assert (ea + eb).packed == naive_merge(a + b)
         product = [(i + j, ca * cb) for i, ca in a for j, cb in b if i + j <= 4]
-        assert (ea * eb).coeffs == naive_merge(product)
+        assert (ea * eb).packed == naive_merge(product)
         text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{ring.labels[i]}" for i, c in a)
-        assert ring.parse(text).coeffs == naive_merge(a)
+        assert ring.parse(text).packed == naive_merge(a)
 
 
 def test_addition_merges_and_cancels() -> None:
@@ -197,14 +200,15 @@ def test_degree_part_and_scale() -> None:
     assert p.degree_part(7).is_zero
     assert p.degree_scale(2) == P("1 + 6*x + 8*x^2 + 16*y + 32*x*y")
     assert p.max_degree() == 3
-    # GradedPoly scales in one pass; the base's sum over degrees is the
-    # reference, scales 0 and -1 included.
+    # degree_scale scales in one pass; the sum of each degree-i part times
+    # m**i is the reference, scales 0 and -1 included.
     rng = random.Random(53)
     spec = GeneratorSpec(("a", "b", "c"), (1, 2, 3), 7)
     for _ in range(50):
         q = random_poly(rng, spec)
         for m in (0, 1, -1, 3, -(10**20)):
-            assert q.degree_scale(m) == ClassCarrier.degree_scale(q, m)
+            reference = sum((q.degree_part(i) * m**i for i in range(8)), q.zero_like())
+            assert q.degree_scale(m) == reference
             assert 0 not in q.degree_scale(m).packed.values()
 
 
@@ -520,10 +524,33 @@ def test_key_order_is_graded_lex() -> None:
 def test_add_products_agrees_across_carriers() -> None:
     # Projective 4-space as a tabulated ring and as Z[h] / (h^5): on both
     # carriers add_products is self plus the sum of c * a * b, with no zero
-    # coefficient left, whatever cancels across the products.
+    # coefficient left, whatever cancels across the products.  So does every
+    # other member the base implements on the stored terms.
     rng = random.Random(47)
     ring = projective_space(4)
     spec = GeneratorSpec(("h",), (1,), 4)
+
+    def terms(x: StructElement | GradedPoly) -> dict:
+        if isinstance(x, StructElement):
+            return {(i,): c for i, c in x.packed.items()}
+        return dict(x.terms)
+
+    def agree(pair: tuple[StructElement, GradedPoly]) -> None:
+        tabulated, graded = pair
+        assert terms(tabulated) == terms(graded)
+        for d in range(-1, 6):
+            assert terms(tabulated.degree_part(d)) == terms(graded.degree_part(d))
+        for m in (-2, 0, 3):
+            assert terms(tabulated.degree_scale(m)) == terms(graded.degree_scale(m))
+        assert tabulated.constant_term == graded.constant_term
+        assert tabulated.is_zero == graded.is_zero
+        for c in (0, 1, -3, graded.constant_term):
+            assert (tabulated == c) == (graded == c)
+        # Equal elements of rings built apart are equal and hash alike.
+        twins = (StructElement(projective_space(4), dict(tabulated.packed)),
+                 GradedPoly(GeneratorSpec(("h",), (1,), 4), graded.terms))
+        for x, twin in zip(pair, twins):
+            assert x == twin and hash(x) == hash(twin)
 
     def both(coeffs: dict) -> tuple[StructElement, GradedPoly]:
         return (
@@ -538,6 +565,7 @@ def test_add_products_agrees_across_carriers() -> None:
 
     for _ in range(150):
         start = random_class()
+        agree(start)
         triples = [
             (rng.choice((0, -1, 1, 6, -(10**25))), random_class(), random_class())
             for _ in range(rng.randint(1, 4))
@@ -551,8 +579,8 @@ def test_add_products_agrees_across_carriers() -> None:
         for c, a, b in triples:
             expected = expected + (a[1] * b[1]) * c
         assert graded == expected
-        assert {(i,): c for i, c in tabulated.coeffs.items()} == dict(graded.terms)
-        assert 0 not in tabulated.coeffs.values()
+        agree((tabulated, graded))
+        assert 0 not in tabulated.packed.values()
         assert 0 not in graded.packed.values()
     # Carrier times carrier is the one-triple case.
     a, b = both({1: 2, 0: 1}), both({3: -1, 1: 4})

@@ -530,7 +530,8 @@ class StructRing:
         for coeff, factors in parse_linear_terms(str(text)):
             if len(factors) > 1 or (factors and factors[0][1] != 1):
                 raise RingFormatError(f"expected a linear expression, got {text!r}")
-            pairs.append((self._position(factors[0][0], where) if factors else self.unit_key, coeff))
+            key = self._position(factors[0][0], where) if factors else self.unit_key
+            pairs.append((key, coeff))
         return add_terms({}, pairs)
 
     # The key algebra ``ClassCarrier`` asks of a ring: keys are basis indices.

@@ -255,7 +255,9 @@ class ClassCarrier:
         return self._raw(self.ring, {self.ring.unit_key: 1})
 
     def _check(self, other: object) -> None:
-        if not (isinstance(other, ClassCarrier) and other.ring == self.ring):
+        if not isinstance(other, ClassCarrier) or (
+            other.ring is not self.ring and other.ring != self.ring
+        ):
             raise ContextMismatchError(f"{other!r} does not live in the ring of {self!r}")
 
     def __add__(self, other: "ClassCarrier | int") -> "ClassCarrier":
@@ -293,7 +295,9 @@ class ClassCarrier:
             return self.zero_like()
         return self._raw(self.ring, {k: c * m for k, c in self.packed.items()})
 
-    def add_products(self, triples: Iterable[tuple[int, "ClassCarrier", object]]) -> "ClassCarrier":
+    def add_products(
+        self, triples: Iterable[tuple[int, "ClassCarrier", object]]
+    ) -> "ClassCarrier":
         # Every product accumulates into the same dict through the ring's
         # ``mul_into``; the checks take a fast path for operands of this
         # very ring.

@@ -121,6 +121,9 @@ class GeneratorSpec:
             "_mask": (1 << width) - 1,
             "_positions": positions,
             "key_shift": shift,
+            # ``degree_of(key)`` is ``key >> key_shift``, bound as a builtin
+            # so that ``degree_part`` makes no Python call per term.
+            "degree_of": shift.__rrshift__,
             "key_limit": (self.truncation + 1) << shift,
             "generator_keys": tuple(
                 d << shift | 1 << pos for d, pos in zip(self.degrees, positions)
@@ -151,12 +154,9 @@ class GeneratorSpec:
         except ValueError:
             raise KeyError(f"no generator named {name!r}") from None
 
-    # The key algebra ``ClassCarrier`` asks of a ring.  The unit is the
-    # empty monomial, whose key is 0.
+    # The key algebra ``ClassCarrier`` asks of a ring, with ``degree_of``
+    # derived above.  The unit is the empty monomial, whose key is 0.
     unit_key = 0
-
-    def degree_of(self, key: int) -> int:
-        return key >> self.key_shift
 
     def mul_into(self, out: TermMap, a: TermMap, b: TermMap, scale: int) -> None:
         # ``kernel.mul_terms`` is looked up on the module at call time, so a

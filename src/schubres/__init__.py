@@ -23,9 +23,9 @@ from .chow import (
     blowup_plane_at_point,
     builtin_ring,
     integrate,
+    integrate_bott,
     load_ring,
     projective_space,
-    schubert_poly,
     to_schubert,
 )
 from .identities import bracket_sum, verify_identity
@@ -76,6 +76,7 @@ __all__ = [
     "enumerate_degenerations",
     "fano_degree",
     "integrate",
+    "integrate_bott",
     "load_ring",
     "main_term",
     "parse_poly",
@@ -83,7 +84,6 @@ __all__ = [
     "rank_sym",
     "regular_decompose",
     "roots_to_e",
-    "schubert_poly",
     "series_inverse",
     "sym_power",
     "sym_ustar",

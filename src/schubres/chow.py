@@ -19,9 +19,10 @@ integers; a float or bool is refused, not rounded.
 
 Integration over the Grassmannian is implemented twice on purpose: the
 production path converts to the Schubert basis via the Pieri rule for the
-dual subbundle's Chern classes, and ``integrate_oracle`` expands everything
-into Chern roots and reads one coefficient off an alternant.  The two routes
-share no code beyond polynomial arithmetic and must agree.
+dual subbundle's Chern classes, and ``integrate_bott`` sums over the
+torus-fixed points by Bott's residue formula, in plain integers.  The two
+routes share nothing but the validation of their arguments and must agree,
+paired counts included.
 
 The production path is linear in the polynomial: each Chern monomial c^a is
 expanded once per ``GrassContext`` and kept in a memo on that context, built
@@ -32,13 +33,14 @@ the monomials of weighted degree up to the dimension.
 A Schubert expansion is a plain dict from a partition's parts (a tuple with
 no trailing zeros, equal to ``Partition.parts``) to its nonzero coefficient.
 ``Partition`` is the validated type where a partition enters from outside
-(``schubert_poly``, ``GrassContext.box``, the ``pairing`` of ``integrate``);
-the Pieri rule and integration build none.
+(``GrassContext.box``, the ``pairing`` of ``integrate`` and
+``integrate_bott``); the Pieri rule and integration build none.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -48,17 +50,18 @@ from .symfunc import (
     GeneratorSpec,
     GradedPoly,
     add_terms,
-    elementary_symmetric,
     exact_int,
     parse_linear_terms,
-    root_spec,
-    substitute,
 )
 
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """Weakly decreasing positive parts; the empty partition is allowed."""
+    """Weakly decreasing positive parts; the empty partition is allowed.
+
+    A Schubert class sigma_l is named by its partition l, which must fit
+    the k by (n - r) box of its Grassmannian.
+    """
 
     parts: tuple[int, ...] = ()
 
@@ -76,24 +79,8 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def part(self, i: int) -> int:
-        return self.parts[i] if i < len(self.parts) else 0
-
     def fits_in_box(self, rows: int, cols: int) -> bool:
-        return self.length <= rows and (not self.parts or self.parts[0] <= cols)
-
-    def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        return Partition(
-            tuple(
-                sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
-            )
-        )
+        return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
@@ -243,6 +230,17 @@ def _monomial_schubert(ctx: GrassContext, key: int) -> dict[tuple[int, ...], int
     return vector
 
 
+def _pairing_parts(ctx: GrassContext, p: GradedPoly, pairing: Partition | None) -> tuple:
+    """The parts of ``pairing`` (none: empty) once it fits the box, else
+    ``ValueError``, and ``p`` lives on ``ctx``, else ``ContextMismatchError``;
+    the one argument check of every route into the Schubert calculus."""
+    if pairing is not None and not pairing.fits_in_box(ctx.k, ctx.m):
+        raise ValueError(f"{pairing} does not fit the {ctx.k}x{ctx.m} box")
+    if p.spec != ctx.spec:
+        raise ContextMismatchError("polynomial does not live on this Grassmannian")
+    return () if pairing is None else pairing.parts
+
+
 def to_schubert(ctx: GrassContext, p: GradedPoly) -> dict[tuple[int, ...], int]:
     """Expand a polynomial in the Chern generators in the Schubert basis.
 
@@ -250,8 +248,7 @@ def to_schubert(ctx: GrassContext, p: GradedPoly) -> dict[tuple[int, ...], int]:
     nonzero coefficients.  The expansion is linear in ``p``: each term
     contributes its coefficient times the memoized expansion of its monomial.
     """
-    if p.spec != ctx.spec:
-        raise ContextMismatchError("polynomial does not live on this Grassmannian")
+    _pairing_parts(ctx, p, None)
     out: dict[tuple[int, ...], int] = {}
     for key, coeff in p.packed.items():
         expansion = _monomial_schubert(ctx, key)
@@ -266,82 +263,58 @@ def integrate(ctx: GrassContext, p: GradedPoly, pairing: Partition | None = None
     expansion of the part of ``p`` in degree dim - |l|; plain integration is
     l = (), the full box.  A pairing outside the box raises ``ValueError``.
     Only that coefficient is read, from each term's memoized expansion."""
-    if pairing is None:
-        size, dual = 0, (ctx.m,) * ctx.k
-    else:
-        if not pairing.fits_in_box(ctx.k, ctx.m):
-            raise ValueError(f"{pairing} does not fit the {ctx.k}x{ctx.m} box")
-        size = pairing.size
-        parts = (ctx.m - pairing.part(ctx.k - 1 - i) for i in range(ctx.k))
-        dual = tuple(part for part in parts if part)
-    if p.spec != ctx.spec:
-        raise ContextMismatchError("polynomial does not live on this Grassmannian")
+    parts = _pairing_parts(ctx, p, pairing)
+    padded = parts + (0,) * (ctx.k - len(parts))
+    dual = tuple(ctx.m - part for part in reversed(padded) if part < ctx.m)
     return sum(
         coeff * _monomial_schubert(ctx, key).get(dual, 0)
-        for key, coeff in p.degree_part(ctx.dim - size).packed.items()
+        for key, coeff in p.degree_part(ctx.dim - sum(parts)).packed.items()
     )
 
 
-def integrate_oracle(ctx: GrassContext, p: GradedPoly) -> int:
-    """Integration via Chern roots, independent of the Pieri route.
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a small square integer matrix, by its first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * entry * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, entry in enumerate(rows[0]) if entry)
 
-    Substitutes each Chern generator by the elementary symmetric polynomial
-    in k root variables, multiplies by the alternant (the product of all
-    root differences), and reads off the coefficient of the staircase
-    exponent shifted by the full box.  Kept deliberately separate from
-    ``integrate`` so the two can cross-check each other.
+
+def integrate_bott(ctx: GrassContext, p: GradedPoly, pairing: Partition | None = None) -> int:
+    """``integrate`` by Bott's residue formula (Ellingsrud-Stromme, JAMS
+    1996), sharing nothing with the Pieri route but ``_pairing_parts``.
+
+    Weight j on coordinate j fixes one point per k-subset I of {0..n}.
+    There c_i(U*) is e_i of the roots x = -i (i in I), sigma_l is their
+    bialternant det(x_a^(l_b + k - b)) / det(x_a^(k - b)), and the Euler
+    class of the tangent space is prod (j - i), i in I, j not in I.  The
+    sum of p(I) * sigma_l(I) / Euler(I), with ``p`` read in degree
+    dim - |l| only, is taken over one common denominator; a remainder
+    raises ``ArithmeticError``.
     """
-    k, m = ctx.k, ctx.m
-    rspec = root_spec(k, ctx.dim + k * (k - 1) // 2)
-    images = [elementary_symmetric(rspec, i + 1) for i in range(k)]
-    expanded = substitute(p, images, GradedPoly.one(rspec))
-    alternant = GradedPoly.one(rspec)
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = GradedPoly.generator(rspec, rspec.names[i]) - GradedPoly.generator(
-                rspec, rspec.names[j]
-            )
-            alternant = alternant * diff
-    target = tuple(m + k - 1 - i for i in range(k))
-    return (expanded * alternant).packed.get(rspec.pack(target), 0)
-
-
-def schubert_poly(ctx: GrassContext, partition: Partition) -> GradedPoly:
-    """Polynomial representative of a Schubert class in the Chern generators.
-
-    Uses the determinant of the matrix of Chern generators indexed by the
-    conjugate partition (the elementary-symmetric determinantal formula).
-    """
-    if not partition.fits_in_box(ctx.k, ctx.m):
-        raise ValueError(f"{partition} does not fit the {ctx.k}x{ctx.m} box")
-    conj = partition.conjugate()
-    size = conj.length
-    if size == 0:
-        return GradedPoly.one(ctx.spec)
-
-    def entry(i: int, j: int) -> GradedPoly | None:
-        index = conj.part(i) - i + j
-        if index < 0 or index > ctx.k:
-            return None
-        if index == 0:
-            return GradedPoly.one(ctx.spec)
-        return ctx.chern_generator(index)
-
-    total = GradedPoly.zero(ctx.spec)
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        product = GradedPoly.constant(ctx.spec, sign)
-        for i in range(size):
-            factor = entry(i, perm[i])
-            if factor is None:
-                product = GradedPoly.zero(ctx.spec)
-                break
-            product = product * factor
-        total = total + product
+    parts = _pairing_parts(ctx, p, pairing)
+    k, points, unpack = ctx.k, range(ctx.n + 1), ctx.spec.unpack
+    terms = [(unpack(key), c) for key, c in p.degree_part(ctx.dim - sum(parts)).packed.items()]
+    shape = parts + (0,) * (k - len(parts))
+    fractions = []
+    for fixed in itertools.combinations(points, k):
+        roots, chern = [-i for i in fixed], [1] + [0] * k
+        for x in roots:
+            for j in range(k, 0, -1):
+                chern[j] += x * chern[j - 1]
+        value = sum(c * math.prod(map(pow, chern[1:], expo)) for expo, c in terms)
+        vandermonde = math.prod(a - b for a, b in itertools.combinations(roots, 2))
+        if parts:
+            value *= _det([[x ** (lam + k - 1 - b) for b, lam in enumerate(shape)]
+                           for x in roots])
+        else:
+            value *= vandermonde
+        euler = math.prod(j - i for i in fixed for j in points if j not in fixed)
+        fractions.append((value, euler * vandermonde))
+    common = math.lcm(*(den for _, den in fractions))
+    total, rest = divmod(sum(num * (common // den) for num, den in fractions), common)
+    if rest:
+        raise ArithmeticError(f"the Bott sum leaves remainder {rest} over {common}")
     return total
 
 

@@ -45,6 +45,7 @@ from .chow import (
     StructRing,
     builtin_ring,
     check_keys,
+    integrate_bott,
     load_ring,
     read_yaml,
 )
@@ -518,10 +519,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _check_counts() -> None:
-    assert fano_degree(GrassContext(1, 3), 3) == 27
-    assert fano_degree(GrassContext(1, 4), 5) == 2875
-    assert fano_degree(GrassContext(2, 7), 4) == 3_297_280
-    assert fano_degree(GrassContext(1, 3), 4) == 0
+    # Each count by the Pieri route, then by Bott's formula on the same class.
+    for r, n, d, count in ((1, 3, 3, 27), (1, 4, 5, 2875), (2, 7, 4, 3_297_280), (1, 3, 4, 0)):
+        ctx = GrassContext(r, n)
+        assert fano_degree(ctx, d) == count
+        assert integrate_bott(ctx, fano_family(ctx, d)[0]) == count
 
 
 def _check_cubic_split() -> None:

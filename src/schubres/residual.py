@@ -30,9 +30,9 @@ integrates them itself (``chow.integrate`` on a Grassmannian,
 ``StructElement.integrate`` on a tabulated ring).  Each component is
 reported as a main term (the class the piece would contribute if it were
 alone, weighted by its own Segre class) plus an adjunct correction, and
-its total is their sum.  The components of the divisor and regular
-evaluators define the ambient total; the symmetric evaluator checks them
-against an independently computed, unregrouped total.
+its total is their sum.  The divisor and symmetric evaluators check their
+components against an independently computed, unregrouped ambient total;
+the components of the regular evaluator define its ambient total.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ def divisor_decompose(
     weight Chern classes of N against powers of -D and codimension
     components of s(R,V); every term of either adjunct vanishes when D and
     R share no geometry (sR has no low-codimension part), leaving the sum
-    of the two main terms.
+    of the two main terms.  The ambient total is the residual intersection
+    formula's, so the components summing to it checks their binomial
+    weights.
     """
     d = setup.d
     if Dclass.degree_part(1) != Dclass:
@@ -145,13 +147,22 @@ def divisor_decompose(
                 inner_r.append((weight, powers[j], s_far))
         outer_d.append((1, ci, zero.add_products(inner_d)))
         outer_r.append((1, ci, zero.add_products(inner_r)))
-    adj_d = zero.add_products(outer_d)
-    adj_r = zero.add_products(outer_r)
     components = (
-        DecompositionComponent(labels[0], main_d, adj_d),
-        DecompositionComponent(labels[1], main_r, adj_r),
+        DecompositionComponent(labels[0], main_d, zero.add_products(outer_d)),
+        DecompositionComponent(labels[1], main_r, zero.add_products(outer_r)),
     )
-    return Decomposition(components, components[0].total + components[1].total)
+    # The ambient total by the residual intersection formula of Fulton,
+    # Kleiman, Laksov and MacPherson (Fulton, Intersection Theory, 9.2):
+    # {c(N) s(D,V)}_d + {c(N (x) O(-D)) s(R,V)}_d with c(N (x) O(-D)) =
+    # sum_i c_i(N) (1 - D)^(d-i).  Its binomial weights come from the powers
+    # of 1 - D, not from the regrouping above, so the components are checked.
+    one_minus_d = [setup.cN.one_like()]
+    while len(one_minus_d) <= d:
+        one_minus_d.append(one_minus_d[-1] * (1 - Dclass))
+    twisted = zero.add_products(
+        (1, setup.cN.degree_part(i), one_minus_d[d - i]) for i in range(d + 1)
+    )
+    return Decomposition(components, main_d + (twisted * sR).degree_part(d))
 
 
 def symmetric_decompose(

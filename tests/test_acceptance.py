@@ -10,7 +10,13 @@ from __future__ import annotations
 import random
 
 from schubres.bundles import BundleClass, sym_ustar, ustar
-from schubres.chow import GrassContext, blowup_plane_at_point, integrate, integrate_oracle, projective_space
+from schubres.chow import (
+    GrassContext,
+    blowup_plane_at_point,
+    integrate,
+    integrate_bott,
+    projective_space,
+)
 from schubres.identities import verify_identity
 from schubres.limits import (
     DegenerationSpec,
@@ -173,12 +179,12 @@ def test_criterion_7_property_suites() -> None:
         bundle = BundleClass(rank, total)
         assert bundle.total_chern * bundle.total_segre() == GradedPoly.one(spec)
 
-    # Pieri-rule integration agrees with the Jacobi root oracle, exhaustively.
+    # Pieri-rule integration agrees with Bott's residue formula, exhaustively.
     for r, n in ((1, 3), (2, 4), (0, 3)):
         ctx = GrassContext(r, n)
         for exponents in _exhaustive_top_monomials(ctx):
             p = GradedPoly(ctx.spec, {exponents: 1})
-            assert integrate(ctx, p) == integrate_oracle(ctx, p)
+            assert integrate(ctx, p) == integrate_bott(ctx, p)
 
     # Swap symmetry of the regular-embedding evaluator.
     ctx = GrassContext(1, 3)
@@ -211,7 +217,7 @@ def test_criterion_7_property_suites() -> None:
         assert report.conserved, f"(r,n,d,pieces)=({r},{n},{d},{pieces})"
         total = report.pieces[0].total_class + report.pieces[1].total_class
         assert total == fano_family(ctx, d)[0]
-    _report(7, "property suites: c*s=1, oracle, swap, vanishing, conservation")
+    _report(7, "property suites: c*s=1, Bott, swap, vanishing, conservation")
 
 
 def _exhaustive_top_monomials(ctx: GrassContext):

@@ -20,11 +20,10 @@ from schubres.chow import (
     builtin_ring,
     dual_pieri_multiply,
     integrate,
-    integrate_oracle,
+    integrate_bott,
     load_ring,
     partitions_in_box,
     projective_space,
-    schubert_poly,
     to_schubert,
 )
 from schubres.errors import ContextMismatchError, RingFormatError, UnsupportedOperationError
@@ -34,8 +33,6 @@ from schubres.symfunc import GradedPoly, parse_poly
 def test_partition_normalization() -> None:
     assert Partition((2, 1, 0, 0)).parts == (2, 1)
     assert Partition(()).size == 0
-    assert Partition((3, 1)).conjugate() == Partition((2, 1, 1))
-    assert Partition((2, 2)).conjugate() == Partition((2, 2))
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -129,7 +126,7 @@ def test_integrate_agrees_with_oracle_exhaustively(r: int, n: int) -> None:
     ctx = GrassContext(r, n)
     for expo in monomials_of_degree(ctx.spec, ctx.dim):
         p = GradedPoly(ctx.spec, {expo: 1})
-        assert integrate(ctx, p) == integrate_oracle(ctx, p), expo
+        assert integrate(ctx, p) == integrate_bott(ctx, p), expo
 
 
 def test_integrate_agrees_with_oracle_random() -> None:
@@ -139,7 +136,7 @@ def test_integrate_agrees_with_oracle_random() -> None:
         for _ in range(10):
             terms = {e: rng.randint(-5, 5) for e in rng.sample(monomials, 3)}
             p = GradedPoly(ctx.spec, terms)
-            assert integrate(ctx, p) == integrate_oracle(ctx, p)
+            assert integrate(ctx, p) == integrate_bott(ctx, p)
 
 
 def pieri_chain(ctx: GrassContext, p: GradedPoly) -> dict:
@@ -163,24 +160,33 @@ def all_monomials(spec) -> list[tuple[int, ...]]:
     ]
 
 
-# (r, n) -> random polynomials checked against the oracle; the oracle's root
-# ring grows fast, so the larger Grassmannians get fewer of them.
+# (r, n) -> random polynomials checked against the unmemoized Pieri chain and
+# Bott's formula; the chain grows fast, so the larger Grassmannians get fewer.
 MEMO_CONTEXTS = {(1, 3): 12, (1, 4): 12, (2, 5): 8, (2, 7): 4, (3, 8): 2}
+
+
+def memo_polynomials(ctx: GrassContext) -> list[GradedPoly]:
+    """The seeded random polynomials of ``MEMO_CONTEXTS`` on ``ctx``: five
+    terms of any degree and two of top degree each."""
+    rng = random.Random(1000 * ctx.r + ctx.n)
+    monomials = all_monomials(ctx.spec)
+    top = [expo for expo in monomials if ctx.spec.weighted_degree(expo) == ctx.dim]
+    polys = []
+    for trial in range(MEMO_CONTEXTS[(ctx.r, ctx.n)]):
+        terms = {e: rng.randint(-9, 9) for e in rng.sample(monomials, 5)}
+        terms.update({e: rng.randint(-9, 9) for e in rng.sample(top, 2)})
+        polys.append(GradedPoly(ctx.spec, terms))
+    return polys
 
 
 @pytest.mark.parametrize("r,n", sorted(MEMO_CONTEXTS))
 def test_memoized_to_schubert_matches_pieri_chain(r: int, n: int) -> None:
-    rng = random.Random(1000 * r + n)
     ctx = GrassContext(r, n)
     monomials = all_monomials(ctx.spec)
     assert len(monomials) == {3: 9, 4: 16, 5: 53, 7: 174, 8: 717}[n]
-    top = [expo for expo in monomials if ctx.spec.weighted_degree(expo) == ctx.dim]
-    for trial in range(MEMO_CONTEXTS[(r, n)]):
-        terms = {e: rng.randint(-9, 9) for e in rng.sample(monomials, 5)}
-        terms.update({e: rng.randint(-9, 9) for e in rng.sample(top, 2)})
-        p = GradedPoly(ctx.spec, terms)
+    for p in memo_polynomials(ctx):
         assert to_schubert(ctx, p) == pieri_chain(ctx, p)
-        assert integrate(ctx, p) == integrate_oracle(ctx, p)
+        assert integrate(ctx, p) == integrate_bott(ctx, p)
         for d in range(-1, ctx.spec.truncation + 2):
             fresh = {e: c for e, c in p.terms.items() if ctx.spec.weighted_degree(e) == d}
             assert p.degree_part(d).terms == fresh
@@ -254,33 +260,41 @@ def test_returned_expansions_are_not_memo_entries() -> None:
     assert [to_schubert(ctx, p) for p in monomials] == expected
 
 
-def test_schubert_poly_round_trip() -> None:
-    for ctx in (GrassContext(1, 3), GrassContext(1, 4), GrassContext(2, 5)):
-        for partition in partitions_in_box(ctx.k, ctx.m):
-            vector = to_schubert(ctx, schubert_poly(ctx, partition))
-            assert vector == {partition.parts: 1}
+def test_schubert_coefficients_are_bott_pairings() -> None:
+    # Pairing with sigma_l picks out the coefficient of the dual class l^v,
+    # parts m - l_(k+1-i): Bott's formula, paired with every l in the box,
+    # gives the whole Pieri expansion of each polynomial.
+    for r, n in sorted(MEMO_CONTEXTS)[:-1]:
+        ctx = GrassContext(r, n)
+        for p in memo_polynomials(ctx):
+            expected = {}
+            for lam in partitions_in_box(ctx.k, ctx.m):
+                padded = lam.parts + (0,) * (ctx.k - len(lam.parts))
+                dual = tuple(ctx.m - part for part in reversed(padded) if part < ctx.m)
+                value = integrate_bott(ctx, p, lam)
+                assert value == integrate(ctx, p, lam) and type(value) is int
+                if value:
+                    expected[dual] = value
+            assert to_schubert(ctx, p) == expected
 
 
-def test_schubert_duality() -> None:
-    # A Schubert class pairs to one against its reversed complement and to
-    # zero against every other class of complementary codimension.
-    ctx = GrassContext(1, 4)
-    box = partitions_in_box(ctx.k, ctx.m)
-    for lam in box:
-        complement = Partition(
-            tuple(ctx.m - lam.part(ctx.k - 1 - i) for i in range(ctx.k))
-        )
-        for mu in box:
-            if mu.size != ctx.dim - lam.size:
-                continue
-            product = schubert_poly(ctx, lam) * schubert_poly(ctx, mu)
-            assert integrate(ctx, product) == (1 if mu == complement else 0)
-
-
-def test_schubert_poly_rejects_out_of_box() -> None:
+def test_integrate_bott_refuses_what_integrate_refuses(monkeypatch) -> None:
     ctx = GrassContext(1, 3)
-    with pytest.raises(ValueError):
-        schubert_poly(ctx, Partition((3,)))
+    p = parse_poly(ctx.spec, "x^2")
+    assert integrate_bott(ctx, p, Partition((1, 1))) == 1
+    for bad in (Partition((3,)), Partition((1, 1, 1))):
+        for route in (integrate, integrate_bott):
+            with pytest.raises(ValueError, match="does not fit"):
+                route(ctx, p, bad)
+    foreign = parse_poly(GrassContext(1, 4).spec, "x^6")
+    for route in (integrate, integrate_bott):
+        with pytest.raises(ContextMismatchError):
+            route(ctx, foreign)
+    # A wrong Schur value leaves a remainder over the common denominator.
+    exact = chow._det
+    monkeypatch.setattr(chow, "_det", lambda rows: exact(rows) + 1)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        integrate_bott(ctx, p, Partition((1, 1)))
 
 
 def test_blowup_ring_products() -> None:

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import re
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from schubres import cli
+from schubres import cli, residual
 from schubres.bundles import sym_ustar
 from schubres.chow import GrassContext
 from schubres.cli import main, _parse_pieces
@@ -211,6 +212,16 @@ def test_decompose_shipped_fixtures(capsys) -> None:
         assert payload["ambient"]["degree"] == 4
         assert payload["conserved"] is True
         assert payload["undecomposed_ok"] is True
+
+
+def test_decompose_divisor_mode_sees_wrong_binomial_weights(monkeypatch, capsys) -> None:
+    # The divisor-mode ambient total is the residual intersection formula,
+    # not the components' own sum, so components with the weights C(d-i, j)
+    # in place of C(d-1-i, j) do not conserve.
+    monkeypatch.setattr(residual, "comb", lambda n, j: math.comb(n + 1, j))
+    code, out = run(capsys, ["decompose", "double-line-split-single"])
+    assert code == 1
+    assert "conserved: NO" in out.splitlines()
 
 
 def test_every_shipped_fixture_is_replayed() -> None:

@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from schubres import kernel
+from schubres import kernel, residual
 from schubres.bundles import BundleClass, sym_ustar, ustar
 from schubres.chow import (
     GrassContext,
@@ -102,6 +102,41 @@ def test_divisor_decompose_rejects_non_divisor() -> None:
     ring, setup = blowup_setup()
     with pytest.raises(ValueError):
         divisor_decompose(setup, ring.parse("e + P"), ring.parse("e + P"))
+
+
+def test_divisor_ambient_total_checks_the_binomial_weights(monkeypatch) -> None:
+    # The ambient total is the residual intersection formula, whose terms
+    # come from the powers of 1 - D; the components regroup them with the
+    # binomials C(d-1-i, j).  They agree on random cases with no degree-zero
+    # residual Segre part, and weights C(d-i, j) break some of them.
+    rng = random.Random(20261020)
+    cases = []
+    for ring in (blowup_plane_at_point(), projective_space(3), projective_space(4)):
+        basis = [ring.basis_element(i) for i, deg in enumerate(ring.degrees) if deg > 0]
+        divisors = [b for b in basis if b.degree_part(1) == b]
+        for d in range(1, ring.top_degree + 1):
+            for _ in range(20):
+                cN, D, sR = (
+                    sum((rng.randint(-4, 4) * b for b in pool), start)
+                    for pool, start in ((basis, ring.one()), (divisors, ring.zero()),
+                                        (basis, ring.zero()))
+                )
+                cases.append((IntersectionSetup(cN=cN, d=d), D, sR))
+    for setup, D, sR in cases:
+        dec = divisor_decompose(setup, D, sR)
+        assert dec.conserved
+        one_minus_d = 1 - D
+        twisted = sum(
+            (setup.cN.degree_part(i) * one_minus_d ** (setup.d - i) for i in range(setup.d + 1)),
+            D.zero_like(),
+        )
+        expected = main_term(setup, D * (1 + D).series_inverse()) + main_term(
+            IntersectionSetup(cN=twisted, d=setup.d), sR
+        )
+        assert dec.ambient_total == expected
+    monkeypatch.setattr(residual, "comb", lambda n, j: comb(n + 1, j))
+    broken = sum(not divisor_decompose(*case).conserved for case in cases)
+    assert broken > len(cases) // 4
 
 
 def test_coarser_main_term_comparison() -> None:

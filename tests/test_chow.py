@@ -172,7 +172,7 @@ def memo_polynomials(ctx: GrassContext) -> list[GradedPoly]:
     monomials = all_monomials(ctx.spec)
     top = [expo for expo in monomials if ctx.spec.weighted_degree(expo) == ctx.dim]
     polys = []
-    for trial in range(MEMO_CONTEXTS[(ctx.r, ctx.n)]):
+    for _ in range(MEMO_CONTEXTS[(ctx.r, ctx.n)]):
         terms = {e: rng.randint(-9, 9) for e in rng.sample(monomials, 5)}
         terms.update({e: rng.randint(-9, 9) for e in rng.sample(top, 2)})
         polys.append(GradedPoly(ctx.spec, terms))

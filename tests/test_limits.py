@@ -250,7 +250,6 @@ def test_paired_degree_is_the_dual_schubert_coefficient() -> None:
         pairings = [p for p in partitions_in_box(ctx.k, ctx.m) if p.size == excess]
         assert pairings
         for pairing in pairings:
-
             def reference(value):
                 return integrate_bott(ctx, value, pairing)
 

@@ -119,7 +119,8 @@ def divisor_decompose(
     R share no geometry (sR has no low-codimension part), leaving the sum
     of the two main terms.  The ambient total is the residual intersection
     formula's, so the components summing to it checks their binomial
-    weights.
+    weights; the two agree when sR has no degree-zero part, as the Segre
+    class of a proper subscheme has none.
     """
     d = setup.d
     if Dclass.degree_part(1) != Dclass:

@@ -518,19 +518,25 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # selftest
 
 
+def _expect(got, want, *what) -> None:
+    # Not ``assert``, which ``python -O`` strips.
+    if got != want:
+        raise AssertionError(f"{' '.join(map(str, what))}: got {got!r}, want {want!r}")
+
+
 def _check_counts() -> None:
     # Each count by the Pieri route, then by Bott's formula on the same class.
     for r, n, d, count in ((1, 3, 3, 27), (1, 4, 5, 2875), (2, 7, 4, 3_297_280), (1, 3, 4, 0)):
         ctx = GrassContext(r, n)
-        assert fano_degree(ctx, d) == count
-        assert integrate_bott(ctx, fano_family(ctx, d)[0]) == count
+        _expect(fano_degree(ctx, d), count, "Pieri count", ctx, d)
+        _expect(integrate_bott(ctx, fano_family(ctx, d)[0]), count, "Bott count", ctx, d)
 
 
 def _check_cubic_split() -> None:
     report = decompose_degeneration(DegenerationSpec(GrassContext(1, 3), ((1, 1), (1, 2))))
-    assert [piece.total_degree for piece in report.pieces] == [3, 24]
-    assert report.ambient_degree == 27
-    assert report.conserved
+    _expect([piece.total_degree for piece in report.pieces], [3, 24], "piece totals")
+    _expect(report.ambient_degree, 27, "ambient degree")
+    _expect(report.conserved, True, "conserved")
 
 
 def _check_table(context: tuple[int, int], cases) -> None:
@@ -542,8 +548,8 @@ def _check_table(context: tuple[int, int], cases) -> None:
             (piece.main_degree, piece.adjunct_degree, piece.total_degree)
             for piece in report.pieces
         )
-        assert got == expected, f"pieces {pieces}: got {got}, want {expected}"
-        assert report.conserved
+        _expect(got, expected, "pieces", pieces)
+        _expect(report.conserved, True, "conserved", pieces)
 
 
 def _check_quintic_table() -> None:
@@ -551,7 +557,8 @@ def _check_quintic_table() -> None:
     # The two degenerations not in the frozen table still conserve.
     ctx = GrassContext(*QUINTIC_CONTEXT)
     for pieces in (((4, 1), (1, 1)), ((3, 1), (2, 1))):
-        assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
+        report = decompose_degeneration(DegenerationSpec(ctx, pieces))
+        _expect(report.conserved, True, "conserved", pieces)
 
 
 def _check_quartic_table() -> None:
@@ -567,7 +574,7 @@ def _check_identity_grid() -> None:
     ]
     residuals = [verify_identity(*case) for case in cases]
     for case, residual in zip(cases, residuals):
-        assert residual.is_zero, f"identity failed for {case}"
+        _expect(residual.is_zero, True, "identity residual is zero for", case)
 
 
 def _check_fixtures() -> None:
@@ -582,12 +589,12 @@ def _check_fixtures() -> None:
             tuple(tuple(c[f"{kind}_degree"] for kind in _KINDS) for c in payload["components"]),
             payload["ambient"]["degree"],
         )
-        assert got == (degrees, 4), (stem, got)
-        assert payload["conserved"]
-        assert payload["undecomposed_ok"] is not False
+        _expect(got, (degrees, 4), stem, "degrees")
+        _expect(payload["conserved"], True, stem, "conserved")
+        _expect(payload["undecomposed_ok"] is not False, True, stem, "undecomposed_ok")
         coarse = payload["coarse"]
         if coarse is not None:
-            assert (coarse["main_degree"], coarse["residual_degree"]) == (1, 3)
+            _expect((coarse["main_degree"], coarse["residual_degree"]), (1, 3), stem, "coarse")
 
 
 SELFTEST_CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (

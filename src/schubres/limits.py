@@ -173,27 +173,26 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
     above the top degree, and the zero classes are returned without
     building any bundle.  A piece's total degree is the sum of its main
     and adjunct degrees, as its class is the sum of theirs.
+
+    The ambient class and ``conserved`` are read from the decomposition:
+    ``regular_decompose`` reports c_top(Sym^d U*) as its ambient total, and
+    ``conserved`` says whether the two pieces sum to it.
     """
     ctx = spec.context
     excess = ctx.dim - rank_sym(ctx.r, spec.degree)
     pairing = _check_pairing(ctx, pairing, excess)
     if excess < 0:
-        ambient = zero = GradedPoly.zero(ctx.spec)
+        zero = GradedPoly.zero(ctx.spec)
         decomposition = Decomposition(
             tuple(DecompositionComponent(label, zero, zero) for label in spec.labels), zero
         )
     else:
         ambient_bundle = sym_ustar(ctx, spec.degree)
         setup = IntersectionSetup(cN=ambient_bundle.total_chern, d=ambient_bundle.rank)
-        (k1, e1), (k2, e2) = spec.pieces
-        bundle1 = sym_ustar(ctx, k1, e1)
-        bundle2 = sym_ustar(ctx, k2, e2)
-        top1 = bundle1.chern(bundle1.rank)
-        top2 = bundle2.chern(bundle2.rank)
+        bundle1, bundle2 = (sym_ustar(ctx, k, e) for k, e in spec.pieces)
+        top1, top2 = (bundle.chern(bundle.rank) for bundle in (bundle1, bundle2))
         decomposition = regular_decompose(setup, bundle1, bundle2, top1, top2, labels=spec.labels)
-        ambient = ambient_bundle.chern(ambient_bundle.rank)
-    # The pieces sum to ``ambient_total``; they must give c_top(Sym^d U*).
-    conserved = decomposition.ambient_total == ambient
+    ambient = decomposition.ambient_total
 
     reports = []
     for component, (k, e) in zip(decomposition.components, spec.pieces):
@@ -215,7 +214,7 @@ def decompose_degeneration(spec: DegenerationSpec, pairing=None) -> LimitReport:
         pieces=tuple(reports),
         ambient_class=ambient,
         ambient_degree=_paired_degree(ctx, ambient, excess, pairing),
-        conserved=conserved,
+        conserved=decomposition.conserved,
     )
 
 

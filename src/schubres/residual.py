@@ -30,9 +30,10 @@ integrates them itself (``chow.integrate`` on a Grassmannian,
 ``StructElement.integrate`` on a tabulated ring).  Each component is
 reported as a main term (the class the piece would contribute if it were
 alone, weighted by its own Segre class) plus an adjunct correction, and
-its total is their sum.  The divisor and symmetric evaluators check their
-components against an independently computed, unregrouped ambient total;
-the components of the regular evaluator define its ambient total.
+its total is their sum.  Every adjunct is one weighted sum,
+``_adjunct_sum``.  Each ambient total is computed without that regrouping
+(the FKLM total, its pushforward, c_d(N)), so ``Decomposition.conserved``
+is a real check, and the only conservation check of the package.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class DecompositionComponent:
 class Decomposition:
     """Per-component split of the intersection class.
 
-    ``ambient_total`` is the full intersection class the components sum to.
+    ``ambient_total`` is computed apart from the components, which must sum to it.
     """
 
     components: tuple[DecompositionComponent, ...]
@@ -88,10 +89,8 @@ class Decomposition:
 
     @property
     def conserved(self) -> bool:
-        total = None
-        for component in self.components:
-            total = component.total if total is None else total + component.total
-        return total == self.ambient_total
+        zero = self.ambient_total.zero_like()
+        return sum((c.total for c in self.components), zero) == self.ambient_total
 
 
 def main_term(setup: IntersectionSetup, sZ):
@@ -102,6 +101,25 @@ def main_term(setup: IntersectionSetup, sZ):
 def _divisor_segre(e):
     """Segre class e * (1 + e)^-1 of an effective divisor with class ``e``."""
     return e * (1 + e).series_inverse()
+
+
+def _adjunct_sum(setup: IntersectionSetup, low_j: int, low_m: int, factors):
+    """Sum of c_i(N) * comb(d-1-i, j) * a * b over i + j + m = d, j >= low_j
+    and m >= low_m, where ``(a, b) = factors(j, m)`` and ``b`` may be an int.
+    One ``add_products`` call per nonzero c_i(N), and one for the sum over i.
+    """
+    d = setup.d
+    zero = setup.cN.zero_like()
+    outer = []
+    for i in range(0, d - low_j - low_m + 1):
+        ci = setup.cN.degree_part(i)
+        if not ci.is_zero:
+            inner = zero.add_products(
+                (comb(d - 1 - i, j), *factors(j, d - i - j))
+                for j in range(low_j, d - i - low_m + 1)
+            )
+            outer.append((1, ci, inner))
+    return zero.add_products(outer)
 
 
 def divisor_decompose(
@@ -132,25 +150,11 @@ def divisor_decompose(
     powers = [setup.cN.one_like(), -Dclass]
     while len(powers) < d:
         powers.append(powers[-1] * powers[1])
-    outer_d, outer_r = [], []
-    for i in range(0, d - 1):
-        ci = setup.cN.degree_part(i)
-        if ci.is_zero:
-            continue
-        inner_d, inner_r = [], []
-        for j in range(1, d - i):
-            weight = comb(d - 1 - i, j)
-            s_j = sR.degree_part(j)
-            if not s_j.is_zero:
-                inner_d.append((weight, s_j, powers[d - i - j]))
-            s_far = sR.degree_part(d - i - j)
-            if not s_far.is_zero:
-                inner_r.append((weight, powers[j], s_far))
-        outer_d.append((1, ci, zero.add_products(inner_d)))
-        outer_r.append((1, ci, zero.add_products(inner_r)))
+    adj_d = _adjunct_sum(setup, 1, 1, lambda j, m: (sR.degree_part(j), powers[m]))
+    adj_r = _adjunct_sum(setup, 1, 1, lambda j, m: (powers[j], sR.degree_part(m)))
     components = (
-        DecompositionComponent(labels[0], main_d, zero.add_products(outer_d)),
-        DecompositionComponent(labels[1], main_r, zero.add_products(outer_r)),
+        DecompositionComponent(labels[0], main_d, adj_d),
+        DecompositionComponent(labels[1], main_r, adj_r),
     )
     # The ambient total by the residual intersection formula of Fulton,
     # Kleiman, Laksov and MacPherson (Fulton, Intersection Theory, 9.2):
@@ -177,9 +181,9 @@ def symmetric_decompose(
     ``setup`` and the divisor classes ``e1`` and ``e2`` live upstairs, in a
     ring whose classes have a ``pushforward()`` to the base.  The split is
     ``divisor_decompose`` with D = E1 and R = E2, every class pushed
-    forward.  The reported ambient total is the one-piece term of the whole
-    divisor E1 + E2, pushed forward, so components summing to it is a
-    genuine check of the binomial regrouping, not a tautology.
+    forward.  The reported ambient total is the upstairs FKLM total pushed
+    forward, so components summing to it is a genuine check of the
+    binomial regrouping, not a tautology.
     """
     # ``divisor_decompose`` checks e1, which it receives as the divisor class.
     if e2.degree_part(1) != e2:
@@ -189,8 +193,7 @@ def symmetric_decompose(
         DecompositionComponent(c.label, c.main.pushforward(), c.adjunct.pushforward())
         for c in upstairs.components
     )
-    ambient = main_term(setup, _divisor_segre(e1 + e2)).pushforward()
-    return Decomposition(components, ambient)
+    return Decomposition(components, upstairs.ambient_total.pushforward())
 
 
 def regular_decompose(
@@ -211,12 +214,14 @@ def regular_decompose(
     components.
 
     The products s_x(N1) * s_y(N2) with x + y <= d - r1 - r2 are formed
-    once and shared by both adjuncts.  Each adjunct sums its weighted
-    products per Chern degree i in one ``add_products`` call, accumulates
-    the products of those sums with c_i(N) in another, and multiplies the
-    total by z1 * z2, formed once for both.  When d < r1 + r2 both adjuncts
+    once and shared by both adjuncts.  Each adjunct is an ``_adjunct_sum``
+    times z1 * z2, formed once for both.  When d < r1 + r2 both adjuncts
     are zero and nothing of them is multiplied.  The Segre classes are read
     only up to degree d - r_l, and no higher part of them is computed.
+
+    The ambient total is c_d(N): Z1 union Z2 is the zero scheme of a section
+    of N, whose localized top Chern class the components split (Fulton,
+    Intersection Theory, Prop. 14.1).
     """
     d = setup.d
     r1, r2 = N1.rank, N2.rank
@@ -233,8 +238,8 @@ def regular_decompose(
                 triples.append((1, ci, N_l.segre(excess_codim - i)))
         return zero.add_products(triples) * z_l
 
-    # The adjunct of Z_l sums comb(d-1-i, a + r_other) * c_i(N) *
-    # s_a(N_other) * s_b(N_l) over i + a + b = d - r1 - r2.
+    # The adjunct of Z_l sums comb(d-1-i, j) * c_i(N) * s_(j-r_other)(N_other)
+    # * s_(m-r_l)(N_l) over i + j + m = d, with j >= r_other and m >= r_l.
     # Each s_x(N1) multiplies the sum of s_y(N2) over y <= span - x once,
     # and the product splits by degree into the pairs with that x.
     span = d - r1 - r2
@@ -249,27 +254,15 @@ def regular_decompose(
         for y in range(span + 1 - x):
             pairs[x, y] = row.degree_part(x + y)
 
-    def adjunct_for(r_o: int, pair_of, zint):
-        outer = []
-        for i in range(0, span + 1):
-            ci = setup.cN.degree_part(i)
-            if not ci.is_zero:
-                inner = zero.add_products(
-                    (comb(d - 1 - i, a + r_o), pair_of(a, span - i - a), 1)
-                    for a in range(span - i + 1)
-                )
-                outer.append((1, ci, inner))
-        return zero.add_products(((-1, zero.add_products(outer), zint),))
-
     main1, main2 = main_for(N1, z1), main_for(N2, z2)
     adj1 = adj2 = zero
     if span >= 0:
-        # Z1's adjunct pairs s_a(N2) with s_b(N1); Z2's s_a(N1) with s_b(N2).
         zint = z1 * z2
-        adj1 = adjunct_for(r2, lambda a, b: pairs[b, a], zint)
-        adj2 = adjunct_for(r1, lambda a, b: pairs[a, b], zint)
+        adj1 = _adjunct_sum(setup, r2, r1, lambda j, m: (pairs[m - r1, j - r2], 1))
+        adj2 = _adjunct_sum(setup, r1, r2, lambda j, m: (pairs[j - r1, m - r2], 1))
+        adj1, adj2 = (zero.add_products(((-1, adj, zint),)) for adj in (adj1, adj2))
     components = (
         DecompositionComponent(labels[0], main1, adj1),
         DecompositionComponent(labels[1], main2, adj2),
     )
-    return Decomposition(components, components[0].total + components[1].total)
+    return Decomposition(components, setup.cN.degree_part(d))

@@ -23,7 +23,8 @@ from schubres import cli, residual
 from schubres.bundles import sym_ustar
 from schubres.chow import GrassContext
 from schubres.cli import main, _parse_pieces
-from schubres.limits import fano_family
+from schubres.limits import DegenerationSpec, decompose_degeneration, fano_family
+from schubres.residual import IntersectionSetup, regular_decompose
 from schubres.symfunc import GradedPoly, parse_poly
 
 
@@ -220,6 +221,24 @@ def test_decompose_divisor_mode_sees_wrong_binomial_weights(monkeypatch, capsys)
     # in place of C(d-1-i, j) do not conserve.
     monkeypatch.setattr(residual, "comb", lambda n, j: math.comb(n + 1, j))
     code, out = run(capsys, ["decompose", "double-line-split-single"])
+    assert code == 1
+    assert "conserved: NO" in out.splitlines()
+
+
+def test_degenerate_sees_wrong_binomial_weights(monkeypatch, capsys) -> None:
+    # The regular evaluator's ambient total is c_d(N), read off the Chern
+    # class rather than summed from the components, so adjuncts with the
+    # weights C(d-i, j) in place of C(d-1-i, j) do not conserve: not in the
+    # decomposition, not in the degeneration report, not at the CLI.
+    ctx = GrassContext(1, 4)
+    ambient = sym_ustar(ctx, 5)
+    setup = IntersectionSetup(cN=ambient.total_chern, d=ambient.rank)
+    N1, N2 = sym_ustar(ctx, 1, 4), sym_ustar(ctx, 1, 1)
+    assert setup.d - N1.rank - N2.rank >= 0
+    monkeypatch.setattr(residual, "comb", lambda n, j: math.comb(n + 1, j))
+    assert not regular_decompose(setup, N1, N2, N1.chern(N1.rank), N2.chern(N2.rank)).conserved
+    assert not decompose_degeneration(DegenerationSpec(ctx, ((1, 4), (1, 1)))).conserved
+    code, out = run(capsys, ["degenerate", "-r", "1", "-n", "4", "1x4+1x1"])
     assert code == 1
     assert "conserved: NO" in out.splitlines()
 
@@ -744,6 +763,44 @@ def test_selftest_passes(capsys) -> None:
     checks = [line for line in out.splitlines() if line.endswith(" s)")]
     assert len(checks) == 6
     assert all(re.search(r": ok \(\d+\.\d\d s\)$", line) for line in checks)
+
+
+def test_selftest_fails_under_optimized_python() -> None:
+    # ``python -O`` strips ``assert``; the selftest checks must still fail on
+    # a wrong frozen value.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [entry for entry in [os.environ.get("PYTHONPATH")] if entry]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = (
+        "import sys\n"
+        "from schubres import cli\n"
+        "(pieces, ((main, adjunct, total), *rows)), *cases = cli.QUINTIC_CASES\n"
+        "wrong = ((main + 1, adjunct, total + 1), *rows)\n"
+        "cli.QUINTIC_CASES = ((pieces, wrong), *cases)\n"
+        "sys.exit(cli.main(['--selftest']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "selftest: 1 of 6 checks FAILED"
+    (failed,) = [line for line in lines if ": FAIL (" in line]
+    assert failed.startswith("selftest: quintic threefold table: FAIL (pieces ")
+    assert ", want " in failed
+
+
+def test_source_has_no_assert_statements() -> None:
+    # ``python -O`` strips ``assert``, so no check in the package may be one.
+    src = Path(__file__).resolve().parents[1] / "src" / "schubres"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_every_exported_name_resolves() -> None:

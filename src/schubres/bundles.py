@@ -17,6 +17,7 @@ roots.  Permuting the roots permutes the multisets in orbits, one per
 partition of d, so Sym^d is computed one orbit at a time: the product of an
 orbit's linear factors is symmetric, is rewritten in elementary symmetric
 functions on its own, and the orbit classes are multiplied in that basis.
+The one-part orbit's product is sum of d^j e_j and needs no rewriting.
 ``sym_power`` evaluates the result at the Chern classes of any bundle.
 ``sym_ustar`` needs no evaluation: the Chern classes of the dual
 tautological subbundle are the generators of the Grassmannian's Chow ring,
@@ -25,6 +26,12 @@ Twisting by a line bundle rescales Chern and Segre classes alike, so a
 twisted bundle scales the Segre parts of its untwisted bundle, each when it
 is read, instead of inverting its Chern class again.  One Sym^d build
 shares one set of e-basis tables across its orbits (see ``roots_to_e``).
+
+A bundle also keeps its excess classes {c * s(N_l)}_e against one ambient
+total Chern class c (``BundleClass.excess``): the main term of every piece
+a residual decomposition splits off.  They are kept on the bundle and not
+in any cache of their own, so ``sym_ustar.cache_clear()`` frees them with
+the bundles.
 """
 
 from __future__ import annotations
@@ -45,10 +52,12 @@ class BundleClass:
     class with a nonzero part there is refused.  Instances are immutable;
     the Segre parts are drawn on first use, each only as far as a caller
     reads, and kept: from the inversion of the total Chern class, or from
-    the parts of the untwisted bundle that ``adams_twist`` rescales.
+    the parts of the untwisted bundle that ``adams_twist`` rescales.  So
+    are the excess classes against the last ambient total Chern class the
+    bundle met (see ``excess``).
     """
 
-    __slots__ = ("rank", "total_chern", "_segre_parts", "_segre_source")
+    __slots__ = ("rank", "total_chern", "_segre_parts", "_segre_source", "_excess")
 
     def __init__(self, rank: int, total_chern) -> None:
         if exact_int(rank, "rank") < 1:
@@ -65,6 +74,7 @@ class BundleClass:
         object.__setattr__(self, "total_chern", total_chern)
         object.__setattr__(self, "_segre_parts", [])
         object.__setattr__(self, "_segre_source", None)
+        object.__setattr__(self, "_excess", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BundleClass is immutable")
@@ -93,6 +103,23 @@ class BundleClass:
         parts = map(self.segre, range(self.total_chern.truncation + 1))
         return sum(parts, self.total_chern.zero_like())
 
+    def excess(self, c, e: int):
+        """{c * s(self)}_e, the degree-e part of c times the Segre class.
+
+        With c = c(N) and e = rank N - rank self this is c_e(N - self), the
+        excess class of a piece with normal bundle ``self`` (Fulton,
+        Intersection Theory, Thm 6.3).  Formed once per (c, e) and kept for
+        the last c the bundle met, compared by identity, never by value.
+        """
+        kept = self._excess
+        if kept is None or kept[0] is not c:
+            kept = (c, {})
+            object.__setattr__(self, "_excess", kept)
+        part = kept[1].get(e)
+        if part is None:
+            part = kept[1][e] = _excess_part(c, self, e)
+        return part
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BundleClass):
             return NotImplemented
@@ -103,6 +130,17 @@ class BundleClass:
 
     def __repr__(self) -> str:
         return f"BundleClass(rank={self.rank}, c={self.total_chern.to_string()!r})"
+
+
+def _excess_part(c, bundle: BundleClass, e: int):
+    """{c * s(bundle)}_e, formed as the sum of c_i * s_(e-i)(bundle): no
+    Segre part above degree e is read."""
+    triples = []
+    for i in range(e + 1):
+        ci = c.degree_part(i)
+        if not ci.is_zero:
+            triples.append((1, ci, bundle.segre(e - i)))
+    return c.zero_like().add_products(triples)
 
 
 def rank_sym(r: int, m: int) -> int:
@@ -128,20 +166,30 @@ def _sym_chern_in_e(k: int, d: int, truncation: int, out_spec=None) -> GradedPol
 
     The Chern roots are the sums over d-element multisets of roots, and
     permuting the roots permutes the multisets in S_k-orbits.  Each orbit's
-    product of linear factors is therefore symmetric on its own: it is formed
-    in a root ring truncated at ``truncation``, rewritten with ``roots_to_e``
-    over ``out_spec`` (an e1..ek spec when None), and the orbit classes are
-    multiplied there.  An orbit's product has far fewer root monomials than
-    the product over every multiset.
+    product of linear factors is therefore symmetric on its own.  The
+    one-part orbit, the roots d * t_i, has the product sum of d^j e_j, which
+    is written into ``out_spec`` (an e1..ek spec when None) directly.  Every
+    other orbit's product is formed in a root ring truncated at
+    ``truncation``, rewritten there with ``roots_to_e``, and the orbit
+    classes are multiplied.  An orbit's product has far fewer root monomials
+    than the product over every multiset, and Sym^0 and Sym^1, whose only
+    orbit has one part, build no root ring.
     """
     if exact_int(d, "symmetric power exponent") < 0:
         raise IndexError(f"symmetric power exponent must be non-negative, got {d}")
     if out_spec is None:
         out_spec = e_spec(k, truncation)
+    total = GradedPoly.one(out_spec).add_products(
+        (d**j, GradedPoly.generator(out_spec, name), 1)
+        for j, name in enumerate(out_spec.names, 1)
+    )
+    # The orbits come in descending shape order, the one-part orbit first.
+    orbits = _orbit_exponents(k, d)[1:]
+    if not orbits:
+        return total
     rspec = root_spec(k, truncation)
     roots = [GradedPoly.generator(rspec, name) for name in rspec.names]
-    total = GradedPoly.one(out_spec)
-    for orbit in _orbit_exponents(k, d):
+    for orbit in orbits:
         product = GradedPoly.one(rspec)
         for counts in orbit:
             # product * (1 + sum of m_i t_i), as product + sum of m_i product t_i.

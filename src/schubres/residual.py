@@ -20,9 +20,12 @@ needs:
   embedded with known normal bundles, meeting transversally along their
   intersection.  The adjunct of each piece is supported on the
   intersection and built from Segre classes of the two normal bundles;
-  both adjuncts share one table of products s_x(N1) * s_y(N2).  It reads
-  s_i(N_l) only for i <= d - rank(N_l), and those are all the Segre parts
-  computed, since ``BundleClass`` computes them on demand.
+  both adjuncts share one table of products s_x(N1) * s_y(N2).  The main
+  term of a piece is its excess class c_e(N - N_l), kept on its normal
+  bundle (``BundleClass.excess``), times its class.  It reads s_i(N_l)
+  only for i <= d - rank(N_l), and those are all the Segre parts computed,
+  since ``BundleClass`` computes them on demand.  Identical pieces are
+  split once.
 
 All classes, Segre classes included, are carriers graded by codimension,
 and the evaluators return classes only: a caller that wants degrees
@@ -209,9 +212,12 @@ def regular_decompose(
     ``N1`` and ``N2`` are their normal bundles inside V and ``z1`` and
     ``z2`` their classes; the pieces meet transversally, so their
     intersection has class z1 * z2.  The main term of each piece is the
-    top Chern class of the excess bundle N - N_l on the piece; the adjunct
-    is supported on the intersection.  Swapping the two pieces swaps the
-    components.
+    top Chern class of the excess bundle N - N_l on the piece, read as
+    ``N_l.excess(c(N), d - r_l)`` times z_l: the excess class is formed
+    once and kept on the bundle.  The adjunct is supported on the
+    intersection.  Swapping the two pieces swaps the components, so when
+    ``N1 is N2 and z1 is z2`` one main term and one adjunct are formed and
+    reported for both; pieces only equal in value are split in full.
 
     The products s_x(N1) * s_y(N2) with x + y <= d - r1 - r2 are formed
     once and shared by both adjuncts.  Each adjunct is an ``_adjunct_sum``
@@ -226,17 +232,6 @@ def regular_decompose(
     d = setup.d
     r1, r2 = N1.rank, N2.rank
     zero = setup.cN.zero_like()
-
-    def main_for(N_l: BundleClass, z_l):
-        # Only the codimension-e part of c(N) * s(N_l) is needed, so form
-        # it directly as the sum of c_i(N) * s_{e-i}(N_l).
-        excess_codim = d - N_l.rank
-        triples = []
-        for i in range(0, excess_codim + 1):
-            ci = setup.cN.degree_part(i)
-            if not ci.is_zero:
-                triples.append((1, ci, N_l.segre(excess_codim - i)))
-        return zero.add_products(triples) * z_l
 
     # The adjunct of Z_l sums comb(d-1-i, j) * c_i(N) * s_(j-r_other)(N_other)
     # * s_(m-r_l)(N_l) over i + j + m = d, with j >= r_other and m >= r_l.
@@ -254,13 +249,20 @@ def regular_decompose(
         for y in range(span + 1 - x):
             pairs[x, y] = row.degree_part(x + y)
 
-    main1, main2 = main_for(N1, z1), main_for(N2, z2)
+    # Identical pieces swap into each other, so their components are equal
+    # and each is formed once.  Only identity is trusted to say so.
+    shared = N1 is N2 and z1 is z2
+    main1 = N1.excess(setup.cN, d - r1) * z1
+    main2 = main1 if shared else N2.excess(setup.cN, d - r2) * z2
     adj1 = adj2 = zero
     if span >= 0:
         zint = z1 * z2
-        adj1 = _adjunct_sum(setup, r2, r1, lambda j, m: (pairs[m - r1, j - r2], 1))
-        adj2 = _adjunct_sum(setup, r1, r2, lambda j, m: (pairs[j - r1, m - r2], 1))
-        adj1, adj2 = (zero.add_products(((-1, adj, zint),)) for adj in (adj1, adj2))
+
+        def adjunct(low_j, low_m, factors):
+            return zero.add_products(((-1, _adjunct_sum(setup, low_j, low_m, factors), zint),))
+
+        adj1 = adjunct(r2, r1, lambda j, m: (pairs[m - r1, j - r2], 1))
+        adj2 = adj1 if shared else adjunct(r1, r2, lambda j, m: (pairs[j - r1, m - r2], 1))
     components = (
         DecompositionComponent(labels[0], main1, adj1),
         DecompositionComponent(labels[1], main2, adj2),

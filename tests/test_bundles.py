@@ -19,7 +19,7 @@ from schubres.bundles import (
     ustar,
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
-from schubres.limits import enumerate_degenerations
+from schubres.limits import DegenerationSpec, decompose_degeneration, enumerate_degenerations
 from schubres.symfunc import (
     GeneratorSpec,
     GradedPoly,
@@ -409,10 +409,11 @@ def test_segre_draws_no_part_above_its_index(monkeypatch) -> None:
 
 
 def test_one_sym_power_build_shares_its_e_basis_tables(monkeypatch) -> None:
-    # Sym^3 of a rank-3 bundle has three S_3-orbits, so three roots_to_e
-    # calls; they share one set of elementary symmetric polynomials, built
-    # once on the build's root spec, and the spec and its tables are freed
-    # with the build.
+    # Sym^3 of a rank-3 bundle has three S_3-orbits.  The one-part orbit
+    # is written down directly, so there are two roots_to_e calls; they
+    # share one set of elementary symmetric polynomials, built once on the
+    # build's root spec, and the spec and its tables are freed with the
+    # build.
     built, specs = [], []
     elementary = symfunc.elementary_symmetric
     make_root_spec = bundles.root_spec
@@ -436,3 +437,105 @@ def test_one_sym_power_build_shares_its_e_basis_tables(monkeypatch) -> None:
     gc.collect()
     assert [ref() for ref in specs] == [None]
     assert ctx.spec._e_tables is None
+
+
+def test_one_part_orbits_build_no_root_ring(monkeypatch) -> None:
+    # The only orbit of Sym^0 and Sym^1 has one part, and its product is
+    # sum of d^j e_j: it is written into the output ring with no root spec
+    # and no roots_to_e call, also when e_k lies above the truncation.
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(bundles, "root_spec", refuse)
+    monkeypatch.setattr(bundles, "roots_to_e", refuse)
+    for k, truncation in ((1, 2), (2, 6), (3, 15), (4, 20), (3, 2)):
+        for d in (0, 1):
+            expected = full_multiset_product(k, d, truncation)
+            assert bundles._sym_chern_in_e(k, d, truncation) == expected, (k, d)
+    sym_ustar.cache_clear()
+    for r, n in ((0, 2), (1, 4), (2, 7), (3, 8)):
+        ctx = GrassContext(r, n)
+        assert sym_ustar(ctx, 1) == ustar(ctx)
+        assert sym_ustar(ctx, 0).total_chern == 1
+
+
+class WeakPoly(GradedPoly):
+    """A GradedPoly that can be weakly referenced.  Every class computed
+    from one (its parts, products with it, sums onto its zero) is another,
+    so classes derived from a WeakPoly can be watched being freed."""
+
+    __slots__ = ("__weakref__",)
+
+
+class WeakBundle(BundleClass):
+    __slots__ = ("__weakref__",)
+
+
+def weak(value: GradedPoly) -> WeakPoly:
+    return WeakPoly._raw(value.ring, value.packed)
+
+
+def test_a_bundle_keeps_the_excess_classes_of_one_ambient() -> None:
+    # {c * s(N)}_e is formed once per (c, e) and looked up by the identity of
+    # c.  A bundle that meets many ambients keeps only the last one's
+    # classes, and an ambient equal in value but another object forms its
+    # classes again.
+    ctx = GrassContext(2, 7)
+    N = sym_ustar(ctx, 1, 2)
+    segre = N.total_segre()
+    refs = []
+    for d in range(2, 6):
+        chern = sym_ustar(ctx, d).total_chern
+        c = weak(chern)
+        parts = [N.excess(c, e) for e in range(5)]
+        assert [part.packed for part in parts] == [
+            (chern * segre).degree_part(e).packed for e in range(5)
+        ]
+        assert all(N.excess(c, e) is part for e, part in enumerate(parts))
+        refs.append([weakref.ref(c), *map(weakref.ref, parts)])
+        del c, parts
+    gc.collect()
+    alive = [[ref() is not None for ref in row] for row in refs]
+    assert alive == [[False] * 6] * 3 + [[True] * 6]
+    last = refs[-1][0]()
+    twin = weak(last)
+    assert N.excess(twin, 3) == N.excess(last, 3)
+    assert N.excess(twin, 3) is not refs[-1][4]()
+    assert N.excess(twin, 3) is N.excess(twin, 3)
+
+
+def test_tables_form_each_excess_class_once_and_free_it_with_the_cache(monkeypatch) -> None:
+    # The excess class of a piece depends only on the ambient c(N) and the
+    # piece, so a table on a cold cache forms it once per distinct piece: 8
+    # times on G(1,4) with d = 5 and 5 times on G(2,7) with d = 4.  A warm
+    # pass forms none.  The classes are kept on the bundles and in no cache
+    # of their own: after sym_ustar.cache_clear() a pass forms them again,
+    # and the bundles and their classes are freed.  The bundles and classes
+    # are made weakly referable here to see them freed.
+    formed = []
+    excess_part = bundles._excess_part
+    sym_chern_in_e = bundles._sym_chern_in_e
+
+    def recorded(c, bundle, e):
+        part = excess_part(c, bundle, e)
+        formed.append((weakref.ref(bundle), weakref.ref(part)))
+        return part
+
+    monkeypatch.setattr(bundles, "_excess_part", recorded)
+    monkeypatch.setattr(bundles, "_sym_chern_in_e", lambda *args: weak(sym_chern_in_e(*args)))
+    monkeypatch.setattr(bundles, "BundleClass", WeakBundle)
+    for (r, n), degree, pieces in (((1, 4), 5, 8), ((2, 7), 4, 5)):
+        ctx = GrassContext(r, n)
+        specs = [DegenerationSpec(ctx, p) for p in enumerate_degenerations(degree)]
+        for cold in (True, False, True):
+            if cold:
+                sym_ustar.cache_clear()
+                gc.collect()
+                assert [(b(), p()) for b, p in formed] == [(None, None)] * len(formed)
+                formed.clear()
+            assert all(decompose_degeneration(spec).conserved for spec in specs)
+            # The warm pass adds nothing to what the cold pass formed.
+            assert len(formed) == len({bundle() for bundle, _ in formed}) == pieces
+    sym_ustar.cache_clear()
+    gc.collect()
+    assert [(b(), p()) for b, p in formed] == [(None, None)] * 5

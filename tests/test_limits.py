@@ -341,23 +341,27 @@ def test_quartic_table_pieri_work_is_bounded(monkeypatch) -> None:
 def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     # Exact products behind both paper tables from cold caches: Sym^k U* is
     # multiplied out one S_k-orbit of multisets at a time and lands directly
-    # in the Chern ring (no substitute), twisted pieces scale the Segre parts
-    # of their untwisted piece (one inversion per distinct untwisted piece:
-    # 4 on G(1,4), 3 on G(2,7)), and the adjunct Segre products are formed
-    # once per decomposition, one product per Segre class of the first
-    # piece.  Every product is one kernel call, also inside
-    # ``add_products``; a weighted sum of products adds its int-weighted
-    # terms without a kernel call, and sums of products accumulate without
-    # subtracting (a subtraction copies its operand twice).  A Segre class
-    # is drawn only up to the degree the decomposition reads, and an empty
-    # adjunct range forms no product.  Counted, not timed; the engine needs
-    # 634 products over 8,080 term pairs, 7 inversions that draw 43 Segre
-    # degrees (the whole inversions would draw 76), no substitute and no
+    # in the Chern ring (no substitute); the one-part orbit is written down
+    # as sum of k^j e_j, so only the other orbits call roots_to_e (6 calls
+    # on G(1,4), 6 on G(2,7)).  Twisted pieces scale the Segre parts of
+    # their untwisted piece (one inversion per distinct untwisted piece: 4
+    # on G(1,4), 3 on G(2,7)).  Each distinct piece forms its excess class
+    # once per round, kept on its bundle, and identical pieces are split
+    # once.  The adjunct Segre products are formed once per decomposition,
+    # one product per Segre class of the first piece.  Every product is one
+    # kernel call, also inside ``add_products``; a weighted sum of products
+    # adds its int-weighted terms without a kernel call, and sums of
+    # products accumulate without subtracting (a subtraction copies its
+    # operand twice).  A Segre class is drawn only up to the degree the
+    # decomposition reads, and an empty adjunct range forms no product.
+    # Counted, not timed; the engine needs 493 products over 6,176 term
+    # pairs, 12 roots_to_e calls, 7 inversions that draw 43 Segre degrees
+    # (the whole inversions would draw 76), no substitute and no
     # subtraction.  A piece's total degree is the sum of its main and
     # adjunct degrees, so a decomposition integrates five classes: 60 in all.
     counts = {
-        "mul_terms": 0, "pairs": 0, "inverse_parts": 0, "segre_degrees": 0, "substitute": 0,
-        "__sub__": 0, "integrate": 0,
+        "mul_terms": 0, "pairs": 0, "roots_to_e": 0, "inverse_parts": 0, "segre_degrees": 0,
+        "substitute": 0, "__sub__": 0, "integrate": 0,
     }
 
     def counting(owner, name):
@@ -382,6 +386,7 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
 
     monkeypatch.setattr(bundles, "inverse_parts", counted_parts)
     counting(kernel, "mul_terms")
+    counting(bundles, "roots_to_e")
     counting(bundles, "substitute")
     counting(symfunc.ClassCarrier, "__sub__")
     counting(limits, "integrate")
@@ -390,9 +395,10 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
         ctx = GrassContext(*context)
         for pieces in enumerate_degenerations(degree):
             assert decompose_degeneration(DegenerationSpec(ctx, pieces)).conserved
-    assert 0 < counts["mul_terms"] <= 634
+    assert 0 < counts["mul_terms"] <= 493
     assert 0 < counts["integrate"] <= 60
-    assert 0 < counts["pairs"] <= 8_080
+    assert 0 < counts["pairs"] <= 6_176
+    assert 0 < counts["roots_to_e"] <= 12
     assert 0 < counts["inverse_parts"] <= 7
     assert 0 < counts["segre_degrees"] <= 43
     assert counts["substitute"] == 0

@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from schubres import kernel, residual
+from schubres import cli, kernel, residual
 from schubres.bundles import BundleClass, sym_ustar, ustar
 from schubres.chow import (
     GrassContext,
@@ -25,7 +25,7 @@ from schubres.chow import (
     projective_space,
 )
 from schubres.errors import UnsupportedOperationError
-from schubres.limits import enumerate_degenerations
+from schubres.limits import DegenerationSpec, decompose_degeneration, enumerate_degenerations
 from schubres.residual import (
     Decomposition,
     IntersectionSetup,
@@ -365,6 +365,8 @@ def test_empty_adjuncts_form_no_product(monkeypatch) -> None:
     # the Segre parts drawn beforehand, the only kernel calls are the main
     # terms': one per nonzero c_i(N) with i <= d - r_l, and one times z_l.
     # Neither z1 * z2 nor any product for the zero adjuncts is formed.
+    # The excess classes are kept on the bundles, so the cache starts cold.
+    sym_ustar.cache_clear()
     ctx = GrassContext(1, 4)
     ambient = sym_ustar(ctx, 5)
     setup = IntersectionSetup(cN=ambient.total_chern, d=ambient.rank)
@@ -443,6 +445,67 @@ def test_regular_decompose_matches_unshared_reference() -> None:
                     assert component.total == main + adjunct
     # Both empty and non-empty adjunct ranges were exercised.
     assert excess_free_seen == {True, False}
+
+
+def counted_adjunct_sums(monkeypatch) -> list:
+    calls = []
+    adjunct_sum = residual._adjunct_sum
+
+    def counted(*args):
+        calls.append(args)
+        return adjunct_sum(*args)
+
+    monkeypatch.setattr(residual, "_adjunct_sum", counted)
+    return calls
+
+
+def test_identical_pieces_are_split_once(monkeypatch) -> None:
+    # X1^2 + X1^2 and X2 + X2 on G(2,7): both pieces are one cached bundle
+    # and one class, so one main term and one adjunct are formed and
+    # reported for both.  The table values and conservation are unchanged.
+    calls = counted_adjunct_sums(monkeypatch)
+    ctx = GrassContext(*cli.QUARTIC_CONTEXT)
+    table = dict(cli.QUARTIC_CASES)
+    for pieces in (((1, 2), (1, 2)), ((2, 1), (2, 1))):
+        calls.clear()
+        report = decompose_degeneration(DegenerationSpec(ctx, pieces))
+        first, second = report.pieces
+        assert first.main_class is second.main_class
+        assert first.adjunct_class is second.adjunct_class
+        assert len(calls) == 1
+        assert report.conserved
+        got = tuple((p.main_degree, p.adjunct_degree, p.total_degree) for p in report.pieces)
+        assert got == table[pieces]
+
+
+def test_only_identical_pieces_share_their_split(monkeypatch) -> None:
+    # Sharing keys on identity and does not guess: one bundle with two
+    # classes, one bundle with two equal classes, or two bundles equal in
+    # value but distinct take the unshared path, with two adjunct sums.
+    # Each agrees with the swapped call, and the equal ones with the split
+    # the shared path gives.
+    calls = counted_adjunct_sums(monkeypatch)
+    ctx = GrassContext(2, 7)
+    ambient = sym_ustar(ctx, 4)
+    setup = IntersectionSetup(cN=ambient.total_chern, d=ambient.rank)
+    N = sym_ustar(ctx, 1, 2)
+    z = N.chern(N.rank)
+    shared = regular_decompose(setup, N, N, z, z)
+    assert len(calls) == 1 and shared.conserved
+    twin, z_twin = BundleClass(N.rank, N.total_chern), z + 0
+    assert (twin, z_twin) == (N, z) and twin is not N and z_twin is not z
+    other = z + ctx.chern_generator(1) ** 3
+    for N1, N2, z1, z2 in ((N, N, z, other), (N, N, z, z_twin), (N, twin, z, z), (twin, N, z, z)):
+        calls.clear()
+        forward = regular_decompose(setup, N1, N2, z1, z2)
+        backward = regular_decompose(setup, N2, N1, z2, z1)
+        assert len(calls) == 4
+        for a, b in zip(forward.components, backward.components[::-1]):
+            assert (a.main, a.adjunct) == (b.main, b.adjunct)
+        if z2 is not other:
+            for a, b in zip(forward.components, shared.components):
+                assert (a.main, a.adjunct) == (b.main, b.adjunct)
+            assert forward.conserved
 
 
 def test_decomposition_conserved_flag() -> None:

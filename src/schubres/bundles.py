@@ -236,6 +236,13 @@ def ustar(ctx: GrassContext) -> BundleClass:
 # One op uses at most 21 entries (the identity grid); the bound lets an
 # unused context and its Schubert memo be freed.
 @lru_cache(maxsize=64, typed=True)
+def _sym_ustar(ctx: GrassContext, d: int, twist: int) -> BundleClass:
+    if exact_int(twist, "twist") != 1:
+        return adams_twist(_sym_ustar(ctx, d, 1), twist)
+    chern = _sym_chern_in_e(ctx.k, d, ctx.dim, ctx.spec)
+    return BundleClass(rank_sym(ctx.k - 1, d), chern)
+
+
 def sym_ustar(ctx: GrassContext, d: int, twist: int = 1) -> BundleClass:
     """Twisted symmetric power of the dual subbundle, cached.
 
@@ -244,13 +251,14 @@ def sym_ustar(ctx: GrassContext, d: int, twist: int = 1) -> BundleClass:
     Safe because contexts and bundle classes are immutable values.  The
     Chern classes of U* are the generators of ``ctx.spec``, so the e-basis
     result lands in that ring as the total Chern class, with nothing to
-    evaluate.  A twist rescales the cached untwisted power; the untwisted
-    lookup passes the twist positionally so it shares its cache entry with
-    callers that ask for ``sym_ustar(ctx, k, 1)``.  The cache is typed, so
+    evaluate.  A twist rescales the cached untwisted power.  The cache is
+    keyed by all three arguments, so ``sym_ustar(ctx, d)`` and
+    ``sym_ustar(ctx, d, 1)`` are one entry and one bundle.  It is typed, so
     ``True`` or ``1.0`` never hits the entry of ``1`` and is refused like
     any other non-integer.
     """
-    if exact_int(twist, "twist") != 1:
-        return adams_twist(sym_ustar(ctx, d, 1), twist)
-    chern = _sym_chern_in_e(ctx.k, d, ctx.dim, ctx.spec)
-    return BundleClass(rank_sym(ctx.k - 1, d), chern)
+    return _sym_ustar(ctx, d, twist)
+
+
+sym_ustar.cache_info = _sym_ustar.cache_info
+sym_ustar.cache_clear = _sym_ustar.cache_clear

@@ -8,7 +8,12 @@ Subcommands:
 * ``decompose`` -- run a divisor or symmetric decomposition from a ring
   fixture file.
 
-``degenerate`` and ``decompose`` print one shape: per component its
+Each ``cmd_*`` function computes and returns its exit status, its JSON
+payload, its table text and, for ``degenerate`` and ``decompose``, its CSV
+cases.  ``main`` renders the one ``--format`` names and writes it to
+standard output, or to the ``--output`` file.
+
+``degenerate`` and ``decompose`` report one shape: per component its
 ``label`` (and, for a degeneration piece, its degree ``k`` and multiplicity
 ``e``), then ``main_class``, ``adjunct_class``, ``total_class``,
 ``main_degree``, ``adjunct_degree`` and ``total_degree``, and then the
@@ -143,17 +148,8 @@ def _parse_pairing(text: str) -> Partition:
 # output helpers
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _emit(text: str, args: argparse.Namespace) -> None:
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+# A subcommand's exit status, JSON payload, table text and CSV cases (or None).
+Result = tuple[int, dict, str, list[tuple[str, list[dict], dict]] | None]
 
 
 def _context_payload(ctx: GrassContext, degree: int | None = None) -> dict:
@@ -256,19 +252,16 @@ def _limit_table(spec: DegenerationSpec, payload: dict) -> str:
 # subcommands
 
 
-def cmd_fano(args: argparse.Namespace) -> int:
+def cmd_fano(args: argparse.Namespace) -> Result:
     ctx = GrassContext(args.r, args.n)
     cls, family_dim, count = fano_family(ctx, args.degree, args.pair)
-    if args.format == "json":
-        payload = {
-            "context": _context_payload(ctx, args.degree),
-            "class": cls.to_string(),
-            "count": count,
-            "family_dimension": family_dim,
-            "pairing": list(args.pair.parts) if args.pair else None,
-        }
-        _emit(json.dumps(payload, indent=2), args)
-        return 0
+    payload = {
+        "context": _context_payload(ctx, args.degree),
+        "class": cls.to_string(),
+        "count": count,
+        "family_dimension": family_dim,
+        "pairing": list(args.pair.parts) if args.pair else None,
+    }
     lines = [
         f"context: {args.r}-planes in P^{args.n} (G({args.r}, {args.n}), dimension {ctx.dim})",
         f"hypersurface degree: {args.degree}",
@@ -282,45 +275,37 @@ def cmd_fano(args: argparse.Namespace) -> int:
     else:
         label = "count" if family_dim == 0 else "paired count"
         lines.append(f"{label}: {count:,}")
-    _emit("\n".join(lines), args)
-    return 0
+    return 0, payload, "\n".join(lines), None
 
 
-def cmd_degenerate(args: argparse.Namespace) -> int:
+def cmd_degenerate(args: argparse.Namespace) -> Result:
     ctx = GrassContext(args.r, args.n)
     if args.all:
         if args.pieces is not None:
-            return _usage_error("give either a piece list or --all, not both")
+            raise ValueError("give either a piece list or --all, not both")
         if args.degree is None:
-            return _usage_error("--all needs --degree")
-        piece_pairs = enumerate_degenerations(args.degree)
+            raise ValueError("--all needs --degree")
+        specs = [DegenerationSpec(ctx, pieces) for pieces in enumerate_degenerations(args.degree)]
     else:
         if args.pieces is None:
-            return _usage_error("give a piece list like '1x4+1x1' or use --all --degree D")
-        piece_pairs = [args.pieces]
-        got = sum(k * e for k, e in args.pieces)
+            raise ValueError("give a piece list like '1x4+1x1' or use --all --degree D")
+        specs = [DegenerationSpec(ctx, args.pieces)]
+        got = specs[0].degree
         if args.degree is not None and args.degree != got:
-            return _usage_error(
+            raise ValueError(
                 f"pieces have total degree {got}, which contradicts --degree {args.degree}"
             )
-    specs = [DegenerationSpec(ctx, pieces) for pieces in piece_pairs]
     payloads = [_limit_payload(decompose_degeneration(spec, args.pair)) for spec in specs]
-
-    if args.format == "json":
-        if args.all:
-            payload = {"context": _context_payload(ctx, args.degree), "cases": payloads}
-        else:
-            payload = payloads[0]
-        _emit(json.dumps(payload, indent=2), args)
-    elif args.format == "csv":
-        cases = [(str(spec), p["pieces"], p["ambient"]) for spec, p in zip(specs, payloads)]
-        _emit(_write_csv(cases), args)
-    else:
-        _emit("\n\n".join(_limit_table(spec, p) for spec, p in zip(specs, payloads)), args)
-    return 0 if all(p["conserved"] for p in payloads) else 1
+    every_case = {"context": _context_payload(ctx, args.degree), "cases": payloads}
+    return (
+        0 if all(p["conserved"] for p in payloads) else 1,
+        every_case if args.all else payloads[0],
+        "\n\n".join(_limit_table(spec, p) for spec, p in zip(specs, payloads)),
+        [(str(spec), p["pieces"], p["ambient"]) for spec, p in zip(specs, payloads)],
+    )
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Result:
     ctx = GrassContext(args.r, args.n)
     cases = [
         (k, l)
@@ -333,26 +318,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for (k, l), residual in zip(cases, residuals)
     ]
     all_ok = all(entry["ok"] for entry in results)
-    if args.format == "json":
-        payload = {
-            "context": _context_payload(ctx),
-            "max_degree": args.max_degree,
-            "cases": results,
-            "all_ok": all_ok,
-        }
-        _emit(json.dumps(payload, indent=2), args)
-    else:
-        lines = [
-            f"conservation identity on G({args.r}, {args.n}) "
-            f"for piece degrees k + l <= {args.max_degree}"
-        ]
-        for entry, residual in zip(results, residuals):
-            status = "ok" if entry["ok"] else f"FAIL (residual {residual.to_string()})"
-            lines.append(f"k={entry['k']} l={entry['l']}: {status}")
-        good = sum(1 for entry in results if entry["ok"])
-        lines.append(f"{good} of {len(results)} cases ok")
-        _emit("\n".join(lines), args)
-    return 0 if all_ok else 1
+    payload = {
+        "context": _context_payload(ctx),
+        "max_degree": args.max_degree,
+        "cases": results,
+        "all_ok": all_ok,
+    }
+    lines = [
+        f"conservation identity on G({args.r}, {args.n}) "
+        f"for piece degrees k + l <= {args.max_degree}"
+    ]
+    for entry, residual in zip(results, residuals):
+        status = "ok" if entry["ok"] else f"FAIL (residual {residual.to_string()})"
+        lines.append(f"k={entry['k']} l={entry['l']}: {status}")
+    good = sum(1 for entry in results if entry["ok"])
+    lines.append(f"{good} of {len(results)} cases ok")
+    return 0 if all_ok else 1, payload, "\n".join(lines), None
 
 
 def _fixture_path(source: str) -> Path:
@@ -369,10 +350,14 @@ def _fixture_path(source: str) -> Path:
     )
 
 
-def _resolve_ring(value, base_dir: Path, dim: int, what: str = "ring") -> StructRing:
-    """The ring ``value`` names, a builtin name or a path from ``base_dir``;
-    one whose top degree is not the fixture's ``dim`` raises ``ValueError``
-    naming ``what``."""
+def _read_section(
+    section: dict, base_dir: Path, dim: int, what: str = "ring"
+) -> tuple[StructRing, Callable[[str], object]]:
+    """The ring a fixture section's ``ring`` key names, a builtin name or a
+    path from ``base_dir``, and the reader that parses the section's value
+    at a key as an element of that ring.  A ring whose top degree is not
+    the fixture's ``dim`` raises ``ValueError`` naming ``what``."""
+    value = section["ring"]
     if not isinstance(value, str):
         raise ValueError(f"cannot resolve ring from {value!r}")
     try:
@@ -384,7 +369,7 @@ def _resolve_ring(value, base_dir: Path, dim: int, what: str = "ring") -> Struct
             f"fixture key 'dim' is {dim}, but {what} {ring.name!r} has top degree "
             f"{ring.top_degree}"
         )
-    return ring
+    return ring, lambda key: ring.parse(str(section[key]))
 
 
 # The class keys each decomposition mode reads, in the order its function
@@ -421,11 +406,7 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
         what = "fixture key 'coarse'"
         check_keys(data["coarse"], what, ("ring", "normal_chern", "segre", "total"))
     dim = exact_int(data["dim"], "fixture key 'dim'")
-    ring = _resolve_ring(data["ring"], path.parent, dim)
-
-    def element(key: str):
-        return ring.parse(str(data[key]))
-
+    ring, element = _read_section(data, path.parent, dim)
     setup = IntersectionSetup(
         cN=element("normal_chern"), d=exact_int(data["codim"], "fixture key 'codim'")
     )
@@ -446,12 +427,7 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     if coarse:
         if "coarse" not in data:
             raise ValueError(f"fixture {data.get('name', path.name)!r} has no coarse section")
-        section = data["coarse"]
-        coarse_ring = _resolve_ring(section["ring"], path.parent, dim, "coarse ring")
-
-        def coarse_element(key: str):
-            return coarse_ring.parse(str(section[key]))
-
+        _, coarse_element = _read_section(data["coarse"], path.parent, dim, "coarse ring")
         coarse_setup = IntersectionSetup(cN=coarse_element("normal_chern"), d=setup.d)
         main = main_term(coarse_setup, coarse_element("segre"))
         coarse_payload = {
@@ -503,15 +479,14 @@ def _fixture_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> Result:
     payload = _fixture_payload(args.fixture, args.coarse)
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args)
-    elif args.format == "csv":
-        _emit(_write_csv([(payload["fixture"], payload["components"], payload["ambient"])]), args)
-    else:
-        _emit(_fixture_table(payload), args)
-    return 0 if payload["conserved"] and payload["undecomposed_ok"] is not False else 1
+    return (
+        0 if payload["conserved"] and payload["undecomposed_ok"] is not False else 1,
+        payload,
+        _fixture_table(payload),
+        [(payload["fixture"], payload["components"], payload["ambient"])],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +687,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        status = run_selftest() if args.selftest else args.func(args)
+        if args.selftest:
+            status = run_selftest()
+        else:
+            status, payload, table, cases = args.func(args)
+            if args.format == "json":
+                text = json.dumps(payload, indent=2)
+            elif args.format == "csv":
+                text = _write_csv(cases)
+            else:
+                text = table
+            if args.output:
+                Path(args.output).write_text(text + "\n", encoding="utf-8")
+            else:
+                print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout, which is not bad input.  Point stdout at

@@ -226,7 +226,7 @@ def _piece_sort_key(piece: Piece) -> tuple[int, int, int]:
 def enumerate_degenerations(d: int) -> list[tuple[Piece, Piece]]:
     """All unordered two-piece degenerations of total degree ``d``, each
     listed once with the heavier piece first."""
-    if d < 2:
+    if exact_int(d, "total degree") < 2:
         raise ValueError("need total degree >= 2 to split into two pieces")
     seen: set[tuple[Piece, Piece]] = set()
     for a in range(1, d):

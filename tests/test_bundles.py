@@ -19,7 +19,12 @@ from schubres.bundles import (
     ustar,
 )
 from schubres.chow import GrassContext, blowup_plane_at_point
-from schubres.limits import DegenerationSpec, decompose_degeneration, enumerate_degenerations
+from schubres.limits import (
+    DegenerationSpec,
+    decompose_degeneration,
+    enumerate_degenerations,
+    fano_family,
+)
 from schubres.symfunc import (
     GeneratorSpec,
     GradedPoly,
@@ -274,6 +279,28 @@ def test_sym_ustar_caching() -> None:
     assert first is sym_ustar(GrassContext(1, 3), 3)
     twisted = sym_ustar(ctx, 1, 2)
     assert twisted.total_chern == c(ctx, "1 + 2*x + 4*y")
+
+
+def test_sym_ustar_builds_one_power_for_both_spellings(monkeypatch) -> None:
+    # The count of lines on a conic asks for Sym^2 with two arguments, the
+    # degeneration 2 + 1 asks for it with three as a piece: one bundle, so
+    # three powers take three builds, not four.
+    built = []
+    sym_chern_in_e = bundles._sym_chern_in_e
+
+    def counted(k, d, *args):
+        built.append(d)
+        return sym_chern_in_e(k, d, *args)
+
+    monkeypatch.setattr(bundles, "_sym_chern_in_e", counted)
+    sym_ustar.cache_clear()
+    ctx = GrassContext(1, 4)
+    fano_family(ctx, 2)
+    decompose_degeneration(DegenerationSpec(ctx, ((2, 1), (1, 1))))
+    assert sorted(built) == [1, 2, 3]
+    assert sym_ustar(ctx, 2) is sym_ustar(ctx, 2, 1)
+    assert sym_ustar.cache_info().currsize == 3
+    sym_ustar.cache_clear()
 
 
 def test_sym_power_routes_agree() -> None:

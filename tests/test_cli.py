@@ -647,9 +647,149 @@ def test_commands_without_yaml_files_never_import_yaml() -> None:
     assert done.stdout.splitlines()[-1] == "True"
 
 
-# Rendered output frozen as literal text, so that a change to any table
-# or CSV layout shows here.
+def _json(payload: dict) -> str:
+    """The bytes the CLI writes for a JSON payload: two-space indent, keys in
+    the order given, one trailing newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _piece(label, k, e, classes, degrees) -> dict:
+    """One piece of a frozen degeneration payload, keys in output order."""
+    return {
+        "label": label, "k": k, "e": e,
+        **{f"{kind}_class": cls for kind, cls in zip(("main", "adjunct", "total"), classes)},
+        **{f"{kind}_degree": deg for kind, deg in zip(("main", "adjunct", "total"), degrees)},
+    }
+
+
+_CUBIC_SURFACE = {"r": 1, "n": 3, "d": 3}
+_CUBIC_SURFACE_AMBIENT = {"class": "18*x^2*y + 9*y^2", "degree": 27}
+
+# Rendered output frozen as literal text, so that a change to any table,
+# JSON or CSV layout shows here.
 FROZEN_OUTPUT = [
+    (
+        ["fano", "-r", "1", "-n", "3", "-d", "3"],
+        "context: 1-planes in P^3 (G(1, 3), dimension 4)\n"
+        "hypersurface degree: 3\n"
+        "class: 18*x^2*y + 9*y^2\n"
+        "count: 27\n",
+    ),
+    (
+        ["fano", "-r", "1", "-n", "3", "-d", "3", "--format", "json"],
+        _json({
+            "context": _CUBIC_SURFACE, "class": "18*x^2*y + 9*y^2", "count": 27,
+            "family_dimension": 0, "pairing": None,
+        }),
+    ),
+    (
+        # A positive-dimensional family has no count until it is paired.
+        ["fano", "-r", "1", "-n", "3", "-d", "2"],
+        "context: 1-planes in P^3 (G(1, 3), dimension 4)\n"
+        "hypersurface degree: 2\n"
+        "class: 4*x*y\n"
+        "count: - (family of dimension 1; supply --pair with a partition of that size)\n",
+    ),
+    (
+        ["fano", "-r", "1", "-n", "3", "-d", "2", "--format", "json"],
+        _json({
+            "context": {"r": 1, "n": 3, "d": 2}, "class": "4*x*y", "count": None,
+            "family_dimension": 1, "pairing": None,
+        }),
+    ),
+    (
+        ["fano", "-r", "1", "-n", "3", "-d", "2", "--pair", "1"],
+        "context: 1-planes in P^3 (G(1, 3), dimension 4)\n"
+        "hypersurface degree: 2\n"
+        "class: 4*x*y\n"
+        "paired count: 4\n",
+    ),
+    (
+        ["fano", "-r", "1", "-n", "3", "-d", "2", "--pair", "1", "--format", "json"],
+        _json({
+            "context": {"r": 1, "n": 3, "d": 2}, "class": "4*x*y", "count": 4,
+            "family_dimension": 1, "pairing": [1],
+        }),
+    ),
+    (
+        ["verify", "-r", "2", "-n", "5"],
+        "conservation identity on G(2, 5) for piece degrees k + l <= 4\n"
+        "k=1 l=1: ok\n"
+        "k=1 l=2: ok\n"
+        "k=1 l=3: ok\n"
+        "k=2 l=1: ok\n"
+        "k=2 l=2: ok\n"
+        "k=3 l=1: ok\n"
+        "6 of 6 cases ok\n",
+    ),
+    (
+        ["verify", "-r", "2", "-n", "5", "--format", "json"],
+        _json({
+            "context": {"r": 2, "n": 5},
+            "max_degree": 4,
+            "cases": [
+                {"k": k, "l": l, "ok": True}
+                for k, l in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+            ],
+            "all_ok": True,
+        }),
+    ),
+    (
+        ["degenerate", "-r", "1", "-n", "3", "--all", "-d", "3", "--format", "json"],
+        _json({
+            "context": _CUBIC_SURFACE,
+            "cases": [
+                {
+                    "context": _CUBIC_SURFACE,
+                    "pieces": [
+                        _piece("X1^2", 1, 2,
+                               ("12*x^2*y + 24*y^2", "-12*y^2", "12*x^2*y + 12*y^2"),
+                               (36, -12, 24)),
+                        _piece("X1", 1, 1,
+                               ("6*x^2*y + 9*y^2", "-12*y^2", "6*x^2*y - 3*y^2"),
+                               (15, -12, 3)),
+                    ],
+                    "ambient": _CUBIC_SURFACE_AMBIENT,
+                    "conserved": True,
+                },
+                {
+                    "context": _CUBIC_SURFACE,
+                    "pieces": [
+                        _piece("X2", 2, 1, ("12*x^2*y", "0", "12*x^2*y"), (12, 0, 12)),
+                        _piece("X1", 1, 1,
+                               ("6*x^2*y + 9*y^2", "0", "6*x^2*y + 9*y^2"),
+                               (15, 0, 15)),
+                    ],
+                    "ambient": _CUBIC_SURFACE_AMBIENT,
+                    "conserved": True,
+                },
+            ],
+        }),
+    ),
+    (
+        ["decompose", "double_line_split_whole", "--format", "json"],
+        _json({
+            "fixture": "double-line-split-whole",
+            "mode": "divisor",
+            "ring": "blowup_p2",
+            "components": [
+                {
+                    "label": "2E", "main_class": "4*P", "adjunct_class": "0",
+                    "total_class": "4*P", "main_degree": 4, "adjunct_degree": 0,
+                    "total_degree": 4,
+                },
+                {
+                    "label": "R", "main_class": "0", "adjunct_class": "0",
+                    "total_class": "0", "main_degree": 0, "adjunct_degree": 0,
+                    "total_degree": 0,
+                },
+            ],
+            "ambient": {"class": "4*P", "degree": 4},
+            "conserved": True,
+            "undecomposed_ok": True,
+            "coarse": None,
+        }),
+    ),
     (
         ["degenerate", "-r", "1", "-n", "4", "1x4+1x1"],
         "degeneration: X1^4 + X1  (degree 5 on G(1, 4))\n"
@@ -709,6 +849,21 @@ FROZEN_OUTPUT = [
 @pytest.mark.parametrize("argv, text", FROZEN_OUTPUT, ids=lambda v: " ".join(v)[:48])
 def test_rendered_output_is_frozen(capsys, argv, text) -> None:
     assert run(capsys, argv) == (0, text)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["-d", "5", "1x4+1x1", "--all"], "give either a piece list or --all, not both"),
+        (["--all"], "--all needs --degree"),
+        ([], "give a piece list like '1x4+1x1' or use --all --degree D"),
+        (["-d", "5", "7x9+1"], "pieces have total degree 64, which contradicts --degree 5"),
+    ],
+)
+def test_degenerate_usage_conflicts_are_one_error_line(capsys, argv, message) -> None:
+    code = main(["degenerate", "-r", "1", "-n", "4", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 def test_output_file(tmp_path, capsys) -> None:
@@ -800,6 +955,37 @@ def test_source_has_no_assert_statements() -> None:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_commands_compute_and_only_main_writes() -> None:
+    # Each ``cmd_*`` returns its status, payload, table and CSV cases, and
+    # ``main`` alone picks the format and writes.  No command, nor any
+    # function of ``cli`` it calls, may print, write a file or read
+    # ``--format`` or ``--output``.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    pending = [name for name in functions if name.startswith("cmd_")]
+    assert len(pending) == 4
+    seen, found = set(), []
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            where = f"{name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "print":
+                    found.append(f"{where} print")
+                if node.func.id in functions:
+                    pending.append(node.func.id)
+            if isinstance(node, ast.Attribute) and node.attr == "write_text":
+                found.append(f"{where} write_text")
+            if isinstance(node, ast.Attribute) and node.attr in ("format", "output"):
+                found.append(f"{where} .{node.attr}")
+            if isinstance(node, ast.Constant) and node.value in ("format", "output"):
+                found.append(f"{where} {node.value!r}")
     assert found == []
 
 

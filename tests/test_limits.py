@@ -47,6 +47,13 @@ def test_spec_rejects_non_integers() -> None:
             DegenerationSpec(ctx, pieces)
 
 
+def test_enumerate_degenerations_rejects_non_integers() -> None:
+    # A float is not rounded and a bool is not a degree of 1.
+    for degree in (3.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            enumerate_degenerations(degree)
+
+
 def test_fano_counts_for_classical_surfaces() -> None:
     assert fano_degree(GrassContext(1, 3), 3) == 27
     assert fano_degree(GrassContext(1, 4), 5) == 2875

@@ -563,6 +563,24 @@ def test_unread_keys_are_refused_without_coarse(tmp_path, capsys) -> None:
     assert main(["decompose", str(path)]) == 0
 
 
+@pytest.mark.parametrize("total_segre, ok", [("2*e + 4*P", True), ("2*e + 3*P", False)])
+def test_decompose_checks_the_recorded_total_segre(tmp_path, capsys, total_segre, ok) -> None:
+    # The components conserve either way; a ``total_segre`` whose main term
+    # is not the FKLM total fails the undecomposed check, and exits 1.
+    path = tmp_path / "case.yaml"
+    path.write_text(_DIVISOR_FIXTURE + f'total_segre: "{total_segre}"\n', encoding="utf-8")
+    code, out = run(capsys, ["decompose", str(path)])
+    assert code == (0 if ok else 1)
+    lines = out.splitlines()
+    assert "conserved: yes" in lines
+    assert f"undecomposed check: {'ok' if ok else 'FAIL'}" in lines
+    code, out = run(capsys, ["decompose", str(path), "--format", "json"])
+    assert code == (0 if ok else 1)
+    payload = json.loads(out)
+    assert payload["conserved"] is True
+    assert payload["undecomposed_ok"] is ok
+
+
 def test_readme_fixture_example_runs(tmp_path, capsys) -> None:
     # The fixture example in README.md is the shipped double_line_split_single.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

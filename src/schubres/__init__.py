@@ -4,92 +4,48 @@ The package computes, in exact integer arithmetic, how the class of a family
 of linear spaces on a degenerating hypersurface distributes over the
 components of the limit, together with the general residual-intersection
 machinery behind that computation.
+
+Every name in ``__all__`` is imported from its module on first access (PEP
+562), so ``import schubres`` loads no submodule, and a command-line run
+loads only the layers its subcommand uses.
 """
 
 from __future__ import annotations
 
-from .bundles import (
-    BundleClass,
-    adams_twist,
-    rank_sym,
-    sym_power,
-    sym_ustar,
-    ustar,
-)
-from .chow import (
-    GrassContext,
-    Partition,
-    StructRing,
-    blowup_plane_at_point,
-    builtin_ring,
-    integrate,
-    integrate_bott,
-    load_ring,
-    projective_space,
-    to_schubert,
-)
-from .identities import bracket_sum, verify_identity
-from .limits import (
-    DegenerationSpec,
-    LimitReport,
-    PieceReport,
-    decompose_degeneration,
-    enumerate_degenerations,
-    fano_degree,
-)
-from .residual import (
-    Decomposition,
-    IntersectionSetup,
-    divisor_decompose,
-    main_term,
-    regular_decompose,
-    symmetric_decompose,
-)
-from .symfunc import (
-    GeneratorSpec,
-    GradedPoly,
-    parse_poly,
-    roots_to_e,
-    series_inverse,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleClass",
-    "Decomposition",
-    "DegenerationSpec",
-    "GeneratorSpec",
-    "GradedPoly",
-    "GrassContext",
-    "IntersectionSetup",
-    "LimitReport",
-    "Partition",
-    "PieceReport",
-    "StructRing",
-    "adams_twist",
-    "blowup_plane_at_point",
-    "bracket_sum",
-    "builtin_ring",
-    "decompose_degeneration",
-    "divisor_decompose",
-    "enumerate_degenerations",
-    "fano_degree",
-    "integrate",
-    "integrate_bott",
-    "load_ring",
-    "main_term",
-    "parse_poly",
-    "projective_space",
-    "rank_sym",
-    "regular_decompose",
-    "roots_to_e",
-    "series_inverse",
-    "sym_power",
-    "sym_ustar",
-    "symmetric_decompose",
-    "to_schubert",
-    "ustar",
-    "verify_identity",
-    "__version__",
-]
+_EXPORTS = {
+    "bundles": ("BundleClass", "adams_twist", "rank_sym", "sym_power", "sym_ustar", "ustar"),
+    "chow": (
+        "GrassContext", "Partition", "StructRing", "blowup_plane_at_point", "builtin_ring",
+        "integrate", "integrate_bott", "load_ring", "projective_space", "to_schubert",
+    ),
+    "identities": ("bracket_sum", "verify_identity"),
+    "limits": (
+        "DegenerationSpec", "LimitReport", "PieceReport", "decompose_degeneration",
+        "enumerate_degenerations", "fano_degree",
+    ),
+    "residual": (
+        "Decomposition", "IntersectionSetup", "divisor_decompose", "main_term",
+        "regular_decompose", "symmetric_decompose",
+    ),
+    "symfunc": ("GeneratorSpec", "GradedPoly", "parse_poly", "roots_to_e", "series_inverse"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

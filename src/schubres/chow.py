@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ContextMismatchError, RingFormatError, UnsupportedOperationError
@@ -55,18 +54,18 @@ from .symfunc import (
 )
 
 
-@dataclass(frozen=True, order=True)
 class Partition:
     """Weakly decreasing positive parts; the empty partition is allowed.
 
     A Schubert class sigma_l is named by its partition l, which must fit
-    the k by (n - r) box of its Grassmannian.
+    the k by (n - r) box of its Grassmannian.  Partitions are immutable and
+    compare and hash by their parts, with trailing zeros dropped.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(exact_int(p, "partition part") for p in self.parts)
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(exact_int(p, "partition part") for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p < 0 for p in parts):
@@ -74,6 +73,22 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Partition is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def size(self) -> int:
@@ -106,35 +121,52 @@ def partitions_in_box(rows: int, cols: int) -> list[Partition]:
 _GENERATOR_LETTERS = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
 class GrassContext:
     """The Grassmannian of projective r-planes in projective n-space.
 
     Its Chow ring is generated by the Chern classes of the rank k = r + 1
     dual tautological subbundle, truncated above the dimension k(n - r).
     Schubert classes are indexed by partitions in the k by (n - r) box, and
-    the class of a point is the full box.
+    the class of a point is the full box.  Contexts are immutable and
+    compare and hash by r and n alone, so equal contexts built apart share
+    every cache entry keyed by one.
     """
 
-    r: int
-    n: int
+    __slots__ = ("r", "n", "_spec", "_schubert_memo", "__weakref__")
 
-    def __post_init__(self) -> None:
-        r, n = exact_int(self.r, "r"), exact_int(self.n, "n")
+    def __init__(self, r: int, n: int) -> None:
+        r, n = exact_int(r, "r"), exact_int(n, "n")
         if r < 0 or n <= r:
-            raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
-        k = self.k
+            raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+        k = r + 1
         if k <= len(_GENERATOR_LETTERS):
             names = _GENERATOR_LETTERS[:k]
         else:
             names = tuple(f"c{i}" for i in range(1, k + 1))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
         object.__setattr__(
-            self, "_spec", GeneratorSpec(names, tuple(range(1, k + 1)), self.dim)
+            self, "_spec", GeneratorSpec(names, tuple(range(1, k + 1)), k * (n - r))
         )
         # Packed monomial key -> Schubert expansion of that Chern monomial,
-        # filled by ``_monomial_schubert``.  Not a dataclass field, so
-        # equality, hashing and repr still see only r and n.
+        # filled by ``_monomial_schubert``.  Not compared, hashed or printed.
         object.__setattr__(self, "_schubert_memo", {})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GrassContext is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not GrassContext:
+            return NotImplemented
+        return self.r == other.r and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.n))
+
+    def __repr__(self) -> str:
+        return f"GrassContext(r={self.r!r}, n={self.n!r})"
 
     @property
     def k(self) -> int:

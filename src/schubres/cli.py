@@ -33,15 +33,12 @@ frozen reference values and exits 1 if any disagree.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 import time
-from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import __version__
 from .chow import (
@@ -55,22 +52,15 @@ from .chow import (
     read_yaml,
 )
 from .errors import EngineError
-from .identities import verify_identity
-from .limits import (
-    DegenerationSpec,
-    LimitReport,
-    decompose_degeneration,
-    enumerate_degenerations,
-    fano_degree,
-    fano_family,
-)
-from .residual import (
-    IntersectionSetup,
-    divisor_decompose,
-    main_term,
-    symmetric_decompose,
-)
 from .symfunc import exact_int
+
+if TYPE_CHECKING:
+    from .limits import DegenerationSpec, LimitReport
+
+# ``limits``, ``identities`` and ``residual`` are imported by the commands and
+# selftest checks that run them, so each subcommand loads only its own layers.
+# Their functions are looked up on those modules at call time, so a caller
+# that rebinds a module's function is the one called.
 
 Piece = tuple[int, int]
 
@@ -207,6 +197,8 @@ _CSV_FIELDS = (
 def _write_csv(cases: Iterable[tuple[str, list[dict], dict]]) -> str:
     """One row per component, then the ambient row, for each
     ``(case, components, ambient)``; columns a row lacks stay blank."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, restval="", lineterminator="\n")
     writer.writeheader()
@@ -253,8 +245,10 @@ def _limit_table(spec: DegenerationSpec, payload: dict) -> str:
 
 
 def cmd_fano(args: argparse.Namespace) -> Result:
+    from . import limits
+
     ctx = GrassContext(args.r, args.n)
-    cls, family_dim, count = fano_family(ctx, args.degree, args.pair)
+    cls, family_dim, count = limits.fano_family(ctx, args.degree, args.pair)
     payload = {
         "context": _context_payload(ctx, args.degree),
         "class": cls.to_string(),
@@ -279,23 +273,28 @@ def cmd_fano(args: argparse.Namespace) -> Result:
 
 
 def cmd_degenerate(args: argparse.Namespace) -> Result:
+    from . import limits
+
     ctx = GrassContext(args.r, args.n)
     if args.all:
         if args.pieces is not None:
             raise ValueError("give either a piece list or --all, not both")
         if args.degree is None:
             raise ValueError("--all needs --degree")
-        specs = [DegenerationSpec(ctx, pieces) for pieces in enumerate_degenerations(args.degree)]
+        specs = [
+            limits.DegenerationSpec(ctx, pieces)
+            for pieces in limits.enumerate_degenerations(args.degree)
+        ]
     else:
         if args.pieces is None:
             raise ValueError("give a piece list like '1x4+1x1' or use --all --degree D")
-        specs = [DegenerationSpec(ctx, args.pieces)]
+        specs = [limits.DegenerationSpec(ctx, args.pieces)]
         got = specs[0].degree
         if args.degree is not None and args.degree != got:
             raise ValueError(
                 f"pieces have total degree {got}, which contradicts --degree {args.degree}"
             )
-    payloads = [_limit_payload(decompose_degeneration(spec, args.pair)) for spec in specs]
+    payloads = [_limit_payload(limits.decompose_degeneration(spec, args.pair)) for spec in specs]
     every_case = {"context": _context_payload(ctx, args.degree), "cases": payloads}
     return (
         0 if all(p["conserved"] for p in payloads) else 1,
@@ -306,13 +305,15 @@ def cmd_degenerate(args: argparse.Namespace) -> Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> Result:
+    from . import identities
+
     ctx = GrassContext(args.r, args.n)
     cases = [
         (k, l)
         for k in range(1, args.max_degree)
         for l in range(1, args.max_degree - k + 1)
     ]
-    residuals = [verify_identity(ctx, k, l) for k, l in cases]
+    residuals = [identities.verify_identity(ctx, k, l) for k, l in cases]
     results = [
         {"k": k, "l": l, "ok": residual.is_zero}
         for (k, l), residual in zip(cases, residuals)
@@ -337,6 +338,8 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def _fixture_path(source: str) -> Path:
+    from importlib import resources
+
     path = Path(source)
     if path.exists():
         return path
@@ -373,8 +376,7 @@ def _read_section(
 
 
 # The class keys each decomposition mode reads, in the order its function
-# takes them.  The function itself is looked up when the fixture runs, so a
-# caller that rebinds the module global is the one called.
+# takes them.
 _MODE_KEYS = {
     "divisor": ("divisor_class", "residual_segre"),
     "symmetric": ("first", "second"),
@@ -392,6 +394,8 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
     told apart, is evaluated too; a fixture without one raises
     ``ValueError``.
     """
+    from . import residual
+
     path = _fixture_path(source)
     data = read_yaml(path)
     mode = data.get("mode", "divisor") if isinstance(data, dict) else "divisor"
@@ -407,18 +411,18 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
         check_keys(data["coarse"], what, ("ring", "normal_chern", "segre", "total"))
     dim = exact_int(data["dim"], "fixture key 'dim'")
     ring, element = _read_section(data, path.parent, dim)
-    setup = IntersectionSetup(
+    setup = residual.IntersectionSetup(
         cN=element("normal_chern"), d=exact_int(data["codim"], "fixture key 'codim'")
     )
     labels = data.get("labels", ["D", "R"])
     if not (isinstance(labels, list) and list(map(type, labels)) == [str, str]):
         raise ValueError(f"fixture key 'labels' must be a list of two strings, got {labels!r}")
-    decompose = divisor_decompose if mode == "divisor" else symmetric_decompose
+    decompose = residual.divisor_decompose if mode == "divisor" else residual.symmetric_decompose
     decomposition = decompose(setup, *map(element, class_keys), labels=tuple(labels))
 
     undecomposed = None
     if "total_segre" in data:
-        whole = main_term(setup, element("total_segre"))
+        whole = residual.main_term(setup, element("total_segre"))
         if mode == "symmetric":
             whole = whole.pushforward()
         undecomposed = whole == decomposition.ambient_total
@@ -428,8 +432,8 @@ def _fixture_payload(source: str, coarse: bool) -> dict:
         if "coarse" not in data:
             raise ValueError(f"fixture {data.get('name', path.name)!r} has no coarse section")
         _, coarse_element = _read_section(data["coarse"], path.parent, dim, "coarse ring")
-        coarse_setup = IntersectionSetup(cN=coarse_element("normal_chern"), d=setup.d)
-        main = main_term(coarse_setup, coarse_element("segre"))
+        coarse_setup = residual.IntersectionSetup(cN=coarse_element("normal_chern"), d=setup.d)
+        main = residual.main_term(coarse_setup, coarse_element("segre"))
         coarse_payload = {
             "main_class": main.to_string(),
             "main_degree": main.integrate(),
@@ -501,23 +505,30 @@ def _expect(got, want, *what) -> None:
 
 def _check_counts() -> None:
     # Each count by the Pieri route, then by Bott's formula on the same class.
+    from . import limits
+
     for r, n, d, count in ((1, 3, 3, 27), (1, 4, 5, 2875), (2, 7, 4, 3_297_280), (1, 3, 4, 0)):
         ctx = GrassContext(r, n)
-        _expect(fano_degree(ctx, d), count, "Pieri count", ctx, d)
-        _expect(integrate_bott(ctx, fano_family(ctx, d)[0]), count, "Bott count", ctx, d)
+        _expect(limits.fano_degree(ctx, d), count, "Pieri count", ctx, d)
+        _expect(integrate_bott(ctx, limits.fano_family(ctx, d)[0]), count, "Bott count", ctx, d)
 
 
 def _check_cubic_split() -> None:
-    report = decompose_degeneration(DegenerationSpec(GrassContext(1, 3), ((1, 1), (1, 2))))
+    from . import limits
+
+    spec = limits.DegenerationSpec(GrassContext(1, 3), ((1, 1), (1, 2)))
+    report = limits.decompose_degeneration(spec)
     _expect([piece.total_degree for piece in report.pieces], [3, 24], "piece totals")
     _expect(report.ambient_degree, 27, "ambient degree")
     _expect(report.conserved, True, "conserved")
 
 
 def _check_table(context: tuple[int, int], cases) -> None:
+    from . import limits
+
     ctx = GrassContext(*context)
-    specs = [DegenerationSpec(ctx, pieces) for pieces, _ in cases]
-    reports = [decompose_degeneration(spec) for spec in specs]
+    specs = [limits.DegenerationSpec(ctx, pieces) for pieces, _ in cases]
+    reports = [limits.decompose_degeneration(spec) for spec in specs]
     for (pieces, expected), report in zip(cases, reports):
         got = tuple(
             (piece.main_degree, piece.adjunct_degree, piece.total_degree)
@@ -528,11 +539,13 @@ def _check_table(context: tuple[int, int], cases) -> None:
 
 
 def _check_quintic_table() -> None:
+    from . import limits
+
     _check_table(QUINTIC_CONTEXT, QUINTIC_CASES)
     # The two degenerations not in the frozen table still conserve.
     ctx = GrassContext(*QUINTIC_CONTEXT)
     for pieces in (((4, 1), (1, 1)), ((3, 1), (2, 1))):
-        report = decompose_degeneration(DegenerationSpec(ctx, pieces))
+        report = limits.decompose_degeneration(limits.DegenerationSpec(ctx, pieces))
         _expect(report.conserved, True, "conserved", pieces)
 
 
@@ -541,13 +554,15 @@ def _check_quartic_table() -> None:
 
 
 def _check_identity_grid() -> None:
+    from . import identities
+
     cases = [
         (ctx, k, l)
         for ctx in (GrassContext(1, 3), GrassContext(1, 4), GrassContext(2, 5))
         for k in range(1, 4)
         for l in range(1, 5 - k)
     ]
-    residuals = [verify_identity(*case) for case in cases]
+    residuals = [identities.verify_identity(*case) for case in cases]
     for case, residual in zip(cases, residuals):
         _expect(residual.is_zero, True, "identity residual is zero for", case)
 
@@ -692,6 +707,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             status, payload, table, cases = args.func(args)
             if args.format == "json":
+                import json
+
                 text = json.dumps(payload, indent=2)
             elif args.format == "csv":
                 text = _write_csv(cases)

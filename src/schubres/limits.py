@@ -12,7 +12,6 @@ recovers the top Chern class of ``Sym^d U*``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .bundles import rank_sym, sym_ustar
@@ -42,24 +41,23 @@ def piece_label(degree: int, multiplicity: int) -> str:
     return f"X{degree}^{multiplicity}"
 
 
-@dataclass(frozen=True)
 class DegenerationSpec:
     """A degeneration of a hypersurface into two weighted pieces.
 
     Each piece ``(k, e)`` is a degree-``k`` hypersurface with multiplicity
     ``e``; the total degree of the degenerate fibre is the weighted sum of
-    the pieces.
+    the pieces.  Specs are immutable and compare and hash by their context
+    and pieces.
     """
 
-    context: GrassContext
-    pieces: tuple[Piece, Piece]
+    __slots__ = ("context", "pieces")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.context, GrassContext):
+    def __init__(self, context: GrassContext, pieces: tuple[Piece, Piece]) -> None:
+        if not isinstance(context, GrassContext):
             raise TypeError("context must be a GrassContext")
         pieces = tuple(
             (exact_int(k, "piece degree"), exact_int(e, "piece multiplicity"))
-            for k, e in self.pieces
+            for k, e in pieces
         )
         if len(pieces) != 2:
             raise ValueError("exactly two pieces are supported")
@@ -68,7 +66,24 @@ class DegenerationSpec:
                 raise ValueError(
                     f"piece degrees and multiplicities must be >= 1, got ({k}, {e})"
                 )
+        object.__setattr__(self, "context", context)
         object.__setattr__(self, "pieces", pieces)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("DegenerationSpec is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not DegenerationSpec:
+            return NotImplemented
+        return self.pieces == other.pieces and self.context == other.context
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.pieces))
+
+    def __repr__(self) -> str:
+        return f"DegenerationSpec(context={self.context!r}, pieces={self.pieces!r})"
 
     @property
     def degree(self) -> int:
@@ -83,31 +98,70 @@ class DegenerationSpec:
         return " + ".join(self.labels)
 
 
-@dataclass(frozen=True)
 class PieceReport:
     """Limit classes and (when defined) degrees attached to one piece."""
 
-    label: str
-    degree: int
-    multiplicity: int
-    main_class: GradedPoly
-    adjunct_class: GradedPoly
-    total_class: GradedPoly
-    main_degree: int | None
-    adjunct_degree: int | None
-    total_degree: int | None
+    __slots__ = (
+        "label", "degree", "multiplicity", "main_class", "adjunct_class", "total_class",
+        "main_degree", "adjunct_degree", "total_degree",
+    )
+
+    def __init__(
+        self,
+        label: str,
+        degree: int,
+        multiplicity: int,
+        main_class: GradedPoly,
+        adjunct_class: GradedPoly,
+        total_class: GradedPoly,
+        main_degree: int | None,
+        adjunct_degree: int | None,
+        total_degree: int | None,
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "main_class", main_class)
+        object.__setattr__(self, "adjunct_class", adjunct_class)
+        object.__setattr__(self, "total_class", total_class)
+        object.__setattr__(self, "main_degree", main_degree)
+        object.__setattr__(self, "adjunct_degree", adjunct_degree)
+        object.__setattr__(self, "total_degree", total_degree)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PieceReport is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"PieceReport({fields})"
 
 
-@dataclass(frozen=True)
 class LimitReport:
     """Full account of a degeneration: per-piece reports plus the ambient
     total they must reproduce."""
 
-    spec: DegenerationSpec
-    pieces: tuple[PieceReport, PieceReport]
-    ambient_class: GradedPoly
-    ambient_degree: int | None
-    conserved: bool
+    __slots__ = ("spec", "pieces", "ambient_class", "ambient_degree", "conserved")
+
+    def __init__(
+        self,
+        spec: DegenerationSpec,
+        pieces: tuple[PieceReport, PieceReport],
+        ambient_class: GradedPoly,
+        ambient_degree: int | None,
+        conserved: bool,
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "ambient_class", ambient_class)
+        object.__setattr__(self, "ambient_degree", ambient_degree)
+        object.__setattr__(self, "conserved", conserved)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LimitReport is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"LimitReport({fields})"
 
 
 def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:

@@ -41,14 +41,15 @@ is a real check, and the only conservation check of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING
 
-from .bundles import BundleClass
 from .symfunc import exact_int
 
+if TYPE_CHECKING:
+    from .bundles import BundleClass
 
-@dataclass(frozen=True)
+
 class IntersectionSetup:
     """Fixed data of one residual intersection problem.
 
@@ -57,43 +58,72 @@ class IntersectionSetup:
     ``d`` its codimension.
     """
 
-    cN: object
-    d: int
+    __slots__ = ("cN", "d")
 
-    def __post_init__(self) -> None:
-        if exact_int(self.d, "codimension d") < 1:
-            raise ValueError(f"codimension d must be a positive integer, got {self.d}")
-        if self.cN.constant_term != 1:
-            raise ValueError(
-                f"c(N) must have constant term 1, got {self.cN.constant_term}"
-            )
+    def __init__(self, cN, d: int) -> None:
+        if exact_int(d, "codimension d") < 1:
+            raise ValueError(f"codimension d must be a positive integer, got {d}")
+        if cN.constant_term != 1:
+            raise ValueError(f"c(N) must have constant term 1, got {cN.constant_term}")
+        object.__setattr__(self, "cN", cN)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("IntersectionSetup is immutable")
+
+    def __repr__(self) -> str:
+        return f"IntersectionSetup(cN={self.cN!r}, d={self.d!r})"
 
 
-@dataclass(frozen=True)
 class DecompositionComponent:
-    label: str
-    main: object
-    adjunct: object
+    """One piece of a decomposition: its main term and adjunct correction."""
+
+    __slots__ = ("label", "main", "adjunct")
+
+    def __init__(self, label: str, main, adjunct) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "main", main)
+        object.__setattr__(self, "adjunct", adjunct)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("DecompositionComponent is immutable")
 
     @property
     def total(self):
         return self.main + self.adjunct
 
+    def __repr__(self) -> str:
+        return (
+            f"DecompositionComponent(label={self.label!r}, main={self.main!r}, "
+            f"adjunct={self.adjunct!r})"
+        )
 
-@dataclass(frozen=True)
+
 class Decomposition:
     """Per-component split of the intersection class.
 
     ``ambient_total`` is computed apart from the components, which must sum to it.
     """
 
-    components: tuple[DecompositionComponent, ...]
-    ambient_total: object
+    __slots__ = ("components", "ambient_total")
+
+    def __init__(self, components: tuple[DecompositionComponent, ...], ambient_total) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "ambient_total", ambient_total)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Decomposition is immutable")
 
     @property
     def conserved(self) -> bool:
         zero = self.ambient_total.zero_like()
         return sum((c.total for c in self.components), zero) == self.ambient_total
+
+    def __repr__(self) -> str:
+        return (
+            f"Decomposition(components={self.components!r}, "
+            f"ambient_total={self.ambient_total!r})"
+        )
 
 
 def main_term(setup: IntersectionSetup, sZ):

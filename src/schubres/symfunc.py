@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -49,7 +48,8 @@ from . import kernel
 from .errors import ContextMismatchError, NonUnitError, NotSymmetricError
 from .errors import UnsupportedOperationError
 
-# Trusted constructors bypass the refusing ``__setattr__`` of the carriers.
+# Trusted constructors bypass the refusing ``__setattr__`` of the immutable
+# classes.
 _new = object.__new__
 _set = object.__setattr__
 
@@ -80,58 +80,78 @@ def add_terms(out: dict, items: Iterable[tuple[object, int]]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class GeneratorSpec:
     """Names, weighted degrees and truncation bound of a polynomial ring.
 
     A spec with no generators is the ring of plain integers (every element is
-    a constant).  Specs compare by value, so equal specs built independently
-    are interchangeable.  The packed key layout of the module docstring is
-    derived from the fields: ``key_shift`` is n * W, ``key_limit`` is
-    ``(truncation + 1) << key_shift`` and ``generator_keys`` holds the key of
-    each generator.  ``roots_to_e`` keeps its tables for a root spec on the
-    spec itself, outside the fields, so they live exactly as long as it does.
+    a constant).  Specs are immutable and compare and hash by their three
+    fields, so equal specs built independently are interchangeable.  The
+    packed key layout of the module docstring is derived from the fields:
+    ``key_shift`` is n * W, ``key_limit`` is ``(truncation + 1) <<
+    key_shift`` and ``generator_keys`` holds the key of each generator.
+    ``roots_to_e`` keeps its tables for a root spec on the spec itself,
+    outside the fields, so they live exactly as long as it does.
     """
 
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-    truncation: int
+    __slots__ = (
+        "names", "degrees", "truncation", "_mask", "_positions", "key_shift",
+        "degree_of", "key_limit", "generator_keys", "_e_tables", "__weakref__",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(
-            self, "degrees", tuple(exact_int(d, "generator degree") for d in self.degrees)
-        )
-        if len(self.names) != len(self.degrees):
+    def __init__(self, names: tuple[str, ...], degrees: tuple[int, ...], truncation: int) -> None:
+        names = tuple(names)
+        degrees = tuple(exact_int(d, "generator degree") for d in degrees)
+        if len(names) != len(degrees):
             raise ValueError("names and degrees must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        for name in self.names:
+        for name in names:
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid generator name {name!r}")
-        if any(d <= 0 for d in self.degrees):
+        if any(d <= 0 for d in degrees):
             raise ValueError("generator degrees must be positive")
-        if exact_int(self.truncation, "truncation") < 0:
+        if exact_int(truncation, "truncation") < 0:
             raise ValueError("truncation must be a non-negative integer")
-        width = (2 * self.truncation).bit_length()
-        n = len(self.degrees)
+        width = (2 * truncation).bit_length()
+        n = len(degrees)
         shift = n * width
         positions = tuple((n - 1 - i) * width for i in range(n))
-        derived = {
-            "_mask": (1 << width) - 1,
-            "_positions": positions,
-            "key_shift": shift,
-            # ``degree_of(key)`` is ``key >> key_shift``, bound as a builtin
-            # so that ``degree_part`` makes no Python call per term.
-            "degree_of": shift.__rrshift__,
-            "key_limit": (self.truncation + 1) << shift,
-            "generator_keys": tuple(
-                d << shift | 1 << pos for d, pos in zip(self.degrees, positions)
-            ),
-            "_e_tables": None,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        _set(self, "names", names)
+        _set(self, "degrees", degrees)
+        _set(self, "truncation", truncation)
+        _set(self, "_mask", (1 << width) - 1)
+        _set(self, "_positions", positions)
+        _set(self, "key_shift", shift)
+        # ``degree_of(key)`` is ``key >> key_shift``, bound as a builtin so
+        # that ``degree_part`` makes no Python call per term.
+        _set(self, "degree_of", shift.__rrshift__)
+        _set(self, "key_limit", (truncation + 1) << shift)
+        keys = tuple(d << shift | 1 << pos for d, pos in zip(degrees, positions))
+        _set(self, "generator_keys", keys)
+        _set(self, "_e_tables", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("GeneratorSpec is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not GeneratorSpec:
+            return NotImplemented
+        return (
+            self.truncation == other.truncation
+            and self.degrees == other.degrees
+            and self.names == other.names
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.degrees, self.truncation))
+
+    def __repr__(self) -> str:
+        return (
+            f"GeneratorSpec(names={self.names!r}, degrees={self.degrees!r}, "
+            f"truncation={self.truncation!r})"
+        )
 
     @property
     def ngens(self) -> int:
@@ -304,14 +324,17 @@ class ClassCarrier:
         ring, cls = self.ring, type(self)
         mul_into = ring.mul_into
         out = dict(self.packed)
+        get = out.get
         for c, a, b in triples:
             if type(c) is not int:
                 exact_int(c, "product coefficient")
             if type(a) is not cls or a.ring is not ring:
                 self._check(a)
             if isinstance(b, (int, float)):
+                # Accumulated in place, as ``kernel.mul_terms`` does.
                 m = c * exact_int(b, "product factor")
-                add_terms(out, ((k, m * v) for k, v in a.packed.items()))
+                for k, v in a.packed.items():
+                    out[k] = get(k, 0) + m * v
                 continue
             if type(b) is not cls or b.ring is not ring:
                 self._check(b)

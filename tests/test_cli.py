@@ -638,31 +638,51 @@ def test_closed_stdout_is_not_bad_input(tmp_path, argv, status) -> None:
         assert done.stderr.startswith("error: ")
 
 
-def test_commands_without_yaml_files_never_import_yaml() -> None:
-    # ``yaml`` is imported only where a YAML file is read.
+_IDENTITIES = "schubres.identities"
+
+
+@pytest.mark.parametrize(
+    "argv, absent, present",
+    [
+        pytest.param(
+            ["fano", "-r", "1", "-n", "3", "-d", "3"], ("yaml", _IDENTITIES), (), id="fano"
+        ),
+        pytest.param(
+            ["degenerate", "-r", "1", "-n", "3", "--all", "-d", "3"], ("yaml", _IDENTITIES), (),
+            id="degenerate",
+        ),
+        pytest.param(["verify", "-r", "2", "-n", "5"], ("yaml",), (), id="verify"),
+        pytest.param(
+            ["decompose", "double-line-symmetric"],
+            ("schubres.limits", _IDENTITIES, "schubres.bundles"), ("yaml",), id="decompose",
+        ),
+        pytest.param(None, (), (), id="bare-import"),
+    ],
+)
+def test_each_command_imports_only_its_layers(argv, absent, present) -> None:
+    # A fresh interpreter runs one command, or only ``import schubres``, and
+    # lists the modules it loaded.  No command loads ``dataclasses`` or
+    # ``inspect``; ``yaml`` is imported only where a YAML file is read; a
+    # bare import loads no submodule, since the package exports lazily.
+    import schubres
+
+    if argv is None:
+        absent = [f"schubres.{info.name}" for info in pkgutil.iter_modules(schubres.__path__)]
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [entry for entry in [os.environ.get("PYTHONPATH")] if entry]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    script = (
-        "import sys\n"
-        "from schubres.cli import main\n"
-        "assert main(['fano', '-r', '1', '-n', '3', '-d', '3']) == 0\n"
-        "print('yaml' in sys.modules)\n"
-    )
+    script = "import sys\nimport schubres\n"
+    if argv is not None:
+        script += f"from schubres.cli import main\nassert main({argv!r}) == 0\n"
+    script += "print(' '.join(sorted(sys.modules)))\n"
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
-    # A command that reads a fixture does import it.
-    script = script.replace(
-        "['fano', '-r', '1', '-n', '3', '-d', '3']", "['decompose', 'double-line-symmetric']"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "True"
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert "schubres" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", *absent}) == []
+    assert sorted(set(present) - loaded) == []
 
 
 def _json(payload: dict) -> str:

@@ -417,13 +417,13 @@ def test_integration_builds_no_partition(monkeypatch) -> None:
     # validated only where a partition comes in from outside.  From cold
     # caches, both paper tables and the G(3,8) cubic count build none.
     built = []
-    validate = chow.Partition.__post_init__
+    construct = chow.Partition.__init__
 
-    def counted(self) -> None:
-        built.append(self.parts)
-        validate(self)
+    def counted(self, parts=()) -> None:
+        built.append(parts)
+        construct(self, parts)
 
-    monkeypatch.setattr(chow.Partition, "__post_init__", counted)
+    monkeypatch.setattr(chow.Partition, "__init__", counted)
     bundles.sym_ustar.cache_clear()
     for context, degree in (((1, 4), 5), ((2, 7), 4)):
         ctx = GrassContext(*context)
@@ -453,6 +453,20 @@ def test_empty_families_build_no_bundle(monkeypatch) -> None:
         for piece in report.pieces:
             assert (piece.main_degree, piece.adjunct_degree, piece.total_degree) == (0, 0, 0)
             assert piece.total_class.is_zero and piece.main_class.is_zero
+
+
+def test_a_pairing_outside_the_box_is_refused_before_any_bundle(monkeypatch) -> None:
+    # On G(1,4) the d=2 family has dimension 3, and (1, 1, 1) has that size
+    # but does not fit the 2x3 box: refused before Sym^d is looked up.
+    def refuse(*args):
+        raise AssertionError(f"sym_ustar{args} called")
+
+    monkeypatch.setattr(limits, "sym_ustar", refuse)
+    ctx = GrassContext(1, 4)
+    with pytest.raises(ValueError, match="does not fit the 2x3 box"):
+        fano_degree(ctx, 2, (1, 1, 1))
+    with pytest.raises(ValueError, match="does not fit the 2x3 box"):
+        decompose_degeneration(DegenerationSpec(ctx, ((1, 1), (1, 1))), pairing=(1, 1, 1))
 
 
 def test_readme_library_example_runs() -> None:

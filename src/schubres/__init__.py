@@ -45,7 +45,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_MODULE_OF})

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bundles import rank_sym, sym_ustar
-from .chow import GrassContext, Partition, integrate
+from . import chow
+from .chow import GrassContext, Partition
 from .residual import Decomposition, DecompositionComponent, IntersectionSetup, regular_decompose
 from .symfunc import GradedPoly, exact_int
 
@@ -187,7 +188,9 @@ def _paired_degree(
     given; ``None`` for an unpaired positive-dimensional family."""
     if pairing is None and excess > 0:
         return None
-    return integrate(ctx, value, pairing)
+    # Looked up on ``chow`` at each call, so a rebinding of
+    # ``chow.integrate`` is the one called.
+    return chow.integrate(ctx, value, pairing)
 
 
 def fano_family(ctx: GrassContext, d: int, pairing=None) -> tuple[GradedPoly, int, int | None]:

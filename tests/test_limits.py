@@ -396,7 +396,7 @@ def test_degeneration_tables_product_work_is_bounded(monkeypatch) -> None:
     counting(bundles, "roots_to_e")
     counting(bundles, "substitute")
     counting(symfunc.ClassCarrier, "__sub__")
-    counting(limits, "integrate")
+    counting(chow, "integrate")
     bundles.sym_ustar.cache_clear()
     for context, degree in (((1, 4), 5), ((2, 7), 4)):
         ctx = GrassContext(*context)

@@ -90,6 +90,12 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition(parts={self.parts!r})"
 
+    def __reduce__(self):
+        # The default copy and unpickle would set the slots through the
+        # refusing ``__setattr__``, so every immutable class here and in
+        # ``symfunc``, ``residual`` and ``limits`` rebuilds through its constructor.
+        return Partition, (self.parts,)
+
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -167,6 +173,9 @@ class GrassContext:
 
     def __repr__(self) -> str:
         return f"GrassContext(r={self.r!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return GrassContext, (self.r, self.n)
 
     @property
     def k(self) -> int:

@@ -86,6 +86,9 @@ class DegenerationSpec:
     def __repr__(self) -> str:
         return f"DegenerationSpec(context={self.context!r}, pieces={self.pieces!r})"
 
+    def __reduce__(self):
+        return DegenerationSpec, (self.context, self.pieces)
+
     @property
     def degree(self) -> int:
         """Total degree of the degenerate hypersurface."""
@@ -136,6 +139,9 @@ class PieceReport:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"PieceReport({fields})"
 
+    def __reduce__(self):
+        return PieceReport, tuple(getattr(self, name) for name in self.__slots__)
+
 
 class LimitReport:
     """Full account of a degeneration: per-piece reports plus the ambient
@@ -163,6 +169,9 @@ class LimitReport:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"LimitReport({fields})"
+
+    def __reduce__(self):
+        return LimitReport, tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:

@@ -74,6 +74,9 @@ class IntersectionSetup:
     def __repr__(self) -> str:
         return f"IntersectionSetup(cN={self.cN!r}, d={self.d!r})"
 
+    def __reduce__(self):
+        return IntersectionSetup, (self.cN, self.d)
+
 
 class DecompositionComponent:
     """One piece of a decomposition: its main term and adjunct correction."""
@@ -97,6 +100,9 @@ class DecompositionComponent:
             f"DecompositionComponent(label={self.label!r}, main={self.main!r}, "
             f"adjunct={self.adjunct!r})"
         )
+
+    def __reduce__(self):
+        return DecompositionComponent, (self.label, self.main, self.adjunct)
 
 
 class Decomposition:
@@ -124,6 +130,9 @@ class Decomposition:
             f"Decomposition(components={self.components!r}, "
             f"ambient_total={self.ambient_total!r})"
         )
+
+    def __reduce__(self):
+        return Decomposition, (self.components, self.ambient_total)
 
 
 def main_term(setup: IntersectionSetup, sZ):

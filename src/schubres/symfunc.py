@@ -153,6 +153,9 @@ class GeneratorSpec:
             f"truncation={self.truncation!r})"
         )
 
+    def __reduce__(self):
+        return GeneratorSpec, (self.names, self.degrees, self.truncation)
+
     @property
     def ngens(self) -> int:
         return len(self.names)

@@ -9,6 +9,9 @@ error type and message of each validation.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from schubres import bundles
@@ -82,6 +85,23 @@ def test_fields_are_taken_by_position_or_by_keyword() -> None:
     ):
         assert (report.spec, report.pieces, report.ambient_degree) == (spec, (piece, piece), 6)
         assert (report.ambient_class, report.conserved) == (zero, False)
+
+
+def test_copies_and_pickles_rebuild_through_the_constructor() -> None:
+    # As with the dataclasses, every class copies, and the four value types
+    # also deep-copy and pickle to an equal object with an equal hash.
+    for instance, fields in _instances():
+        twin = copy.copy(instance)
+        assert type(twin) is type(instance)
+        assert all(getattr(twin, name) == getattr(instance, name) for name in fields)
+    for value in (
+        GeneratorSpec(("x", "y"), (1, 2), 4),
+        Partition((2, 1)),
+        GrassContext(1, 4),
+        DegenerationSpec(GrassContext(1, 4), ((1, 4), (1, 1))),
+    ):
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin is not value and twin == value and hash(twin) == hash(value)
 
 
 def test_value_classes_compare_and_hash_by_their_fields() -> None:

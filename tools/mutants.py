@@ -64,6 +64,8 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
      "return self.r == other.r and self.n == other.n", "return self.r == other.r"),
     ("GrassContext allows assignment", "chow.py",
      'raise AttributeError("GrassContext is immutable")', "object.__setattr__(self, name, value)"),
+    ("GrassContext copies through the default slot restore", "chow.py",
+     "return GrassContext, (self.r, self.n)", "return object.__reduce_ex__(self, 2)"),
 )
 
 

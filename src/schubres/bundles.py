@@ -42,10 +42,10 @@ from math import comb
 
 from .chow import GrassContext
 from .symfunc import GradedPoly, e_spec, exact_int, inverse_parts, root_spec, roots_to_e
-from .symfunc import substitute
+from .symfunc import Immutable, substitute
 
 
-class BundleClass:
+class BundleClass(Immutable):
     """An honest bundle: positive rank, total Chern class with unit term.
 
     Chern classes above the rank vanish for honest bundles, so a total Chern
@@ -58,6 +58,7 @@ class BundleClass:
     """
 
     __slots__ = ("rank", "total_chern", "_segre_parts", "_segre_source", "_excess")
+    _fields = ("rank", "total_chern")
 
     def __init__(self, rank: int, total_chern) -> None:
         if exact_int(rank, "rank") < 1:
@@ -75,9 +76,6 @@ class BundleClass:
         object.__setattr__(self, "_segre_parts", [])
         object.__setattr__(self, "_segre_source", None)
         object.__setattr__(self, "_excess", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BundleClass is immutable")
 
     def chern(self, i: int):
         """The i-th Chern class; zero beyond the carried degrees."""

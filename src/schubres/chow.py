@@ -48,13 +48,15 @@ from .symfunc import (
     ClassCarrier,
     GeneratorSpec,
     GradedPoly,
+    Immutable,
+    Value,
     add_terms,
     exact_int,
     parse_linear_terms,
 )
 
 
-class Partition:
+class Partition(Value):
     """Weakly decreasing positive parts; the empty partition is allowed.
 
     A Schubert class sigma_l is named by its partition l, which must fit
@@ -62,7 +64,7 @@ class Partition:
     compare and hash by their parts, with trailing zeros dropped.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple[int, ...] = ()) -> None:
         parts = tuple(exact_int(p, "partition part") for p in parts)
@@ -73,28 +75,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Partition is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
-
-    def __reduce__(self):
-        # The default copy and unpickle would set the slots through the
-        # refusing ``__setattr__``, so every immutable class here and in
-        # ``symfunc``, ``residual`` and ``limits`` rebuilds through its constructor.
-        return Partition, (self.parts,)
 
     @property
     def size(self) -> int:
@@ -127,7 +107,7 @@ def partitions_in_box(rows: int, cols: int) -> list[Partition]:
 _GENERATOR_LETTERS = ("x", "y", "z")
 
 
-class GrassContext:
+class GrassContext(Value):
     """The Grassmannian of projective r-planes in projective n-space.
 
     Its Chow ring is generated by the Chern classes of the rank k = r + 1
@@ -139,6 +119,7 @@ class GrassContext:
     """
 
     __slots__ = ("r", "n", "_spec", "_schubert_memo", "__weakref__")
+    _fields = ("r", "n")
 
     def __init__(self, r: int, n: int) -> None:
         r, n = exact_int(r, "r"), exact_int(n, "n")
@@ -157,25 +138,6 @@ class GrassContext:
         # Packed monomial key -> Schubert expansion of that Chern monomial,
         # filled by ``_monomial_schubert``.  Not compared, hashed or printed.
         object.__setattr__(self, "_schubert_memo", {})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GrassContext is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is not GrassContext:
-            return NotImplemented
-        return self.r == other.r and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.n))
-
-    def __repr__(self) -> str:
-        return f"GrassContext(r={self.r!r}, n={self.n!r})"
-
-    def __reduce__(self):
-        return GrassContext, (self.r, self.n)
 
     @property
     def k(self) -> int:
@@ -359,7 +321,7 @@ def integrate_bott(ctx: GrassContext, p: GradedPoly, pairing: Partition | None =
     return total
 
 
-class StructRing:
+class StructRing(Immutable):
     """Finite graded ring described by integer structure constants.
 
     The one constructor takes the mapping a ring file holds: ``basis``
@@ -447,9 +409,6 @@ class StructRing:
         # Zero products were kept for the unit and conflict checks; dropped
         # now, a product listed as zero and one left out are the same ring.
         object.__setattr__(self, "_table", {pair: e for pair, e in table.items() if e})
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("StructRing is immutable")
 
     @property
     def top_degree(self) -> int:

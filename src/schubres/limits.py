@@ -18,7 +18,7 @@ from .bundles import rank_sym, sym_ustar
 from . import chow
 from .chow import GrassContext, Partition
 from .residual import Decomposition, DecompositionComponent, IntersectionSetup, regular_decompose
-from .symfunc import GradedPoly, exact_int
+from .symfunc import GradedPoly, Immutable, Value, exact_int
 
 __all__ = [
     "DegenerationSpec",
@@ -42,7 +42,7 @@ def piece_label(degree: int, multiplicity: int) -> str:
     return f"X{degree}^{multiplicity}"
 
 
-class DegenerationSpec:
+class DegenerationSpec(Value):
     """A degeneration of a hypersurface into two weighted pieces.
 
     Each piece ``(k, e)`` is a degree-``k`` hypersurface with multiplicity
@@ -51,7 +51,7 @@ class DegenerationSpec:
     and pieces.
     """
 
-    __slots__ = ("context", "pieces")
+    __slots__ = _fields = ("context", "pieces")
 
     def __init__(self, context: GrassContext, pieces: tuple[Piece, Piece]) -> None:
         if not isinstance(context, GrassContext):
@@ -70,25 +70,6 @@ class DegenerationSpec:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "pieces", pieces)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DegenerationSpec is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is not DegenerationSpec:
-            return NotImplemented
-        return self.pieces == other.pieces and self.context == other.context
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.pieces))
-
-    def __repr__(self) -> str:
-        return f"DegenerationSpec(context={self.context!r}, pieces={self.pieces!r})"
-
-    def __reduce__(self):
-        return DegenerationSpec, (self.context, self.pieces)
-
     @property
     def degree(self) -> int:
         """Total degree of the degenerate hypersurface."""
@@ -102,10 +83,10 @@ class DegenerationSpec:
         return " + ".join(self.labels)
 
 
-class PieceReport:
+class PieceReport(Immutable):
     """Limit classes and (when defined) degrees attached to one piece."""
 
-    __slots__ = (
+    __slots__ = _fields = (
         "label", "degree", "multiplicity", "main_class", "adjunct_class", "total_class",
         "main_degree", "adjunct_degree", "total_degree",
     )
@@ -132,22 +113,12 @@ class PieceReport:
         object.__setattr__(self, "adjunct_degree", adjunct_degree)
         object.__setattr__(self, "total_degree", total_degree)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PieceReport is immutable")
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"PieceReport({fields})"
-
-    def __reduce__(self):
-        return PieceReport, tuple(getattr(self, name) for name in self.__slots__)
-
-
-class LimitReport:
+class LimitReport(Immutable):
     """Full account of a degeneration: per-piece reports plus the ambient
     total they must reproduce."""
 
-    __slots__ = ("spec", "pieces", "ambient_class", "ambient_degree", "conserved")
+    __slots__ = _fields = ("spec", "pieces", "ambient_class", "ambient_degree", "conserved")
 
     def __init__(
         self,
@@ -162,16 +133,6 @@ class LimitReport:
         object.__setattr__(self, "ambient_class", ambient_class)
         object.__setattr__(self, "ambient_degree", ambient_degree)
         object.__setattr__(self, "conserved", conserved)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LimitReport is immutable")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"LimitReport({fields})"
-
-    def __reduce__(self):
-        return LimitReport, tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _check_pairing(ctx: GrassContext, pairing, excess: int) -> Partition | None:

@@ -44,13 +44,13 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .symfunc import exact_int
+from .symfunc import Immutable, exact_int
 
 if TYPE_CHECKING:
     from .bundles import BundleClass
 
 
-class IntersectionSetup:
+class IntersectionSetup(Immutable):
     """Fixed data of one residual intersection problem.
 
     ``cN`` is the total Chern class of the pulled-back normal bundle (unit
@@ -58,7 +58,7 @@ class IntersectionSetup:
     ``d`` its codimension.
     """
 
-    __slots__ = ("cN", "d")
+    __slots__ = _fields = ("cN", "d")
 
     def __init__(self, cN, d: int) -> None:
         if exact_int(d, "codimension d") < 1:
@@ -68,71 +68,38 @@ class IntersectionSetup:
         object.__setattr__(self, "cN", cN)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IntersectionSetup is immutable")
 
-    def __repr__(self) -> str:
-        return f"IntersectionSetup(cN={self.cN!r}, d={self.d!r})"
-
-    def __reduce__(self):
-        return IntersectionSetup, (self.cN, self.d)
-
-
-class DecompositionComponent:
+class DecompositionComponent(Immutable):
     """One piece of a decomposition: its main term and adjunct correction."""
 
-    __slots__ = ("label", "main", "adjunct")
+    __slots__ = _fields = ("label", "main", "adjunct")
 
     def __init__(self, label: str, main, adjunct) -> None:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "main", main)
         object.__setattr__(self, "adjunct", adjunct)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DecompositionComponent is immutable")
-
     @property
     def total(self):
         return self.main + self.adjunct
 
-    def __repr__(self) -> str:
-        return (
-            f"DecompositionComponent(label={self.label!r}, main={self.main!r}, "
-            f"adjunct={self.adjunct!r})"
-        )
 
-    def __reduce__(self):
-        return DecompositionComponent, (self.label, self.main, self.adjunct)
-
-
-class Decomposition:
+class Decomposition(Immutable):
     """Per-component split of the intersection class.
 
     ``ambient_total`` is computed apart from the components, which must sum to it.
     """
 
-    __slots__ = ("components", "ambient_total")
+    __slots__ = _fields = ("components", "ambient_total")
 
     def __init__(self, components: tuple[DecompositionComponent, ...], ambient_total) -> None:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "ambient_total", ambient_total)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Decomposition is immutable")
-
     @property
     def conserved(self) -> bool:
         zero = self.ambient_total.zero_like()
         return sum((c.total for c in self.components), zero) == self.ambient_total
-
-    def __repr__(self) -> str:
-        return (
-            f"Decomposition(components={self.components!r}, "
-            f"ambient_total={self.ambient_total!r})"
-        )
-
-    def __reduce__(self):
-        return Decomposition, (self.components, self.ambient_total)
 
 
 def main_term(setup: IntersectionSetup, sZ):

@@ -33,7 +33,8 @@ how a key prints.  ``GeneratorSpec`` supplies it for this module's
 written once against the protocol.
 
 The module also rewrites a symmetric polynomial in degree-one root variables
-as a polynomial in the elementary symmetric functions.
+as a polynomial in the elementary symmetric functions, and holds
+``Immutable`` and ``Value``, the one base of the package's immutable classes.
 """
 
 from __future__ import annotations
@@ -80,7 +81,56 @@ def add_terms(out: dict, items: Iterable[tuple[object, int]]) -> dict:
     return out
 
 
-class GeneratorSpec:
+class Immutable:
+    """Base of the package's immutable classes.
+
+    ``_fields`` names the constructor's arguments in order.  Assignment is
+    refused with ``AttributeError``; trusted code sets a slot through
+    ``object.__setattr__``.  The repr is ``Name(field=value, ...)`` over
+    the fields, and a copy or a pickle is rebuilt through the constructor
+    from them, so no slot outside the fields (a memo, a derived layout) is
+    copied.  A class without fields refuses to be copied or pickled.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        if not self._fields:
+            raise TypeError(f"{type(self).__name__} cannot be copied or pickled")
+        return type(self), self._values()
+
+
+class Value(Immutable):
+    """An ``Immutable`` that compares and hashes by its fields, and only by
+    them: equal values built apart are interchangeable, as cache keys too."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class GeneratorSpec(Value):
     """Names, weighted degrees and truncation bound of a polynomial ring.
 
     A spec with no generators is the ring of plain integers (every element is
@@ -97,6 +147,7 @@ class GeneratorSpec:
         "names", "degrees", "truncation", "_mask", "_positions", "key_shift",
         "degree_of", "key_limit", "generator_keys", "_e_tables", "__weakref__",
     )
+    _fields = ("names", "degrees", "truncation")
 
     def __init__(self, names: tuple[str, ...], degrees: tuple[int, ...], truncation: int) -> None:
         names = tuple(names)
@@ -129,32 +180,6 @@ class GeneratorSpec:
         keys = tuple(d << shift | 1 << pos for d, pos in zip(degrees, positions))
         _set(self, "generator_keys", keys)
         _set(self, "_e_tables", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("GeneratorSpec is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if other.__class__ is not GeneratorSpec:
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.degrees == other.degrees
-            and self.names == other.names
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.degrees, self.truncation))
-
-    def __repr__(self) -> str:
-        return (
-            f"GeneratorSpec(names={self.names!r}, degrees={self.degrees!r}, "
-            f"truncation={self.truncation!r})"
-        )
-
-    def __reduce__(self):
-        return GeneratorSpec, (self.names, self.degrees, self.truncation)
 
     @property
     def ngens(self) -> int:
@@ -199,7 +224,7 @@ class GeneratorSpec:
         )
 
 
-class ClassCarrier:
+class ClassCarrier(Immutable):
     """An immutable element of a graded ring of classes, truncated above a
     top degree.
 
@@ -255,9 +280,6 @@ class ClassCarrier:
         _set(self, "packed", packed)
         _set(self, "_parts", None)
         return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -376,6 +398,9 @@ class ClassCarrier:
         return self.ring == other.ring and self.packed == other.packed
 
     def __hash__(self) -> int:
+        # A constant equals its int (see ``__eq__``), so it hashes as one.
+        if self.packed.keys() <= {self.ring.unit_key}:
+            return hash(self.constant_term)
         return hash((self.ring, frozenset(self.packed.items())))
 
     def __bool__(self) -> bool:
@@ -505,6 +530,9 @@ class GradedPoly(ClassCarrier):
         if not self.packed:
             return -1
         return max(self.packed) >> self.ring.key_shift
+
+    def __reduce__(self):
+        return GradedPoly, (self.ring, dict(self.terms))
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.to_string()!r})"

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from schubres.chow import StructElement
-from schubres.symfunc import ClassCarrier, GradedPoly
+from schubres.chow import StructElement, projective_space
+from schubres.symfunc import ClassCarrier, GeneratorSpec, GradedPoly
 
 LAYERS = ("bundles", "residual", "identities", "limits")
 CARRIERS = {"GradedPoly", "StructElement"}
@@ -161,3 +161,18 @@ def test_carriers_share_the_base_implementation(carrier, member) -> None:
     assert inspect.getattr_static(carrier, member) is inspect.getattr_static(
         ClassCarrier, member
     )
+
+
+def test_constant_carriers_hash_as_the_int_they_equal() -> None:
+    spec, ring = GeneratorSpec(("x",), (1,), 3), projective_space(2)
+    for make, generator in (
+        (lambda c: GradedPoly.constant(spec, c), GradedPoly.generator(spec, "x")),
+        (lambda c: ring.one().scaled(c), ring.parse("h")),
+    ):
+        for c in (0, 3, -1, 2**70):
+            constant = make(c)
+            assert constant == c and hash(constant) == hash(c)
+            assert len({c, constant}) == 1 and {c: "int"}[constant] == "int"
+        moved = generator + 3
+        assert moved != 3 and hash(moved) == hash(generator + 3)
+        assert len({moved, generator + 3, generator, 3}) == 3

@@ -18,6 +18,7 @@ from schubres import bundles
 from schubres.chow import GrassContext, Partition, integrate, projective_space
 from schubres.limits import DegenerationSpec, LimitReport, PieceReport, decompose_degeneration
 from schubres.residual import Decomposition, DecompositionComponent, IntersectionSetup
+from schubres.residual import regular_decompose
 from schubres.symfunc import GeneratorSpec, GradedPoly, roots_to_e, root_spec
 
 
@@ -197,3 +198,80 @@ def test_validation_keeps_its_error_and_message(make, error, message) -> None:
         make()
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+def test_every_value_and_report_class_keeps_its_repr() -> None:
+    report = decompose_degeneration(DegenerationSpec(GrassContext(1, 3), ((1, 1), (1, 2))))
+    piece = (
+        "PieceReport(label='X1', degree=1, multiplicity=1, "
+        "main_class=GradedPoly('6*x^2*y + 9*y^2'), adjunct_class=GradedPoly('-12*y^2'), "
+        "total_class=GradedPoly('6*x^2*y - 3*y^2'), main_degree=15, adjunct_degree=-12, "
+        "total_degree=3)"
+    )
+    assert repr(report.pieces[0]) == piece
+    assert repr(report) == (
+        "LimitReport(spec=DegenerationSpec(context=GrassContext(r=1, n=3), "
+        "pieces=((1, 1), (1, 2))), pieces=(" + piece + ", "
+        "PieceReport(label='X1^2', degree=1, multiplicity=2, "
+        "main_class=GradedPoly('12*x^2*y + 24*y^2'), adjunct_class=GradedPoly('-12*y^2'), "
+        "total_class=GradedPoly('12*x^2*y + 12*y^2'), main_degree=36, adjunct_degree=-12, "
+        "total_degree=24)), ambient_class=GradedPoly('18*x^2*y + 9*y^2'), "
+        "ambient_degree=27, conserved=True)"
+    )
+    assert repr(_p2_setup()) == "IntersectionSetup(cN=StructElement('1 + 3*h' in p2), d=2)"
+    component = DecompositionComponent("D", 1, 2)
+    assert repr(component) == "DecompositionComponent(label='D', main=1, adjunct=2)"
+    assert repr(Decomposition((component,), 3)) == (
+        "Decomposition(components=(DecompositionComponent(label='D', main=1, adjunct=2),), "
+        "ambient_total=3)"
+    )
+    assert repr(GrassContext(2, 5)) == "GrassContext(r=2, n=5)"
+    assert repr(Partition()) == "Partition(parts=())"
+    assert repr(GeneratorSpec((), (), 0)) == "GeneratorSpec(names=(), degrees=(), truncation=0)"
+    assert repr(report.spec) == (
+        "DegenerationSpec(context=GrassContext(r=1, n=3), pieces=((1, 1), (1, 2)))"
+    )
+
+
+def _twins(value) -> list:
+    return [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+
+
+def test_classes_bundles_and_reports_copy_and_pickle_to_equal_values() -> None:
+    for r, n, d, pieces in ((1, 3, 3, ((1, 1), (1, 2))), (2, 7, 4, ((1, 3), (1, 1)))):
+        ctx = GrassContext(r, n)
+        twisted = bundles.sym_ustar(ctx, pieces[0][0], pieces[0][1])
+        ambient = bundles.sym_ustar(ctx, d)
+        poly = ambient.chern(ambient.rank)
+        for twin in _twins(poly):
+            assert type(twin) is GradedPoly and twin == poly and hash(twin) == hash(poly)
+            assert integrate(ctx, twin) == integrate(ctx, poly) != 0
+        for bundle in (twisted, ambient):
+            for twin in _twins(bundle):
+                assert twin is not bundle and twin == bundle and hash(twin) == hash(bundle)
+                assert twin.total_segre() == bundle.total_segre()
+                assert integrate(ctx, twin.chern(twin.rank)) == integrate(
+                    ctx, bundle.chern(bundle.rank))
+        report = decompose_degeneration(DegenerationSpec(ctx, pieces))
+        for twin in _twins(report):
+            assert type(twin) is LimitReport and repr(twin) == repr(report)
+            assert [integrate(twin.spec.context, p.total_class) for p in twin.pieces] == [
+                p.total_degree for p in report.pieces]
+        second = bundles.sym_ustar(ctx, pieces[1][0], pieces[1][1])
+        setup = IntersectionSetup(ambient.total_chern, ambient.rank)
+        tops = (twisted.chern(twisted.rank), second.chern(second.rank))
+        decomposition = regular_decompose(setup, twisted, second, *tops)
+        for twin in _twins(decomposition):
+            assert type(twin) is Decomposition and twin.conserved
+            assert [(c.label, c.main, c.adjunct) for c in twin.components] == [
+                (c.label, c.main, c.adjunct) for c in decomposition.components]
+            assert twin.ambient_total == decomposition.ambient_total
+
+
+def test_structure_rings_and_their_elements_refuse_to_be_copied() -> None:
+    ring = projective_space(2)
+    for value, name in ((ring, "StructRing"), (ring.parse("1 + 3*h"), "StructElement")):
+        for attempt in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError) as raised:
+                attempt(value)
+            assert str(raised.value) == f"{name} cannot be copied or pickled"

@@ -60,12 +60,25 @@ MUTANTS: tuple[tuple[str, str, str, str], ...] = (
     ("cli imports identities at module level", "cli.py",
      "from .errors import EngineError",
      "from .errors import EngineError; from . import identities"),
-    ("GrassContext.__eq__ compares only r", "chow.py",
-     "return self.r == other.r and self.n == other.n", "return self.r == other.r"),
-    ("GrassContext allows assignment", "chow.py",
-     'raise AttributeError("GrassContext is immutable")', "object.__setattr__(self, name, value)"),
-    ("GrassContext copies through the default slot restore", "chow.py",
-     "return GrassContext, (self.r, self.n)", "return object.__reduce_ex__(self, 2)"),
+    ("Value.__eq__ compares only the first field", "symfunc.py",
+     "return self._values() == other._values()",
+     "return self._values()[:1] == other._values()[:1]"),
+    ("Immutable allows assignment", "symfunc.py",
+     'raise AttributeError(f"{type(self).__name__} is immutable")',
+     "object.__setattr__(self, name, value)"),
+    ("Immutable rebuilds a copy from its fields reversed", "symfunc.py",
+     "return type(self), self._values()", "return type(self), self._values()[::-1]"),
+    ("Immutable.__repr__ prints only the first four fields", "symfunc.py",
+     "zip(self._fields, self._values())", "zip(self._fields[:4], self._values())"),
+    ("a class without fields copies to a bare constructor call", "symfunc.py",
+     "if not self._fields:", "if False:"),
+    ("PieceReport fields swapped", "limits.py",
+     '"main_degree", "adjunct_degree", "total_degree",',
+     '"adjunct_degree", "main_degree", "total_degree",'),
+    ("GradedPoly copies to the zero class", "symfunc.py",
+     "return GradedPoly, (self.ring, dict(self.terms))", "return GradedPoly, (self.ring,)"),
+    ("a constant carrier hashes apart from its int", "symfunc.py",
+     "if self.packed.keys() <= {self.ring.unit_key}:", "if False:"),
 )
 
 

@@ -42,19 +42,20 @@ from math import comb
 
 from .chow import GrassContext
 from .symfunc import GradedPoly, e_spec, exact_int, inverse_parts, root_spec, roots_to_e
-from .symfunc import Immutable, substitute
+from .symfunc import Value, substitute
 
 
-class BundleClass(Immutable):
+class BundleClass(Value):
     """An honest bundle: positive rank, total Chern class with unit term.
 
     Chern classes above the rank vanish for honest bundles, so a total Chern
-    class with a nonzero part there is refused.  Instances are immutable;
-    the Segre parts are drawn on first use, each only as far as a caller
-    reads, and kept: from the inversion of the total Chern class, or from
-    the parts of the untwisted bundle that ``adams_twist`` rescales.  So
-    are the excess classes against the last ambient total Chern class the
-    bundle met (see ``excess``).
+    class with a nonzero part there is refused.  Instances are immutable
+    and compare and hash by their rank and total Chern class; the Segre
+    parts are drawn on first use, each only as far as a caller reads, and
+    kept: from the inversion of the total Chern class, or from the parts of
+    the untwisted bundle that ``adams_twist`` rescales.  So are the excess
+    classes against the last ambient total Chern class the bundle met (see
+    ``excess``).
     """
 
     __slots__ = ("rank", "total_chern", "_segre_parts", "_segre_source", "_excess")
@@ -117,14 +118,6 @@ class BundleClass(Immutable):
         if part is None:
             part = kept[1][e] = _excess_part(c, self, e)
         return part
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BundleClass):
-            return NotImplemented
-        return self.rank == other.rank and self.total_chern == other.total_chern
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.total_chern))
 
     def __repr__(self) -> str:
         return f"BundleClass(rank={self.rank}, c={self.total_chern.to_string()!r})"

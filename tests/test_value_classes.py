@@ -4,7 +4,10 @@
 compare and hash by their fields, and only by them: caches are keyed by a
 context, so two contexts built apart must hit one entry.  Every class takes
 its fields positionally or by keyword, refuses assignment, and keeps the
-error type and message of each validation.
+error type and message of each validation.  The reprs are pinned as the
+dataclasses printed them.  Classes, bundles and reports copy and pickle to
+equal values with equal degrees; a structure ring, which does not keep its
+description, and its elements refuse with ``TypeError``.
 """
 
 from __future__ import annotations
